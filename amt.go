@@ -5,7 +5,7 @@ import "crowdjoin/internal/crowd"
 // AMT simulation surface: a discrete-event model of a Mechanical-Turk-style
 // platform with HIT batching, replicated assignments, majority voting,
 // qualification tests, and worker latency/error models. It implements
-// Platform, so it plugs directly into LabelOnPlatform.
+// Platform, so it plugs directly into PlatformStrategy via WithPlatform.
 type (
 	// AMTSimulator is the simulated platform.
 	AMTSimulator = crowd.Platform

@@ -169,8 +169,10 @@ func BenchmarkTable2QualityAndCost(b *testing.B) {
 // probing the paper's batching strategy (Section 6.4).
 func BenchmarkAblationBatchSize(b *testing.B) {
 	e := benchEnv(b)
-	pairs := e.Paper.Candidates(0.3)
-	order := core.ExpectedOrder(pairs)
+	pt, err := core.SinglePartition(e.Paper.Dataset.Len(), core.ExpectedOrder(e.Paper.Candidates(0.3)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, batch := range []int{1, 5, 10, 20, 50} {
 		b.Run(benchName("batch", batch), func(b *testing.B) {
 			var hours float64
@@ -182,7 +184,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := core.LabelOnPlatform(e.Paper.Dataset.Len(), order, pf, true); err != nil {
+				if _, err := core.LabelPartitionedOnPlatformRun(pt, pf, true, core.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 				hours, hits = pf.Now(), pf.HITs()
@@ -197,8 +199,10 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 // parallelism headroom behind Table 1's speedup.
 func BenchmarkAblationWorkers(b *testing.B) {
 	e := benchEnv(b)
-	pairs := e.Paper.Candidates(0.3)
-	order := core.ExpectedOrder(pairs)
+	pt, err := core.SinglePartition(e.Paper.Dataset.Len(), core.ExpectedOrder(e.Paper.Candidates(0.3)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, workers := range []int{4, 8, 16, 32, 64} {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			var hours float64
@@ -209,7 +213,7 @@ func BenchmarkAblationWorkers(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := core.LabelOnPlatform(e.Paper.Dataset.Len(), order, pf, true); err != nil {
+				if _, err := core.LabelPartitionedOnPlatformRun(pt, pf, true, core.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 				hours = pf.Now()
@@ -223,8 +227,10 @@ func BenchmarkAblationWorkers(b *testing.B) {
 // savings-vs-quality trade-off behind Table 2.
 func BenchmarkAblationErrorRate(b *testing.B) {
 	e := benchEnv(b)
-	pairs := e.Paper.Candidates(0.3)
-	order := core.ExpectedOrder(pairs)
+	pt, err := core.SinglePartition(e.Paper.Dataset.Len(), core.ExpectedOrder(e.Paper.Candidates(0.3)))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, rate := range []float64{0, 0.05, 0.1, 0.2} {
 		b.Run(benchName("err%", int(rate*100)), func(b *testing.B) {
 			var conflicts int
@@ -235,7 +241,7 @@ func BenchmarkAblationErrorRate(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				run, err := core.LabelOnPlatform(e.Paper.Dataset.Len(), order, pf, true)
+				run, err := core.LabelPartitionedOnPlatformRun(pt, pf, true, core.RunOpts{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,38 +291,6 @@ func BenchmarkAblationDeduction(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationIncremental compares the instant-decision driver's
-// implementation strategies: the from-scratch Algorithm 3 rescan and
-// full-order deduction pass the paper describes, vs the checkpointed scan
-// and incident-pairs-only deduction. Outputs are identical (see the
-// equivalence property tests); only the work per answer changes. The
-// deduction pass dominates, so IncrementalDeduce is the big lever.
-func BenchmarkAblationIncremental(b *testing.B) {
-	e := benchEnv(b)
-	pairs := e.Paper.Candidates(0.3)
-	order := core.ExpectedOrder(pairs)
-	configs := []struct {
-		name string
-		opts core.PlatformOptions
-	}{
-		{"paper-baseline", core.PlatformOptions{Instant: true}},
-		{"incr-scan", core.PlatformOptions{Instant: true, IncrementalScan: true}},
-		{"incr-deduce", core.PlatformOptions{Instant: true, IncrementalDeduce: true}},
-		{"incr-both", core.PlatformOptions{Instant: true, IncrementalScan: true, IncrementalDeduce: true}},
-	}
-	for _, cfg := range configs {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pf := core.NewSimPlatform(e.Paper.Truth, core.SelectRandom, rand.New(rand.NewSource(3)))
-				_, err := core.LabelOnPlatformOpts(e.Paper.Dataset.Len(), order, pf, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationBlocking compares inverted-index candidate generation
@@ -451,7 +425,7 @@ func BenchmarkSequentialLabeling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelSequential(e.Paper.Dataset.Len(), order, e.Paper.Truth); err != nil {
+		if _, err := core.LabelSequentialRun(e.Paper.Dataset.Len(), order, e.Paper.Truth, core.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +439,7 @@ func BenchmarkParallelLabeling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelParallel(e.Paper.Dataset.Len(), order, core.Batched(e.Paper.Truth)); err != nil {
+		if _, err := core.LabelParallelRun(e.Paper.Dataset.Len(), order, core.Batched(e.Paper.Truth), core.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -523,7 +497,7 @@ func BenchmarkShardedParallelLabeling(b *testing.B) {
 					}
 					crowdsourced = r.NumCrowdsourced
 				} else {
-					r, err := core.LabelShardedParallelRun(e.Paper.Dataset.Len(), order, oracle, k, core.RunOpts{})
+					r, err := core.LabelPartitionedParallelRun(pt, oracle, k, core.RunOpts{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -539,7 +513,7 @@ func BenchmarkShardedParallelLabeling(b *testing.B) {
 // BenchmarkGiantComponent measures the balance-aware question router on the
 // workload that motivates it: Paper@0.3, where one connected component holds
 // ~94% of the candidate pairs, so component-granular scheduling
-// (LabelShardedParallelRun's largest-first workers) pins one worker on the
+// (LabelPartitionedParallelRun's largest-first workers) pins one worker on the
 // giant component and k buys almost nothing over k=1. The routed run keeps
 // the identical per-component round structure but splits every published
 // round into single questions spread across k modeled crowd workers
@@ -577,7 +551,7 @@ func BenchmarkGiantComponent(b *testing.B) {
 			return core.LabelParallelRun(numObjects, order, oracle, core.RunOpts{})
 		}},
 		{"k=4-largest-first", func() (*core.ParallelResult, error) {
-			return core.LabelShardedParallelRun(numObjects, order, oracle, k, core.RunOpts{})
+			return core.LabelPartitionedParallelRun(pt, oracle, k, core.RunOpts{})
 		}},
 		{"k=4-balanced", func() (*core.ParallelResult, error) {
 			return core.LabelRoutedParallelRun(pt, oracle, k, core.RunOpts{})

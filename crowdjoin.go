@@ -1,7 +1,6 @@
 package crowdjoin
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 
@@ -28,22 +27,10 @@ type (
 	TruthOracle = core.TruthOracle
 	// Truth is a ground-truth predicate over object pairs.
 	Truth = core.Truth
-	// Result is a labeling outcome.
-	Result = core.Result
-	// ParallelResult adds per-iteration round sizes.
-	ParallelResult = core.ParallelResult
-	// TraceResult adds publish and availability traces.
-	TraceResult = core.TraceResult
-	// Platform is the crowdsourcing-backend surface LabelOnPlatform needs.
+	// Platform is the crowdsourcing-backend surface PlatformStrategy needs.
 	Platform = core.Platform
-	// PlatformOptions configures LabelOnPlatformOpts.
-	PlatformOptions = core.PlatformOptions
 	// SelectionPolicy is how a simulated crowd picks its next pair.
 	SelectionPolicy = core.SelectionPolicy
-	// OneToOneResult is LabelSequentialOneToOne's outcome.
-	OneToOneResult = core.OneToOneResult
-	// BudgetResult is LabelWithBudget's outcome.
-	BudgetResult = core.BudgetResult
 )
 
 // Label values.
@@ -59,127 +46,6 @@ const (
 	SelectRandom              = core.SelectRandom
 	SelectAscendingLikelihood = core.SelectAscendingLikelihood
 )
-
-// runLegacy configures a Join the way the deprecated free functions imply —
-// precomputed order, labeled as given — and runs it to completion.
-func runLegacy(numObjects int, order []Pair, opts ...JoinOption) (*JoinResult, error) {
-	opts = append([]JoinOption{WithPairs(numObjects, order), WithOrder(OrderAsGiven)}, opts...)
-	j, err := NewJoin(opts...)
-	if err != nil {
-		return nil, err
-	}
-	//crowdjoin:ctxbackground deprecated pre-Join shim; callers wanting cancellation use NewJoin + Run(ctx)
-	return j.Run(context.Background())
-}
-
-// legacyResult converts a JoinResult's shared core back into the legacy
-// Result shape.
-func legacyResult(r *JoinResult) Result {
-	return Result{
-		Labels:          r.Labels,
-		Crowdsourced:    r.Crowdsourced,
-		NumCrowdsourced: r.NumCrowdsourced,
-		NumDeduced:      r.NumDeduced,
-	}
-}
-
-// LabelSequential runs the one-pair-at-a-time labeler: pairs are processed
-// in order, each either deduced from transitive relations or crowdsourced
-// via oracle.
-//
-// Deprecated: configure a Join with SequentialStrategy and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
-func LabelSequential(numObjects int, order []Pair, oracle Oracle) (*Result, error) {
-	r, err := runLegacy(numObjects, order, WithStrategy(SequentialStrategy), WithOracle(oracle))
-	if err != nil {
-		return nil, err
-	}
-	res := legacyResult(r)
-	return &res, nil
-}
-
-// LabelParallel runs the parallel labeling algorithm: each iteration
-// crowdsources every pair that must be asked no matter how the still-open
-// pairs turn out, then deduces the rest.
-//
-// Deprecated: configure a Join with ParallelStrategy and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
-func LabelParallel(numObjects int, order []Pair, oracle BatchOracle) (*ParallelResult, error) {
-	r, err := runLegacy(numObjects, order, WithStrategy(ParallelStrategy), WithBatchOracle(oracle))
-	if err != nil {
-		return nil, err
-	}
-	return &ParallelResult{Result: legacyResult(r), RoundSizes: r.RoundSizes, Conflicts: r.Conflicts}, nil
-}
-
-// LabelOnPlatform drives labeling through a Platform. With instant=true it
-// applies the instant-decision optimization, republishing newly mandatory
-// pairs after every answer.
-//
-// Deprecated: configure a Join with PlatformStrategy, WithPlatform, and
-// WithInstantDecisions and call Run; this wrapper remains for compatibility
-// and is result-identical to that configuration.
-func LabelOnPlatform(numObjects int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
-	return LabelOnPlatformOpts(numObjects, order, pf, PlatformOptions{Instant: instant})
-}
-
-// LabelOnPlatformOpts is LabelOnPlatform with explicit options, including
-// the incremental scan/deduction implementations (identical results,
-// less work per answer on large candidate sets).
-//
-// Deprecated: configure a Join with PlatformStrategy, WithPlatform,
-// WithInstantDecisions, and WithIncrementalPlatform and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
-func LabelOnPlatformOpts(numObjects int, order []Pair, pf Platform, opts PlatformOptions) (*TraceResult, error) {
-	r, err := runLegacy(numObjects, order,
-		WithStrategy(PlatformStrategy), WithPlatform(pf),
-		WithInstantDecisions(opts.Instant),
-		WithIncrementalPlatform(opts.IncrementalScan, opts.IncrementalDeduce))
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Result:       legacyResult(r),
-		PublishSizes: r.PublishSizes,
-		Availability: r.Availability,
-		Conflicts:    r.Conflicts,
-	}, nil
-}
-
-// LabelSequentialOneToOne is the sequential labeler augmented with the
-// one-to-one constraint for joins between duplicate-free sources: a
-// matching answer for (a, b) additionally rules out every other partner
-// for a and for b. Extra savings on bipartite joins; wrong labels if a
-// source does contain duplicates.
-//
-// Deprecated: configure a Join with OneToOneStrategy and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
-func LabelSequentialOneToOne(numObjects int, order []Pair, oracle Oracle) (*OneToOneResult, error) {
-	r, err := runLegacy(numObjects, order, WithStrategy(OneToOneStrategy), WithOracle(oracle))
-	if err != nil {
-		return nil, err
-	}
-	return &OneToOneResult{Result: legacyResult(r), NumConstraintDeduced: r.NumConstraintDeduced}, nil
-}
-
-// LabelWithBudget crowdsources at most budget pairs; afterwards,
-// undeducible pairs fall back to the machine guess (likelihood ≥
-// guessThreshold → matching). Guessed labels never feed deduction.
-//
-// Deprecated: configure a Join with BudgetStrategy and call Run; this
-// wrapper remains for compatibility and is result-identical to that
-// configuration.
-func LabelWithBudget(numObjects int, order []Pair, oracle Oracle, budget int, guessThreshold float64) (*BudgetResult, error) {
-	r, err := runLegacy(numObjects, order, WithStrategy(BudgetStrategy(budget, guessThreshold)), WithOracle(oracle))
-	if err != nil {
-		return nil, err
-	}
-	return &BudgetResult{Result: legacyResult(r), Guessed: r.Guessed, NumGuessed: r.NumGuessed}, nil
-}
 
 // ExpectedOrder sorts pairs by decreasing matching likelihood — the paper's
 // practical labeling-order heuristic.

@@ -98,11 +98,7 @@ func TestEndToEndSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := crowdjoin.ExpectedOrder(pairs)
-	res, err := crowdjoin.LabelSequential(len(exampleTexts), order, exampleOracle())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs), crowdjoin.WithOracle(exampleOracle()))
 	if res.NumCrowdsourced+res.NumDeduced != len(pairs) {
 		t.Fatalf("crowdsourced %d + deduced %d != %d", res.NumCrowdsourced, res.NumDeduced, len(pairs))
 	}
@@ -128,22 +124,16 @@ func TestEndToEndParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := crowdjoin.ExpectedOrder(pairs)
-	seq, err := crowdjoin.LabelSequential(len(exampleTexts), order, exampleOracle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := crowdjoin.LabelParallel(len(exampleTexts), order,
-		crowdjoin.BatchOracleFunc(func(ps []crowdjoin.Pair) []crowdjoin.Label {
+	seq := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs), crowdjoin.WithOracle(exampleOracle()))
+	par := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs),
+		crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
+		crowdjoin.WithBatchOracle(crowdjoin.BatchOracleFunc(func(ps []crowdjoin.Pair) []crowdjoin.Label {
 			out := make([]crowdjoin.Label, len(ps))
 			for i, p := range ps {
 				out[i] = exampleOracle().Label(p)
 			}
 			return out
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
+		})))
 	if par.NumCrowdsourced != seq.NumCrowdsourced {
 		t.Errorf("parallel crowdsourced %d, sequential %d", par.NumCrowdsourced, seq.NumCrowdsourced)
 	}
@@ -158,12 +148,9 @@ func TestEndToEndOnSimulatedCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := crowdjoin.ExpectedOrder(pairs)
 	pf := crowdjoin.NewSimulatedCrowd(exampleOracle(), crowdjoin.SelectRandom, rand.New(rand.NewSource(1)))
-	res, err := crowdjoin.LabelOnPlatform(len(exampleTexts), order, pf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs),
+		crowdjoin.WithStrategy(crowdjoin.PlatformStrategy), crowdjoin.WithPlatform(pf), crowdjoin.WithInstantDecisions(true))
 	for _, p := range pairs {
 		want := crowdjoin.Matching
 		if exampleEntity[p.A] != exampleEntity[p.B] {
@@ -188,10 +175,8 @@ func TestEndToEndOnAMTSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := crowdjoin.LabelOnPlatform(len(exampleTexts), crowdjoin.ExpectedOrder(pairs), pf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs),
+		crowdjoin.WithStrategy(crowdjoin.PlatformStrategy), crowdjoin.WithPlatform(pf), crowdjoin.WithInstantDecisions(true))
 	if res.NumCrowdsourced == 0 || pf.HITs() == 0 {
 		t.Fatalf("nothing crowdsourced: %d pairs, %d HITs", res.NumCrowdsourced, pf.HITs())
 	}

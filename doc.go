@@ -15,8 +15,8 @@
 //     candidate set (Candidates / CandidatesAcross);
 //  2. the crowd labels candidates, but because matching is transitive
 //     (a=b ∧ b=c ⇒ a=c; a=b ∧ b≠c ⇒ a≠c) many labels can be deduced
-//     instead of crowdsourced (LabelSequential, LabelParallel,
-//     LabelOnPlatform).
+//     instead of crowdsourced (Join with SequentialStrategy,
+//     ParallelStrategy, or PlatformStrategy).
 //
 // The labeling order matters: labeling matching pairs first maximizes later
 // deductions. OptimalOrder needs ground truth (an analysis tool);
@@ -49,8 +49,7 @@
 // collected answers imply is applied), WithProgress streams per-pair and
 // per-round events, and WithJournal keeps an append-only label journal
 // that a later session replays to resume mid-join without re-paying for
-// answered pairs. The original free functions (LabelSequential and
-// friends) remain as deprecated, result-identical wrappers over Join.
+// answered pairs.
 //
 // To run joins as a service rather than a library call, cmd/crowdjoind
 // wraps the session API in a multi-tenant HTTP daemon: jobs are submitted

@@ -15,10 +15,8 @@ func TestLabelSequentialOneToOneFacade(t *testing.T) {
 		{ID: 2, A: 2, B: 3, Likelihood: 0.4},
 	}
 	truth := &crowdjoin.TruthOracle{Entity: []int32{0, 1, 2, 0}}
-	res, err := crowdjoin.LabelSequentialOneToOne(4, pairs, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJoin(t, crowdjoin.WithPairs(4, pairs), crowdjoin.WithOrder(crowdjoin.OrderAsGiven),
+		crowdjoin.WithStrategy(crowdjoin.OneToOneStrategy), crowdjoin.WithOracle(truth))
 	if res.NumCrowdsourced != 1 || res.NumConstraintDeduced != 2 {
 		t.Errorf("crowdsourced=%d constraint-deduced=%d, want 1 and 2",
 			res.NumCrowdsourced, res.NumConstraintDeduced)
@@ -31,11 +29,8 @@ func TestLabelWithBudgetFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := crowdjoin.ExpectedOrder(pairs)
-	res, err := crowdjoin.LabelWithBudget(len(exampleTexts), order, exampleOracle(), 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs),
+		crowdjoin.WithStrategy(crowdjoin.BudgetStrategy(1, 0.5)), crowdjoin.WithOracle(exampleOracle()))
 	if res.NumCrowdsourced != 1 {
 		t.Errorf("crowdsourced %d, want exactly the budget 1", res.NumCrowdsourced)
 	}
@@ -51,23 +46,18 @@ func TestLabelOnPlatformOptsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order := crowdjoin.ExpectedOrder(pairs)
-	for _, opts := range []crowdjoin.PlatformOptions{
-		{Instant: true},
-		{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
-	} {
+	for _, instant := range []bool{false, true} {
 		pf := crowdjoin.NewSimulatedCrowd(exampleOracle(), crowdjoin.SelectRandom, rand.New(rand.NewSource(2)))
-		res, err := crowdjoin.LabelOnPlatformOpts(len(exampleTexts), order, pf, opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
+		res := runJoin(t, crowdjoin.WithPairs(len(exampleTexts), pairs),
+			crowdjoin.WithStrategy(crowdjoin.PlatformStrategy), crowdjoin.WithPlatform(pf),
+			crowdjoin.WithInstantDecisions(instant))
 		for _, p := range pairs {
 			want := crowdjoin.Matching
 			if exampleEntity[p.A] != exampleEntity[p.B] {
 				want = crowdjoin.NonMatching
 			}
 			if res.Labels[p.ID] != want {
-				t.Errorf("%+v: pair %v labeled %v, want %v", opts, p, res.Labels[p.ID], want)
+				t.Errorf("instant=%v: pair %v labeled %v, want %v", instant, p, res.Labels[p.ID], want)
 			}
 		}
 	}

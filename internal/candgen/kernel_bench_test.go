@@ -30,9 +30,6 @@ func benchCorpus(b *testing.B) *dataset.Dataset {
 //     bitset-tightened bound; measures attack (c)'s bitset half.
 //   - no-resume-no-bitset: both off — the PR 5 kernel's work profile,
 //     the in-tree baseline the attacks are measured against.
-//   - gallop / suffix-filter: the two negative results (galloping rare
-//     intersections, ppjoin+ suffix filtering) kept behind disabled
-//     toggles; these sub-benches flip them on.
 //   - weighted-full / weighted-no-resume: attack (b) on the IDF path,
 //     where verification is a resumed reject-filter before the exact
 //     Similarity merge.
@@ -73,18 +70,6 @@ func BenchmarkVerifyKernelAblations(b *testing.B) {
 		freqTokens = 0
 		s := NewScorer(d, Unweighted)
 		run(b, s, unweightedNoResume(s))
-	})
-	b.Run("gallop", func(b *testing.B) {
-		defer func(v int) { gallopMinRatio = v }(gallopMinRatio)
-		gallopMinRatio = 4
-		s := NewScorer(d, Unweighted)
-		run(b, s, unweighted(s))
-	})
-	b.Run("suffix-filter", func(b *testing.B) {
-		defer func(v int) { suffixFilterDepth = v }(suffixFilterDepth)
-		suffixFilterDepth = 2
-		s := NewScorer(d, Unweighted)
-		run(b, s, unweighted(s))
 	})
 	b.Run("weighted-full", func(b *testing.B) {
 		s := NewScorer(d, IDFWeighted)

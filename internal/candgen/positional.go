@@ -215,10 +215,6 @@ func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32,
 	cands := sc.cands[:0]
 	out := sc.pairs[:0]
 	masks, rareLens := s.freqMask, s.rareLen
-	sfDepth := 0
-	if !weighted {
-		sfDepth = suffixFilterDepth
-	}
 	for pi, x := range probe {
 		prefix := ps.probePrefix(x)
 		if len(prefix) == 0 {
@@ -292,19 +288,6 @@ func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32,
 						fsh[y] = int32(bits.OnesCount64(maskX & masks[y]))
 					}
 					cands = append(cands, y)
-					if sfDepth > 0 {
-						// ppjoin+ suffix filtering: partition the two
-						// suffixes behind the first match to tighten the
-						// overlap upper bound before admitting the pair.
-						ub := 1 + suffixBound(
-							s.rankValArena[offX+int32(i)+1:s.offs[x+1]],
-							s.rankValArena[s.offs[y]+pt.pos+1:s.offs[y+1]],
-							sfDepth)
-						if float64(ub) < need {
-							ov[y] = -1
-							continue
-						}
-					}
 				} else if ov[y] < 0 {
 					continue // killed earlier; the bound only tightens
 				}

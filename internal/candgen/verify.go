@@ -6,9 +6,7 @@ import (
 )
 
 // This file holds the verification kernels of the positional engine: the
-// overlap-resumed merge verifiers (unweighted and weighted) and the
-// optional candidate-kill probes (ppjoin+ suffix filtering, galloping
-// intersection) the ablation benchmarks measure.
+// overlap-resumed merge verifiers (unweighted and weighted).
 //
 // The key structural fact: the probe loop and the verifier now walk the
 // SAME token order. Probe prefixes are rank-ordered (rare-first), and the
@@ -84,28 +82,24 @@ func (s *Scorer) verifyJaccardResumed(x, y int32, rs resume, t float64) (float64
 	ox, oy := s.offs[x], s.offs[y]
 	ra := s.rankValArena[ox+int32(i) : ox+int32(rlx)]
 	rb := s.rankValArena[oy+int32(j) : oy+int32(rly)]
-	if gallopMinRatio > 0 && (len(ra) >= gallopMinRatio*len(rb) || len(rb) >= gallopMinRatio*len(ra)) {
-		inter += intersectGallop(ra, rb)
-	} else {
-		pa, pb := 0, 0
-		for pa < len(ra) && pb < len(rb) {
-			switch {
-			case ra[pa] == rb[pb]:
-				inter++
-				pa++
-				pb++
-			case ra[pa] < rb[pb]:
-				pa++
-				budgetA--
-				if budgetA < 0 {
-					return 0, false
-				}
-			default:
-				pb++
-				budgetB--
-				if budgetB < 0 {
-					return 0, false
-				}
+	pa, pb := 0, 0
+	for pa < len(ra) && pb < len(rb) {
+		switch {
+		case ra[pa] == rb[pb]:
+			inter++
+			pa++
+			pb++
+		case ra[pa] < rb[pb]:
+			pa++
+			budgetA--
+			if budgetA < 0 {
+				return 0, false
+			}
+		default:
+			pb++
+			budgetB--
+			if budgetB < 0 {
+				return 0, false
 			}
 		}
 	}
@@ -177,91 +171,4 @@ func (s *Scorer) verifyWeightedResumed(x, y int32, rs resume, t float64) (float6
 	}
 	sim := s.Similarity(x, y)
 	return sim, sim >= t
-}
-
-// gallopMinRatio switches the rare-remainder intersection to galloping
-// search when one side is that many times longer than the other; 0
-// disables galloping. The size filter bounds whole-record skew by 1/t, so
-// at production thresholds the rare remainders rarely skew enough for
-// search to beat the linear merge — the ablation benchmark
-// (BenchmarkVerifyKernelAblations) measures it; see DESIGN.md.
-var gallopMinRatio = 0
-
-// intersectGallop counts the intersection of two ascending rank slices by
-// galloping: each element of the shorter list is located in the longer by
-// an exponential probe + binary search from a moving frontier. No early
-// exit — the caller's budgets already charged every known miss, and the
-// count is exact, so the accepted similarity is unchanged.
-func intersectGallop(ra, rb []int32) int {
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	inter, lo := 0, 0
-	for _, v := range ra {
-		step := 1
-		for lo+step < len(rb) && rb[lo+step] < v {
-			step <<= 1
-		}
-		hi := lo + step
-		if hi > len(rb) {
-			hi = len(rb)
-		}
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if rb[mid] < v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo < len(rb) && rb[lo] == v {
-			inter++
-			lo++
-		}
-	}
-	return inter
-}
-
-// suffixFilterDepth bounds the recursion of the ppjoin+ suffix filter the
-// probe loop runs at a candidate's first prefix match; 0 disables the
-// filter. Measured as a negative result on the paper workload (the
-// binary partitions cost more than the resumed verification they avoid —
-// see DESIGN.md), so it ships disabled; the ablation benchmark flips it.
-var suffixFilterDepth = 0
-
-// suffixBound returns an upper bound on |ra ∩ rb| for two ascending rank
-// slices — the ppjoin+ suffix filter. It partitions ra at its middle
-// value, splits rb by binary search, and recurses depth levels; at depth
-// 0 the bound degrades to min(len, len). The bound is conservative by
-// construction (every match lands in exactly one partition), so killing a
-// candidate on it never loses a pair.
-func suffixBound(ra, rb []int32, depth int) int {
-	if len(ra) > len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(ra) == 0 {
-		return 0
-	}
-	if depth <= 0 {
-		return len(ra)
-	}
-	mid := len(ra) / 2
-	v := ra[mid]
-	lo, hi := 0, len(rb)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if rb[m] < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	matched := 0
-	rbHi := lo
-	if lo < len(rb) && rb[lo] == v {
-		matched = 1
-		rbHi = lo + 1
-	}
-	return suffixBound(ra[:mid], rb[:lo], depth-1) + matched +
-		suffixBound(ra[mid+1:], rb[rbHi:], depth-1)
 }

@@ -54,22 +54,18 @@ func TestResumedVerifiersAgreeWithSimilarity(t *testing.T) {
 }
 
 // TestKernelTogglesStayExact runs the positional paths against the
-// exhaustive reference under every ablation-toggle configuration the
-// benchmarks flip (bitset shrunk or off, galloping on, suffix filtering
-// on): the toggles trade speed only — the emitted pair sets must stay
+// exhaustive reference with the frequent-token bitset, the kernel's one
+// ablation toggle, off, tiny, and on at a small size ("all-on"): the
+// bitset rows trade speed only — the emitted pair sets must stay
 // byte-identical under all of them.
 func TestKernelTogglesStayExact(t *testing.T) {
 	configs := []struct {
-		name    string
-		freq    int
-		gallop  int
-		sfDepth int
+		name string
+		freq int
 	}{
 		{name: "no-bitset", freq: 0},
 		{name: "tiny-bitset", freq: 8},
-		{name: "gallop", freq: 64, gallop: 2},
-		{name: "suffix-filter", freq: 64, sfDepth: 3},
-		{name: "all-on", freq: 16, gallop: 2, sfDepth: 2},
+		{name: "all-on", freq: 16},
 	}
 	rng := rand.New(rand.NewSource(11))
 	datasets := []*dataset.Dataset{
@@ -79,8 +75,8 @@ func TestKernelTogglesStayExact(t *testing.T) {
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
-			defer func(f, g, sf int) { freqTokens, gallopMinRatio, suffixFilterDepth = f, g, sf }(freqTokens, gallopMinRatio, suffixFilterDepth)
-			freqTokens, gallopMinRatio, suffixFilterDepth = cfg.freq, cfg.gallop, cfg.sfDepth
+			defer func(f int) { freqTokens = f }(freqTokens)
+			freqTokens = cfg.freq
 			for di, d := range datasets {
 				for _, w := range []Weighting{Unweighted, IDFWeighted} {
 					// Fresh scorer per config: freqTokens is consumed when

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"crowdjoin/internal/clustergraph"
-)
+import "fmt"
 
 // BudgetResult extends Result with the pairs whose labels were guessed from
 // the machine likelihood after the crowdsourcing budget ran out.
@@ -17,78 +13,23 @@ type BudgetResult struct {
 	NumGuessed int
 }
 
-// LabelWithBudget is the sequential labeler under a crowdsourcing budget —
-// the money/quality trade-off the paper's Section 8 leaves as future work
+// LabelWithBudgetRun is the sequential labeler under a crowdsourcing budget
+// — the money/quality trade-off the paper's Section 8 leaves as future work
 // (cf. Whang et al.'s budgeted question selection): at most budget pairs
 // are crowdsourced; once the budget is spent, undeducible pairs fall back
 // to the machine guess likelihood ≥ guessThreshold → matching.
 //
 // Guessed labels never enter the deduction graph: they are low-confidence
 // and would otherwise contaminate transitive closure.
-func LabelWithBudget(numObjects int, order []Pair, oracle Oracle, budget int, guessThreshold float64) (*BudgetResult, error) {
-	return LabelWithBudgetRun(numObjects, order, oracle, budget, guessThreshold, RunOpts{})
-}
-
-// LabelWithBudgetRun is LabelWithBudget with session options: context
-// cancellation (partial result + ctx error, see RunOpts.Ctx) and progress
-// events. Cancellation does not guess: the sweep applies only the
-// deductions the collected answers imply, so unreached pairs stay
-// Unlabeled and the partial result is distinguishable from a completed
-// budget run.
+//
+// The session options add context cancellation (partial result + ctx
+// error, see RunOpts.Ctx) and progress events. Cancellation does not
+// guess: the sweep applies only the deductions the collected answers
+// imply, so unreached pairs stay Unlabeled and the partial result is
+// distinguishable from a completed budget run.
 func LabelWithBudgetRun(numObjects int, order []Pair, oracle Oracle, budget int, guessThreshold float64, ro RunOpts) (*BudgetResult, error) {
-	if err := ValidatePairs(numObjects, order); err != nil {
-		return nil, err
-	}
 	if budget < 0 {
 		return nil, fmt.Errorf("core: negative budget %d", budget)
 	}
-	res := &BudgetResult{
-		Result:  *newResult(len(order)),
-		Guessed: make([]bool, len(order)),
-	}
-	g := clustergraph.New(numObjects)
-	for i, p := range order {
-		if err := ro.err(); err != nil {
-			deduceRemaining(g, order[i:], &res.Result, ro)
-			return res, err
-		}
-		switch g.Deduce(p.A, p.B) {
-		case clustergraph.DeducedMatching:
-			res.Labels[p.ID] = Matching
-			res.NumDeduced++
-			ro.emitPair(EventPairDeduced, p, Matching)
-			continue
-		case clustergraph.DeducedNonMatching:
-			res.Labels[p.ID] = NonMatching
-			res.NumDeduced++
-			ro.emitPair(EventPairDeduced, p, NonMatching)
-			continue
-		}
-		if res.NumCrowdsourced < budget {
-			l := oracle.Label(p)
-			if err := checkAnswer(p, l); err != nil {
-				// As in the sequential driver: a cancelled session's oracle
-				// wrapper may have no real answer; keep the partial result.
-				if cerr := ro.err(); cerr != nil {
-					deduceRemaining(g, order[i:], &res.Result, ro)
-					return res, cerr
-				}
-				return nil, err
-			}
-			if err := g.Insert(p.A, p.B, l == Matching); err != nil {
-				return nil, fmt.Errorf("core: budget labeling: %w", err)
-			}
-			res.Labels[p.ID] = l
-			res.Crowdsourced[p.ID] = true
-			res.NumCrowdsourced++
-			ro.emitPair(EventPairCrowdsourced, p, l)
-			continue
-		}
-		l := LabelOf(p.Likelihood >= guessThreshold)
-		res.Labels[p.ID] = l
-		res.Guessed[p.ID] = true
-		res.NumGuessed++
-		ro.emitPair(EventPairGuessed, p, l)
-	}
-	return res, nil
+	return labelSequentialRun(numObjects, order, oracle, budget, guessThreshold, ro)
 }

@@ -58,59 +58,6 @@ func TestIncrementalDeducerCoversAllNewDeductions(t *testing.T) {
 	}
 }
 
-// TestLabelOnPlatformIncrementalDeduceEquivalence: the IncrementalDeduce
-// option changes no observable output, across instant modes, policies and
-// noisy answer functions.
-func TestLabelOnPlatformIncrementalDeduceEquivalence(t *testing.T) {
-	f := func(seed int64, instant bool, noisy bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, pairs, truth := randomInstance(rng, 14, 40)
-		var oracle Oracle = truth
-		if noisy {
-			oracle = OracleFunc(func(p Pair) Label {
-				h := uint32(p.A)*31 + uint32(p.B)*17
-				if h%5 == 0 {
-					return LabelOf(!truth.Matches(p.A, p.B))
-				}
-				return LabelOf(truth.Matches(p.A, p.B))
-			})
-		}
-		order := ExpectedOrder(pairs)
-		run := func(incremental bool) *TraceResult {
-			pf := NewSimPlatform(oracle, SelectRandom, rand.New(rand.NewSource(seed+9)))
-			res, err := LabelOnPlatformOpts(n, order, pf, PlatformOptions{
-				Instant:           instant,
-				IncrementalDeduce: incremental,
-			})
-			if err != nil {
-				return nil
-			}
-			return res
-		}
-		a, b := run(false), run(true)
-		if a == nil || b == nil {
-			return false
-		}
-		if a.NumCrowdsourced != b.NumCrowdsourced || a.NumDeduced != b.NumDeduced || a.Conflicts != b.Conflicts {
-			return false
-		}
-		for id := range a.Labels {
-			if a.Labels[id] != b.Labels[id] || a.Crowdsourced[id] != b.Crowdsourced[id] {
-				return false
-			}
-		}
-		for i := range a.Availability {
-			if a.Availability[i] != b.Availability[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestIncrementalDeducerConflictLeavesStateUsable: a conflicting insert
 // reports ErrConflict without corrupting member tracking.
 func TestIncrementalDeducerConflictLeavesStateUsable(t *testing.T) {

@@ -134,9 +134,9 @@ func expectedCost(scratch *clustergraph.Graph, order []Pair, worlds []World, bou
 }
 
 // countCrowdsourcedInto is the counting kernel of the sequential labeler
-// (LabelSequential): it walks the order through scratch — which must be
+// (LabelSequentialRun): it walks the order through scratch — which must be
 // empty or Reset and sized to the object universe — and returns how many
-// pairs the oracle had to answer. Unlike LabelSequential it records no
+// pairs the oracle had to answer. Unlike LabelSequentialRun it records no
 // per-pair results and performs no input validation, so replay-heavy
 // callers (expected-cost, brute-force order search) stay allocation-free.
 func countCrowdsourcedInto(scratch *clustergraph.Graph, order []Pair, oracle Oracle) (int, error) {

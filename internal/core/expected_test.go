@@ -195,7 +195,7 @@ func TestQuickExpectedCostBracketsRealizedCost(t *testing.T) {
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, w := range worlds {
-			res, err := LabelSequential(n, pairs, &WorldOracle{Labels: w.Labels})
+			res, err := LabelSequentialRun(n, pairs, &WorldOracle{Labels: w.Labels}, RunOpts{})
 			if err != nil {
 				return false
 			}

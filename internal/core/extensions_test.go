@@ -56,11 +56,11 @@ func TestOneToOneSavesOnBipartiteJoins(t *testing.T) {
 		matched := rng.Intn(n + 1)
 		numObjects, pairs, truth := oneToOneInstance(rng, n, matched, 3*n)
 		order := ExpectedOrder(pairs)
-		plain, err := LabelSequential(numObjects, order, truth)
+		plain, err := LabelSequentialRun(numObjects, order, truth, RunOpts{})
 		if err != nil {
 			return false
 		}
-		oto, err := LabelSequentialOneToOne(numObjects, order, truth)
+		oto, err := LabelSequentialOneToOneRun(numObjects, order, truth, RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -95,11 +95,11 @@ func TestOneToOneStrictlySavesWhenConstraintBites(t *testing.T) {
 		{ID: 2, A: 2, B: 3, Likelihood: 0.4}, // a2-b0
 	}
 	truth := &TruthOracle{Entity: []int32{0, 1, 2, 0}}
-	plain, err := LabelSequential(4, pairs, truth)
+	plain, err := LabelSequentialRun(4, pairs, truth, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oto, err := LabelSequentialOneToOne(4, pairs, truth)
+	oto, err := LabelSequentialOneToOneRun(4, pairs, truth, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestOneToOneConstraintFeedsTransitivity(t *testing.T) {
 		{ID: 4, A: 2, B: 3, Likelihood: 0.5}, // b0-b1: b0~a0… a1~b1, a1≠b0 → N deducible
 	}
 	truth := &TruthOracle{Entity: []int32{0, 1, 0, 1}}
-	oto, err := LabelSequentialOneToOne(4, pairs, truth)
+	oto, err := LabelSequentialOneToOneRun(4, pairs, truth, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestOneToOneCanErrOnDuplicateData(t *testing.T) {
 		{ID: 1, A: 0, B: 2, Likelihood: 0.8}, // a0-b1 truly M, constraint says N
 	}
 	truth := &TruthOracle{Entity: []int32{0, 0, 0}}
-	oto, err := LabelSequentialOneToOne(3, pairs, truth)
+	oto, err := LabelSequentialOneToOneRun(3, pairs, truth, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestLabelWithBudgetUnlimitedEqualsSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		order := ExpectedOrder(pairs)
-		seq, err := LabelSequential(n, order, truth)
+		seq, err := LabelSequentialRun(n, order, truth, RunOpts{})
 		if err != nil {
 			return false
 		}
-		bud, err := LabelWithBudget(n, order, truth, len(pairs), 0.5)
+		bud, err := LabelWithBudgetRun(n, order, truth, len(pairs), 0.5, RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -193,7 +193,7 @@ func TestLabelWithBudgetZeroGuessesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n, pairs, truth := randomInstance(rng, 12, 30)
 	order := ExpectedOrder(pairs)
-	bud, err := LabelWithBudget(n, order, truth, 0, 0.5)
+	bud, err := LabelWithBudgetRun(n, order, truth, 0, 0.5, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestLabelWithBudgetQualityGrowsWithBudget(t *testing.T) {
 		}
 	}
 	quality := func(budget int) float64 {
-		bud, err := LabelWithBudget(n, order, truth, budget, 0.5)
+		bud, err := LabelWithBudgetRun(n, order, truth, budget, 0.5, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestLabelWithBudgetQualityGrowsWithBudget(t *testing.T) {
 }
 
 func TestLabelWithBudgetRejectsNegative(t *testing.T) {
-	if _, err := LabelWithBudget(3, triangle(0.9, 0.5, 0.1), triangleTruth(), -1, 0.5); err == nil {
+	if _, err := LabelWithBudgetRun(3, triangle(0.9, 0.5, 0.1), triangleTruth(), -1, 0.5, RunOpts{}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }

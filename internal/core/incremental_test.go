@@ -86,54 +86,3 @@ func TestIncrementalScannerMatchesScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLabelOnPlatformIncrementalEquivalence: the options flag changes no
-// observable output — published pairs, labels, availability traces and
-// publish sizes are identical for scratch and incremental scans.
-func TestLabelOnPlatformIncrementalEquivalence(t *testing.T) {
-	f := func(seed int64, instant bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n, pairs, truth := randomInstance(rng, 14, 40)
-		order := ExpectedOrder(pairs)
-		run := func(incremental bool) *TraceResult {
-			pf := NewSimPlatform(truth, SelectRandom, rand.New(rand.NewSource(seed+5)))
-			res, err := LabelOnPlatformOpts(n, order, pf, PlatformOptions{
-				Instant:         instant,
-				IncrementalScan: incremental,
-			})
-			if err != nil {
-				return nil
-			}
-			return res
-		}
-		a, b := run(false), run(true)
-		if a == nil || b == nil {
-			return false
-		}
-		if a.NumCrowdsourced != b.NumCrowdsourced || a.NumDeduced != b.NumDeduced {
-			return false
-		}
-		for id := range a.Labels {
-			if a.Labels[id] != b.Labels[id] || a.Crowdsourced[id] != b.Crowdsourced[id] {
-				return false
-			}
-		}
-		if len(a.PublishSizes) != len(b.PublishSizes) {
-			return false
-		}
-		for i := range a.PublishSizes {
-			if a.PublishSizes[i] != b.PublishSizes[i] {
-				return false
-			}
-		}
-		for i := range a.Availability {
-			if a.Availability[i] != b.Availability[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

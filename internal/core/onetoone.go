@@ -15,7 +15,7 @@ type OneToOneResult struct {
 	NumConstraintDeduced int
 }
 
-// LabelSequentialOneToOne is the sequential labeler augmented with the
+// LabelSequentialOneToOneRun is the sequential labeler augmented with the
 // one-to-one matching constraint, one of the paper's Section 8 future-work
 // relations: in a join between two duplicate-free sources, each record
 // matches at most one record, so a matching answer for (a, b) additionally
@@ -25,15 +25,11 @@ type OneToOneResult struct {
 // source does contain duplicates, constraint-deduced labels can be wrong
 // even with a perfect crowd. Callers trade that risk for extra savings; the
 // ablation bench quantifies both sides on the Product workload.
-func LabelSequentialOneToOne(numObjects int, order []Pair, oracle Oracle) (*OneToOneResult, error) {
-	return LabelSequentialOneToOneRun(numObjects, order, oracle, RunOpts{})
-}
-
-// LabelSequentialOneToOneRun is LabelSequentialOneToOne with session
-// options: context cancellation (partial result + ctx error, see
-// RunOpts.Ctx) and progress events. The cancellation sweep applies both
-// free inference rules — transitive deduction and the one-to-one
-// constraint — before returning.
+//
+// The session options add context cancellation (partial result + ctx
+// error, see RunOpts.Ctx) and progress events. The cancellation sweep
+// applies both free inference rules — transitive deduction and the
+// one-to-one constraint — before returning.
 func LabelSequentialOneToOneRun(numObjects int, order []Pair, oracle Oracle, ro RunOpts) (*OneToOneResult, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
 		return nil, err

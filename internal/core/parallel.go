@@ -71,11 +71,11 @@ type ParallelResult struct {
 	Conflicts int
 }
 
-// LabelParallel runs the parallel labeling algorithm (Algorithm 2): in each
-// iteration it identifies every pair that can be crowdsourced in parallel
-// (Algorithm 3), asks the oracle for the whole batch at once, then deduces
-// all pairs whose labels now follow from transitive relations. It terminates
-// when every pair is labeled.
+// LabelParallelRun runs the parallel labeling algorithm (Algorithm 2): in
+// each iteration it identifies every pair that can be crowdsourced in
+// parallel (Algorithm 3), asks the oracle for the whole batch at once, then
+// deduces all pairs whose labels now follow from transitive relations. It
+// terminates when every pair is labeled.
 //
 // The rounds are incremental: instead of rebuilding Algorithm 3's scan
 // from scratch and sweeping the whole order for deductions after every
@@ -88,16 +88,12 @@ type ParallelResult struct {
 //
 // The total number of crowdsourced pairs equals the sequential labeler's
 // for the same order and oracle (Section 5.1).
-func LabelParallel(numObjects int, order []Pair, oracle BatchOracle) (*ParallelResult, error) {
-	return LabelParallelRun(numObjects, order, oracle, RunOpts{})
-}
-
-// LabelParallelRun is LabelParallel with session options: context
-// cancellation (partial result + ctx error, see RunOpts.Ctx) and progress
-// events. Cancellation is observed between rounds, after the fused
-// scan-and-deduce pass — so every deduction implied by the answers already
-// collected is in the partial result, and only the pending batch is
-// abandoned.
+//
+// The session options add context cancellation (partial result + ctx
+// error, see RunOpts.Ctx) and progress events. Cancellation is observed
+// between rounds, after the fused scan-and-deduce pass — so every
+// deduction implied by the answers already collected is in the partial
+// result, and only the pending batch is abandoned.
 func LabelParallelRun(numObjects int, order []Pair, oracle BatchOracle, ro RunOpts) (*ParallelResult, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
 		return nil, err

@@ -9,7 +9,7 @@ import (
 	"crowdjoin/internal/clustergraph"
 )
 
-// referenceParallel is the from-scratch formulation of LabelParallel —
+// referenceParallel is the from-scratch formulation of LabelParallelRun —
 // Algorithm 2 with a full deduction sweep per round and Algorithm 3
 // rebuilt from scratch per round — kept here as the correctness reference
 // for the checkpointing scanner.
@@ -72,7 +72,7 @@ func referenceParallel(numObjects int, order []Pair, oracle BatchOracle) (*Paral
 }
 
 // TestLabelParallelMatchesFromScratch pins the incremental scanner behind
-// LabelParallel to the from-scratch formulation: batches, deduced labels,
+// LabelParallelRun to the from-scratch formulation: batches, deduced labels,
 // round sizes, and conflict handling must be identical on randomized
 // workloads, with both perfect and flaky (order-independent) crowds and
 // across likelihood orders.

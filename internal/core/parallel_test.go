@@ -33,7 +33,7 @@ func TestExample5Figure9(t *testing.T) {
 	}
 
 	// Full run.
-	res, err := LabelParallel(runningExampleObjects, pairs, Batched(truth))
+	res, err := LabelParallelRun(runningExampleObjects, pairs, Batched(truth), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSection51ChainAllParallel(t *testing.T) {
 		{ID: 2, A: 2, B: 3, Likelihood: 0.7},
 	}
 	truth := &TruthOracle{Entity: []int32{0, 0, 1, 1}}
-	res, err := LabelParallel(4, pairs, Batched(truth))
+	res, err := LabelParallelRun(4, pairs, Batched(truth), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +87,11 @@ func TestParallelMatchesSequentialOnExpectedOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		ord := ExpectedOrder(pairs)
-		seq, err := LabelSequential(n, ord, truth)
+		seq, err := LabelSequentialRun(n, ord, truth, RunOpts{})
 		if err != nil {
 			return false
 		}
-		par, err := LabelParallel(n, ord, Batched(truth))
+		par, err := LabelParallelRun(n, ord, Batched(truth), RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -130,11 +130,11 @@ func TestParallelNearSequentialOnArbitraryOrders(t *testing.T) {
 			})
 		}
 		ord := RandomOrder(pairs, rng)
-		seq, err := LabelSequential(n, ord, oracle)
+		seq, err := LabelSequentialRun(n, ord, oracle, RunOpts{})
 		if err != nil {
 			return false
 		}
-		par, err := LabelParallel(n, ord, Batched(oracle))
+		par, err := LabelParallelRun(n, ord, Batched(oracle), RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -215,13 +215,13 @@ func TestCrowdsourceableSkipExcludesButStillAssumes(t *testing.T) {
 func TestLabelParallelRejectsShortBatch(t *testing.T) {
 	pairs := triangle(0.9, 0.5, 0.1)
 	bad := BatchOracleFunc(func(ps []Pair) []Label { return make([]Label, 0) })
-	if _, err := LabelParallel(3, pairs, bad); err == nil {
+	if _, err := LabelParallelRun(3, pairs, bad, RunOpts{}); err == nil {
 		t.Fatal("short batch answer was accepted")
 	}
 }
 
 func TestLabelParallelEmpty(t *testing.T) {
-	res, err := LabelParallel(0, nil, Batched(triangleTruth()))
+	res, err := LabelParallelRun(0, nil, Batched(triangleTruth()), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

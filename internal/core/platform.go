@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"crowdjoin/internal/clustergraph"
 )
@@ -32,8 +33,10 @@ type TraceResult struct {
 	// publish event (the initial publish is event 0).
 	PublishSizes []int
 	// Availability[k] is Platform.Available() right after the (k+1)-th
-	// labeled pair was processed (including any republish it triggered) —
-	// the y-series of Figure 15 with x = k+1 crowdsourced pairs.
+	// labeled pair was processed, including the instant-decision republish
+	// it triggered — the y-series of Figure 15 with x = k+1 crowdsourced
+	// pairs. A plain-mode refill of a drained component is published after
+	// the sample, at the top of the next step.
 	Availability []int
 	// Conflicts counts crowd answers that contradicted the transitive
 	// closure of earlier answers and were overridden by the implied label
@@ -41,201 +44,247 @@ type TraceResult struct {
 	Conflicts int
 }
 
-// PlatformOptions configures LabelOnPlatformOpts.
-type PlatformOptions struct {
-	// Instant applies the instant-decision optimization (Section 5.2):
-	// republish newly mandatory pairs after every answer instead of
-	// waiting for the platform to drain.
-	Instant bool
-	// IncrementalScan computes Algorithm 3 with the IncrementalScanner —
-	// which replays only the order's suffix past the fully labeled prefix —
-	// instead of rebuilding the scan from scratch at every republish. The
-	// published pairs and final labels are identical; only the work per
-	// republish changes (see BenchmarkAblationIncremental).
-	IncrementalScan bool
-	// IncrementalDeduce re-checks only the pairs incident to the clusters
-	// a crowd answer touched, instead of walking the whole order after
-	// every answer. Results are identical; the deduction pass dominates
-	// the driver's cost on large candidate sets.
-	IncrementalDeduce bool
+// platformShard is one component's private half of the platform driver:
+// its own crowd-label graph, Algorithm-3 scanner, deducer and publish
+// bookkeeping, all in the shard's local coordinates.
+type platformShard struct {
+	s         *Shard
+	ro        RunOpts
+	res       Result
+	labeled   *clustergraph.Graph
+	scanner   *IncrementalScanner
+	ded       *incrementalDeducer
+	affected  []int32
+	published []bool
+	unlabeled int
+	// outstanding counts this shard's published-but-unanswered pairs: in
+	// plain (non-instant) mode a shard refills the moment its own round
+	// drains, instead of waiting for the whole platform to drain.
+	outstanding int
+	conflicts   int
 }
 
-// LabelOnPlatform drives the parallel labeling algorithm through a Platform.
+// LabelPartitionedOnPlatformRun drives the parallel labeling algorithm
+// through a Platform, over a candidate set split into components (see
+// BuildPartition; SinglePartition runs it unsharded).
 //
-// With instant=false it behaves like plain Parallel: a new round of pairs is
-// published only after the platform drains. With instant=true it applies the
-// instant-decision optimization: after every labeled pair it immediately
-// publishes every pair that has become mandatory. Per the paper's
-// observation under non-matching-first, only a non-matching answer can make
-// new pairs mandatory — a matching answer confirms what Algorithm 3 already
-// assumed — so the recomputation is skipped on matching answers.
-func LabelOnPlatform(numObjects int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
-	return LabelOnPlatformOpts(numObjects, order, pf, PlatformOptions{Instant: instant})
-}
-
-// LabelOnPlatformOpts is LabelOnPlatform with explicit options.
-func LabelOnPlatformOpts(numObjects int, order []Pair, pf Platform, opts PlatformOptions) (*TraceResult, error) {
-	return LabelOnPlatformRun(numObjects, order, pf, opts, RunOpts{})
-}
-
-// LabelOnPlatformRun is LabelOnPlatformOpts with session options: context
-// cancellation (partial result + ctx error, see RunOpts.Ctx) and progress
-// events. On cancellation the driver stops consuming answers; pairs whose
-// published HITs were still in flight are deduced where the collected
-// answers allow and stay Unlabeled otherwise.
-func LabelOnPlatformRun(numObjects int, order []Pair, pf Platform, opts PlatformOptions, ro RunOpts) (*TraceResult, error) {
-	if err := ValidatePairs(numObjects, order); err != nil {
-		return nil, err
-	}
-	res := &TraceResult{Result: *newResult(len(order))}
-	labeled := clustergraph.New(numObjects)
-	published := make([]bool, len(order))
-	unlabeled := len(order)
-	instant := opts.Instant
-
-	var scan func() []Pair
-	if opts.IncrementalScan {
-		scanner := NewIncrementalScanner(numObjects, order)
-		scan = func() []Pair {
-			return scanner.Crowdsourceable(res.Labels, published)
-		}
-	} else {
-		scratch := clustergraph.New(numObjects)
-		scan = func() []Pair {
-			scratch.Reset()
-			return crowdsourceable(scratch, order, res.Labels, published)
-		}
-	}
-
-	var ded *incrementalDeducer
-	var affected []int32
-	if opts.IncrementalDeduce {
-		ded = newIncrementalDeducer(numObjects, order, labeled)
-	}
-	// deducePair applies the post-answer deduction to one candidate pair.
-	deducePair := func(q Pair) {
-		if res.Labels[q.ID] != Unlabeled || published[q.ID] {
-			return
-		}
-		switch labeled.Deduce(q.A, q.B) {
-		case clustergraph.DeducedMatching:
-			res.Labels[q.ID] = Matching
-			res.NumDeduced++
-			unlabeled--
-			ro.emitPair(EventPairDeduced, q, Matching)
-		case clustergraph.DeducedNonMatching:
-			res.Labels[q.ID] = NonMatching
-			res.NumDeduced++
-			unlabeled--
-			ro.emitPair(EventPairDeduced, q, NonMatching)
+// With instant=false it behaves like plain Parallel: a component's next
+// round is published only after its previous round drained. With
+// instant=true it applies the instant-decision optimization: after every
+// labeled pair it immediately publishes every pair of that component that
+// has become mandatory. Per the paper's observation under
+// non-matching-first, only a non-matching answer can make new pairs
+// mandatory — a matching answer confirms what Algorithm 3 already assumed
+// — so the recomputation is skipped on matching answers.
+//
+// Every component runs its own incremental Algorithm-3 scan, deduction
+// graph, and publish rounds, while sharing the one Platform. Publishes
+// interleave, a HIT round never waits for another component's answers, and
+// each incoming label is routed back to the component that published it.
+// The driver itself stays single-threaded (Platform is a pull interface);
+// the concurrency is in the crowd, which sees every component's mandatory
+// pairs at once. Labels, crowdsourced flags, counters, and conflicts do not
+// depend on the partition for crowds whose answer to a pair does not depend
+// on question order, served by workers whose pick among a component's
+// outstanding pairs ignores the other components' (e.g. first-in-first-out
+// or lowest-likelihood-first); PublishSizes splits publish events per
+// component (events carry the component id), and Availability is the
+// global outstanding-work series.
+//
+// The session options add context cancellation (partial result + ctx
+// error, see RunOpts.Ctx) and progress events. On cancellation the driver
+// stops consuming answers; pairs whose published HITs were still in flight
+// are deduced where the collected answers allow and stay Unlabeled
+// otherwise. An answer for a pair outside the candidate set, for a pair the
+// driver never published, or for one already labeled is an error; the
+// driver labels its own copy of the answered pair, never the platform's.
+func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro RunOpts) (*TraceResult, error) {
+	numPairs := pt.NumPairs()
+	res := &TraceResult{Result: *newResult(numPairs)}
+	var progressMu sync.Mutex
+	shards := make([]*platformShard, len(pt.Shards))
+	for i := range pt.Shards {
+		s := &pt.Shards[i]
+		labeled := clustergraph.New(s.NumObjects)
+		shards[i] = &platformShard{
+			s:         s,
+			ro:        s.shardRunOpts(ro.Ctx, ro.Progress, &progressMu),
+			res:       *newResult(len(s.Order)),
+			labeled:   labeled,
+			scanner:   NewIncrementalScanner(s.NumObjects, s.Order),
+			ded:       newIncrementalDeducer(s.NumObjects, s.Order, labeled),
+			published: make([]bool, len(s.Order)),
+			unlabeled: len(s.Order),
 		}
 	}
+	unlabeled := numPairs
 
-	publish := func() {
-		batch := scan()
+	// publish sends one shard's newly mandatory pairs to the platform,
+	// translated to global coordinates. One publish event per shard per
+	// round keeps traces attributable to components.
+	publish := func(sh *platformShard) {
+		batch := sh.scanner.Crowdsourceable(sh.res.Labels, sh.published)
 		if len(batch) == 0 {
 			return
 		}
-		for _, p := range batch {
-			published[p.ID] = true
+		global := make([]Pair, len(batch))
+		for i, p := range batch {
+			sh.published[p.ID] = true
+			global[i] = sh.s.Global[p.ID]
 		}
-		pf.Publish(batch)
-		ro.emitRound(len(res.PublishSizes), len(batch))
-		res.PublishSizes = append(res.PublishSizes, len(batch))
+		sh.outstanding += len(global)
+		pf.Publish(global)
+		sh.ro.emitRound(len(res.PublishSizes), len(global))
+		res.PublishSizes = append(res.PublishSizes, len(global))
 	}
 
-	publish()
+	// finish merges the per-shard results; PublishSizes and Availability
+	// were recorded globally as they happened. A cancelled run first sweeps
+	// every shard's deductions, published-but-unanswered pairs included: no
+	// answer is coming for them anymore, so the deduced label is the best
+	// (and only) information available.
+	finish := func(err error) (*TraceResult, error) {
+		for _, sh := range shards {
+			if err != nil {
+				deduceRemaining(sh.labeled, sh.s.Order, &sh.res, sh.ro)
+			}
+			mergeShardResult(&res.Result, sh.s, &sh.res)
+			res.Conflicts += sh.conflicts
+		}
+		return res, err
+	}
+
+	for _, sh := range shards {
+		publish(sh)
+	}
+	// drained is the shard whose round the last answer drained (plain mode
+	// only). Its refill waits for the top of the next step, so that
+	// answer's Availability sample is taken before it.
+	var drained *platformShard
 	for unlabeled > 0 {
 		if err := ro.err(); err != nil {
-			// Published-but-unanswered pairs are fair game for the final
-			// sweep: no answer is coming for them anymore, so the deduced
-			// label is the best (and only) information available.
-			deduceRemaining(labeled, order, &res.Result, ro)
-			return res, err
+			return finish(err)
+		}
+		if drained != nil {
+			publish(drained)
 		}
 		if pf.Available() == 0 {
-			// Plain Parallel republishes only here; instant mode reaches
-			// this only when the remaining pairs were all deduced, in which
-			// case publish is a no-op and the loop exits below.
-			publish()
+			// Safety net: refills and instant republishes keep every live
+			// component supplied, so a drained platform with pairs still
+			// unlabeled gets one more scan of every other live component.
+			for _, sh := range shards {
+				if sh.unlabeled > 0 && sh != drained {
+					publish(sh)
+				}
+			}
 			if pf.Available() == 0 {
 				// A context-cancelling platform wrapper (rate limiter,
 				// budget guard) may cancel the session and suppress the
-				// publish it was handed; that is a cancellation, not a
-				// drained platform.
+				// publishes it was handed; that is a cancellation, not a
+				// stalled scan.
 				if err := ro.err(); err != nil {
-					deduceRemaining(labeled, order, &res.Result, ro)
-					return res, err
+					return finish(err)
 				}
 				return nil, fmt.Errorf("core: platform drained with %d pairs unlabeled", unlabeled)
 			}
 		}
+		drained = nil
 		p, l, ok := pf.NextLabel()
 		if !ok {
 			// A platform wrapper may wake a blocked NextLabel with no answer
 			// when the session is cancelled; keep the partial result.
 			if err := ro.err(); err != nil {
-				deduceRemaining(labeled, order, &res.Result, ro)
-				return res, err
+				return finish(err)
 			}
 			return nil, fmt.Errorf("core: platform returned no label with %d pairs available", pf.Available())
 		}
 		if err := checkAnswer(p, l); err != nil {
 			if cerr := ro.err(); cerr != nil {
-				deduceRemaining(labeled, order, &res.Result, ro)
-				return res, cerr
+				return finish(cerr)
 			}
 			return nil, err
 		}
-		if res.Labels[p.ID] != Unlabeled {
+		if p.ID < 0 || p.ID >= numPairs {
+			return nil, fmt.Errorf("core: platform returned unknown pair %v", p)
+		}
+		si, li := pt.Locate(p.ID)
+		sh := shards[si]
+		if !sh.published[li] {
+			return nil, fmt.Errorf("core: platform answered unpublished pair %v", p)
+		}
+		if sh.res.Labels[li] != Unlabeled {
 			return nil, fmt.Errorf("core: platform relabeled pair %v", p)
 		}
-		var insertErr error
-		if ded != nil {
-			affected, insertErr = ded.insert(p.A, p.B, l == Matching, affected[:0])
-		} else {
-			insertErr = labeled.Insert(p.A, p.B, l == Matching)
-		}
-		if insertErr != nil {
-			if !errors.Is(insertErr, clustergraph.ErrConflict) {
-				return nil, fmt.Errorf("core: platform labeling: %w", insertErr)
+		lp := sh.s.Order[li]
+		var err error
+		sh.affected, err = sh.ded.insert(lp.A, lp.B, l == Matching, sh.affected[:0])
+		if err != nil {
+			if !errors.Is(err, clustergraph.ErrConflict) {
+				return nil, fmt.Errorf("core: platform labeling: %w", err)
 			}
 			// A noisy crowd answered against the transitive closure of
 			// earlier answers. This can only happen when the pair was
 			// published before later answers made it deducible (in-flight
 			// HITs). First knowledge wins: keep the implied label. The pair
 			// still counts as crowdsourced — it was published and paid for.
-			res.Conflicts++
-			if labeled.Deduce(p.A, p.B) == clustergraph.DeducedMatching {
+			sh.conflicts++
+			if sh.labeled.Deduce(lp.A, lp.B) == clustergraph.DeducedMatching {
 				l = Matching
 			} else {
 				l = NonMatching
 			}
-			ro.emitPair(EventConflictOverridden, p, l)
+			sh.ro.emitPair(EventConflictOverridden, lp, l)
 		}
-		res.Labels[p.ID] = l
-		res.Crowdsourced[p.ID] = true
-		res.NumCrowdsourced++
-		ro.emitPair(EventPairCrowdsourced, p, l)
+		sh.res.Labels[li] = l
+		sh.res.Crowdsourced[li] = true
+		sh.res.NumCrowdsourced++
+		sh.ro.emitPair(EventPairCrowdsourced, lp, l)
+		sh.outstanding--
+		sh.unlabeled--
 		unlabeled--
-		// Deduce everything that now follows from the crowd labels.
-		// Published pairs are excluded: they are already paid for and their
-		// crowd answer is on its way, so the crowd label wins. (With an
-		// inconsistent crowd a published pair can become deducible before
-		// its HIT completes; deducing it would double-label it.)
-		if ded != nil {
-			for _, pos := range affected {
-				deducePair(order[pos])
+		// Deduce everything that now follows from the crowd labels; only
+		// pairs touching the clusters the answer changed can have become
+		// deducible. Published pairs are excluded: they are already paid
+		// for and their crowd answer is on its way, so the crowd label
+		// wins. (With an inconsistent crowd a published pair can become
+		// deducible before its HIT completes; deducing it would
+		// double-label it.)
+		for _, pos := range sh.affected {
+			q := sh.s.Order[pos]
+			if sh.res.Labels[q.ID] != Unlabeled || sh.published[q.ID] {
+				continue
 			}
-		} else {
-			for _, q := range order {
-				deducePair(q)
+			var dl Label
+			switch sh.labeled.Deduce(q.A, q.B) {
+			case clustergraph.DeducedMatching:
+				dl = Matching
+			case clustergraph.DeducedNonMatching:
+				dl = NonMatching
+			default:
+				continue
 			}
+			sh.res.Labels[q.ID] = dl
+			sh.res.NumDeduced++
+			sh.unlabeled--
+			unlabeled--
+			sh.ro.emitPair(EventPairDeduced, q, dl)
 		}
-		if instant && l == NonMatching {
-			publish()
+		switch {
+		case instant:
+			// Instant decision, per component: only a non-matching answer
+			// can make new pairs of this component mandatory.
+			if l == NonMatching {
+				publish(sh)
+			}
+		case sh.outstanding == 0 && sh.unlabeled > 0:
+			// Plain mode: this component's round just drained, so its next
+			// round goes out at the top of the next step — no waiting on
+			// the other components' in-flight answers. Rounds stay
+			// component-local, so the crowdsourced set is unchanged; only
+			// the wall-clock interleaving improves.
+			drained = sh
 		}
 		res.Availability = append(res.Availability, pf.Available())
 	}
-	return res, nil
+	return finish(nil)
 }

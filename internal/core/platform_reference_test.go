@@ -1,0 +1,265 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"crowdjoin/internal/clustergraph"
+)
+
+// referencePlatform is the from-scratch formulation of the platform driver
+// over the whole, unsharded order — Algorithm 3 rebuilt from scratch at
+// every publish, a full deduction sweep after every answer, and a republish
+// only once the platform drains (plain) or after every non-matching answer
+// (instant) — kept as the correctness reference for the incremental,
+// partition-native LabelPartitionedOnPlatformRun.
+func referencePlatform(numObjects int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
+	if err := ValidatePairs(numObjects, order); err != nil {
+		return nil, err
+	}
+	res := &TraceResult{Result: *newResult(len(order))}
+	labeled := clustergraph.New(numObjects)
+	scratch := clustergraph.New(numObjects)
+	published := make([]bool, len(order))
+	byID := make([]Pair, len(order))
+	for _, p := range order {
+		byID[p.ID] = p
+	}
+	unlabeled := len(order)
+	publish := func() {
+		scratch.Reset()
+		batch := crowdsourceable(scratch, order, res.Labels, published)
+		if len(batch) == 0 {
+			return
+		}
+		for _, p := range batch {
+			published[p.ID] = true
+		}
+		pf.Publish(batch)
+		res.PublishSizes = append(res.PublishSizes, len(batch))
+	}
+
+	publish()
+	for unlabeled > 0 {
+		if pf.Available() == 0 {
+			publish()
+			if pf.Available() == 0 {
+				return nil, errors.New("reference platform drained")
+			}
+		}
+		ans, l, ok := pf.NextLabel()
+		if !ok || ans.ID < 0 || ans.ID >= len(order) || !published[ans.ID] || res.Labels[ans.ID] != Unlabeled {
+			return nil, fmt.Errorf("reference platform: bad answer %v", ans)
+		}
+		p := byID[ans.ID]
+		if err := labeled.Insert(p.A, p.B, l == Matching); err != nil {
+			if !errors.Is(err, clustergraph.ErrConflict) {
+				return nil, err
+			}
+			res.Conflicts++
+			if labeled.Deduce(p.A, p.B) == clustergraph.DeducedMatching {
+				l = Matching
+			} else {
+				l = NonMatching
+			}
+		}
+		res.Labels[p.ID] = l
+		res.Crowdsourced[p.ID] = true
+		res.NumCrowdsourced++
+		unlabeled--
+		for _, q := range order {
+			if res.Labels[q.ID] != Unlabeled || published[q.ID] {
+				continue
+			}
+			switch labeled.Deduce(q.A, q.B) {
+			case clustergraph.DeducedMatching:
+				res.Labels[q.ID] = Matching
+			case clustergraph.DeducedNonMatching:
+				res.Labels[q.ID] = NonMatching
+			default:
+				continue
+			}
+			res.NumDeduced++
+			unlabeled--
+		}
+		if instant && l == NonMatching {
+			publish()
+		}
+		res.Availability = append(res.Availability, pf.Available())
+	}
+	return res, nil
+}
+
+// labelOnOneShard runs the platform driver unsharded.
+func labelOnOneShard(numObjects int, order []Pair, pf Platform, instant bool) (*TraceResult, error) {
+	pt, err := SinglePartition(numObjects, order)
+	if err != nil {
+		return nil, err
+	}
+	return LabelPartitionedOnPlatformRun(pt, pf, instant, RunOpts{})
+}
+
+// rankedPlatform is a seeded-random crowd: its workers label the
+// outstanding pair that comes first in a fixed random ranking of all pairs.
+// Unlike SimPlatform's SelectRandom, a component's pairs come out in the
+// same relative order whatever else is outstanding, so answers do not
+// depend on how the candidate set is partitioned.
+type rankedPlatform struct {
+	oracle Oracle
+	rank   []int // by pair ID
+	queue  []Pair
+}
+
+func (r *rankedPlatform) Publish(ps []Pair) { r.queue = append(r.queue, ps...) }
+
+func (r *rankedPlatform) Available() int { return len(r.queue) }
+
+func (r *rankedPlatform) NextLabel() (Pair, Label, bool) {
+	if len(r.queue) == 0 {
+		return Pair{}, Unlabeled, false
+	}
+	best := 0
+	for i, p := range r.queue {
+		if r.rank[p.ID] < r.rank[r.queue[best].ID] {
+			best = i
+		}
+	}
+	p := r.queue[best]
+	r.queue = append(r.queue[:best], r.queue[best+1:]...)
+	return p, r.oracle.Label(p), true
+}
+
+// referenceWorker is one crowd the reference pins run. partitionFree: the
+// worker answers a component's pairs in the same order under any partition.
+type referenceWorker struct {
+	name          string
+	partitionFree bool
+	new           func() Platform
+}
+
+// referenceCase is one randomized workload for the reference pins, with
+// the crowds to run it on.
+type referenceCase struct {
+	numObjects int
+	order      []Pair
+	workers    []referenceWorker
+}
+
+// referenceCases draws trials multi-component workloads, alternating
+// expected and random orders, answered by a flaky crowd when flaky is set
+// and a perfect one otherwise, each run by first-in-first-out,
+// lowest-likelihood-first, seeded-random, and SimPlatform's SelectRandom
+// workers. SelectRandom draws from the whole outstanding pool, so its
+// answers depend on the partition.
+func referenceCases(rng *rand.Rand, trials int, flaky bool) []referenceCase {
+	cases := make([]referenceCase, trials)
+	for trial := range cases {
+		numObjects, order, truth := randomShardWorkload(rng)
+		if trial%2 == 1 {
+			order = RandomOrder(order, rng)
+		}
+		var oracle Oracle = truth
+		if flaky {
+			oracle = flakyOracle{truth}
+		}
+		rank := rng.Perm(len(order))
+		seed := rng.Int63()
+		cases[trial] = referenceCase{numObjects, order, []referenceWorker{
+			{"fifo", true, func() Platform { return NewSimPlatform(oracle, SelectFIFO, nil) }},
+			{"ascending-likelihood", true, func() Platform { return NewSimPlatform(oracle, SelectAscendingLikelihood, nil) }},
+			{"seeded-random", true, func() Platform { return &rankedPlatform{oracle: oracle, rank: rank} }},
+			{"sim-random", false, func() Platform { return NewSimPlatform(oracle, SelectRandom, rand.New(rand.NewSource(seed))) }},
+		}}
+	}
+	return cases
+}
+
+// checkOneShardMatchesReference runs every case's workers on a one-shard
+// partition, for plain and instant decisions, and requires the reference's
+// whole trace: labels, crowdsourced flags, counters, conflicts, publish
+// sizes, and availability.
+func checkOneShardMatchesReference(t *testing.T, cases []referenceCase) {
+	t.Helper()
+	for trial, c := range cases {
+		single, err := SinglePartition(c.numObjects, c.order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range c.workers {
+			for _, instant := range []bool{false, true} {
+				want, err := referencePlatform(c.numObjects, c.order, w.new(), instant)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := LabelPartitionedOnPlatformRun(single, w.new(), instant, RunOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d %s instant=%v: one-shard run diverged from the reference:\n got %+v\nwant %+v",
+						trial, w.name, instant, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestLabelOnPlatformIncrementalEquivalence: with a perfect crowd, the
+// driver's incremental crowdsourceable scan changes no observable output —
+// on one shard it reproduces the from-scratch reference's whole trace,
+// publish sizes and availability included, for every worker and both
+// decision modes.
+func TestLabelOnPlatformIncrementalEquivalence(t *testing.T) {
+	checkOneShardMatchesReference(t, referenceCases(rand.New(rand.NewSource(83)), 20, false))
+}
+
+// TestLabelOnPlatformIncrementalDeduceEquivalence: with a flaky crowd,
+// whose wrong answers spread to the pairs deduced from them, the
+// incremental deducer changes no observable output — on one shard the
+// driver reproduces the reference's full deduction sweep, trace for trace.
+func TestLabelOnPlatformIncrementalDeduceEquivalence(t *testing.T) {
+	checkOneShardMatchesReference(t, referenceCases(rand.New(rand.NewSource(89)), 20, true))
+}
+
+// TestShardedPlatformMatchesUnsharded pins the driver on the component
+// partition against the unsharded reference on labels, crowdsourced flags,
+// counters, and conflicts, for perfect and flaky crowds, plain and instant
+// decisions, and every worker whose answers do not depend on the
+// partition. (Publish traces legitimately differ: the partitioned driver
+// publishes per component.)
+func TestShardedPlatformMatchesUnsharded(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, flaky := range []bool{false, true} {
+		for trial, c := range referenceCases(rng, 20, flaky) {
+			comps, err := BuildPartition(c.numObjects, c.order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range c.workers {
+				if !w.partitionFree {
+					continue
+				}
+				for _, instant := range []bool{false, true} {
+					want, err := referencePlatform(c.numObjects, c.order, w.new(), instant)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := LabelPartitionedOnPlatformRun(comps, w.new(), instant, RunOpts{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want.Result, got.Result) || want.Conflicts != got.Conflicts {
+						t.Fatalf("trial %d flaky=%v %s instant=%v: %d-component run diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
+							trial, flaky, w.name, instant, len(comps.Shards),
+							got.NumCrowdsourced, want.NumCrowdsourced,
+							got.NumDeduced, want.NumDeduced,
+							got.Conflicts, want.Conflicts)
+					}
+				}
+			}
+		}
+	}
+}

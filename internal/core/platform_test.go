@@ -11,7 +11,7 @@ func TestLabelOnPlatformRunningExample(t *testing.T) {
 	truth := runningExampleTruth()
 	for _, instant := range []bool{false, true} {
 		pf := NewSimPlatform(truth, SelectFIFO, nil)
-		res, err := LabelOnPlatform(runningExampleObjects, pairs, pf, instant)
+		res, err := labelOnOneShard(runningExampleObjects, pairs, pf, instant)
 		if err != nil {
 			t.Fatalf("instant=%v: %v", instant, err)
 		}
@@ -43,14 +43,14 @@ func TestInstantNeverExceedsSequentialCount(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		ord := ExpectedOrder(pairs)
-		seq, err := LabelSequential(n, ord, truth)
+		seq, err := LabelSequentialRun(n, ord, truth, RunOpts{})
 		if err != nil {
 			return false
 		}
 		for _, policy := range policies {
 			for _, instant := range []bool{false, true} {
 				pf := NewSimPlatform(truth, policy, rand.New(rand.NewSource(seed+1)))
-				res, err := LabelOnPlatform(n, ord, pf, instant)
+				res, err := labelOnOneShard(n, ord, pf, instant)
 				if err != nil {
 					return false
 				}
@@ -83,7 +83,7 @@ func TestInstantKeepsPlatformBusier(t *testing.T) {
 
 	sum := func(instant bool) int {
 		pf := NewSimPlatform(truth, SelectRandom, rand.New(rand.NewSource(7)))
-		res, err := LabelOnPlatform(n, ord, pf, instant)
+		res, err := labelOnOneShard(n, ord, pf, instant)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +117,7 @@ func TestNonMatchingFirstBeatsRandomAvailability(t *testing.T) {
 
 		mass := func(policy SelectionPolicy) int {
 			pf := NewSimPlatform(truth, policy, rand.New(rand.NewSource(seed*7+2)))
-			res, err := LabelOnPlatform(n, ord, pf, true)
+			res, err := labelOnOneShard(n, ord, pf, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -178,7 +178,7 @@ func TestPlatformPublishAccounting(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 10, 25)
 		pf := NewSimPlatform(truth, SelectRandom, rand.New(rand.NewSource(seed)))
-		res, err := LabelOnPlatform(n, ExpectedOrder(pairs), pf, true)
+		res, err := labelOnOneShard(n, ExpectedOrder(pairs), pf, true)
 		if err != nil {
 			return false
 		}

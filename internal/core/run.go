@@ -81,8 +81,9 @@ type Event struct {
 	Round int
 	Size  int
 	// Component identifies the connected component of the candidate graph
-	// the event's shard owns, on events from component-sharded runs (the
-	// LabelSharded* drivers). Unsharded drivers leave it 0, so it is only
+	// the event's shard owns, on events from the LabelPartitioned* and
+	// LabelRoutedParallelRun drivers. Unsharded runs leave it 0 (the
+	// kernels, and the platform driver on a SinglePartition), so it is only
 	// meaningful when the caller asked for sharded execution. On
 	// EventComponentsMerged it carries the surviving stable component id
 	// instead (the IncrementalPartitioner's numbering, not the per-run

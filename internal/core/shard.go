@@ -10,15 +10,15 @@ import (
 // Transitive deduction never crosses connected components of the candidate
 // graph: a path of labeled pairs between two objects stays inside their
 // component. The partitioner below makes that structure explicit — it
-// splits a candidate set into its connected components — and the sharded
-// drivers exploit it: each component ("shard") owns its own ClusterGraph
-// and its own slice of the labeling order, so K shards can consult the
-// crowd concurrently while preserving the paper's single-order semantics
-// inside every component. The merged result is deterministic: labels are
-// scattered back by global pair ID, counters are summed, and parallel
-// round sizes are summed per round index (a global Algorithm-3 round is
-// exactly the union of the per-component rounds, because the optimistic
-// scan's decisions are component-local).
+// splits a candidate set into its connected components — and the
+// LabelPartitioned* drivers exploit it: each component ("shard") owns its
+// own ClusterGraph and its own slice of the labeling order, so K shards
+// can consult the crowd concurrently while preserving the paper's
+// single-order semantics inside every component. The merged result is
+// deterministic: labels are scattered back by global pair ID, counters are
+// summed, and parallel round sizes are summed per round index (a global
+// Algorithm-3 round is exactly the union of the per-component rounds,
+// because the optimistic scan's decisions are component-local).
 
 // Shard is one connected component of the candidate graph, re-encoded as a
 // self-contained labeling problem: local object ids are dense in
@@ -85,6 +85,17 @@ func BuildPartition(numObjects int, order []Pair) (*Partition, error) {
 		}
 	}
 	return buildShardsFrom(numObjects, order, find), nil
+}
+
+// SinglePartition validates the candidate set and wraps it whole as one
+// shard, the unsharded input of a partition-native driver. The shard's
+// Order keeps the given order, and its objects are renumbered by first
+// appearance.
+func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
+	if err := ValidatePairs(numObjects, order); err != nil {
+		return nil, err
+	}
+	return buildShardsFrom(numObjects, order, func(int32) int32 { return 0 }), nil
 }
 
 // buildShardsFrom re-encodes order as per-component shards, given a find
@@ -279,24 +290,15 @@ func addRoundSizes(agg []int, rounds []int) []int {
 	return agg
 }
 
-// LabelShardedSequentialRun runs the sequential labeler independently on
-// every connected component of the candidate graph, k components at a
-// time. The oracle must be safe for concurrent use when k > 1. The merged
-// result is identical to LabelSequentialRun's for any oracle whose answer
-// to a pair does not depend on the order questions are asked in
-// (deduction never crosses components, so the per-component question
-// sequences are exactly the global sequence split by component).
-func LabelShardedSequentialRun(numObjects int, order []Pair, oracle Oracle, k int, ro RunOpts) (*Result, error) {
-	pt, err := BuildPartition(numObjects, order)
-	if err != nil {
-		return nil, err
-	}
-	return LabelPartitionedSequentialRun(pt, oracle, k, ro)
-}
-
-// LabelPartitionedSequentialRun is LabelShardedSequentialRun over an
-// already-built Partition — streaming sessions build the partition once
-// with an IncrementalPartitioner and hand it in here.
+// LabelPartitionedSequentialRun runs the sequential labeler independently
+// on every component of pt, k components at a time. The oracle must be
+// safe for concurrent use when k > 1. The merged result is identical to
+// LabelSequentialRun's for any oracle whose answer to a pair does not
+// depend on the order questions are asked in (deduction never crosses
+// components, so the per-component question sequences are exactly the
+// global sequence split by component). Batch sessions build pt with
+// BuildPartition; streaming sessions build it once with an
+// IncrementalPartitioner and hand it in here.
 func LabelPartitionedSequentialRun(pt *Partition, oracle Oracle, k int, ro RunOpts) (*Result, error) {
 	res := newResult(pt.NumPairs())
 	var mu sync.Mutex
@@ -315,23 +317,13 @@ func LabelPartitionedSequentialRun(pt *Partition, oracle Oracle, k int, ro RunOp
 	return res, err
 }
 
-// LabelShardedParallelRun runs the parallel labeler (Algorithms 2–3)
-// independently on every connected component, k components at a time. The
+// LabelPartitionedParallelRun runs the parallel labeler (Algorithms 2–3)
+// independently on every component of pt, k components at a time. The
 // batch oracle must be safe for concurrent use when k > 1; each shard's
 // rounds are its own, so a shard never waits on another shard's answers —
 // the cross-component round barrier of the global driver disappears.
-// RoundSizes are merged per round index, reproducing the global driver's
+// RoundSizes are merged per round index, reproducing LabelParallelRun's
 // series for order-insensitive oracles.
-func LabelShardedParallelRun(numObjects int, order []Pair, oracle BatchOracle, k int, ro RunOpts) (*ParallelResult, error) {
-	pt, err := BuildPartition(numObjects, order)
-	if err != nil {
-		return nil, err
-	}
-	return LabelPartitionedParallelRun(pt, oracle, k, ro)
-}
-
-// LabelPartitionedParallelRun is LabelShardedParallelRun over an
-// already-built Partition.
 func LabelPartitionedParallelRun(pt *Partition, oracle BatchOracle, k int, ro RunOpts) (*ParallelResult, error) {
 	res := &ParallelResult{Result: *newResult(pt.NumPairs())}
 	var mu sync.Mutex
@@ -352,20 +344,10 @@ func LabelPartitionedParallelRun(pt *Partition, oracle BatchOracle, k int, ro Ru
 	return res, err
 }
 
-// LabelShardedOneToOneRun runs the one-to-one sequential labeler
-// independently on every connected component, k components at a time. The
+// LabelPartitionedOneToOneRun runs the one-to-one sequential labeler
+// independently on every component of pt, k components at a time. The
 // one-to-one constraint is component-local — every pair touching an object
 // lives in that object's component — so sharding preserves it exactly.
-func LabelShardedOneToOneRun(numObjects int, order []Pair, oracle Oracle, k int, ro RunOpts) (*OneToOneResult, error) {
-	pt, err := BuildPartition(numObjects, order)
-	if err != nil {
-		return nil, err
-	}
-	return LabelPartitionedOneToOneRun(pt, oracle, k, ro)
-}
-
-// LabelPartitionedOneToOneRun is LabelShardedOneToOneRun over an
-// already-built Partition.
 func LabelPartitionedOneToOneRun(pt *Partition, oracle Oracle, k int, ro RunOpts) (*OneToOneResult, error) {
 	res := &OneToOneResult{Result: *newResult(pt.NumPairs())}
 	var mu sync.Mutex

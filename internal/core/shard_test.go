@@ -141,12 +141,16 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 		numObjects, order, truth := randomShardWorkload(rng)
 		oracles := []Oracle{truth, flakyOracle{truth}}
 		oracle := oracles[trial%len(oracles)]
+		pt, err := BuildPartition(numObjects, order)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, k := range []int{1, 2, 4, 16} {
 			seq, err := LabelSequentialRun(numObjects, order, oracle, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sseq, err := LabelShardedSequentialRun(numObjects, order, oracle, k, RunOpts{})
+			sseq, err := LabelPartitionedSequentialRun(pt, oracle, k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +162,7 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spar, err := LabelShardedParallelRun(numObjects, order, Batched(oracle), k, RunOpts{})
+			spar, err := LabelPartitionedParallelRun(pt, Batched(oracle), k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +177,7 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			soto, err := LabelShardedOneToOneRun(numObjects, order, oracle, k, RunOpts{})
+			soto, err := LabelPartitionedOneToOneRun(pt, oracle, k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,53 +200,6 @@ func equalIntSlices(a, b []int) bool {
 	return true
 }
 
-// TestShardedPlatformMatchesUnsharded pins the component-interleaved
-// platform driver against the global one on labels, crowdsourced flags,
-// and conflict counts, across selection policies and option combinations.
-// (Publish traces legitimately differ: the sharded driver splits publish
-// events per component.)
-func TestShardedPlatformMatchesUnsharded(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	policies := []SelectionPolicy{SelectFIFO, SelectAscendingLikelihood}
-	optss := []PlatformOptions{
-		{},
-		{Instant: true},
-		{Instant: true, IncrementalScan: true},
-		{Instant: true, IncrementalDeduce: true},
-		{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
-	}
-	for trial := 0; trial < 20; trial++ {
-		numObjects, order, truth := randomShardWorkload(rng)
-		oracles := []Oracle{truth, flakyOracle{truth}}
-		oracle := oracles[trial%len(oracles)]
-		for _, policy := range policies {
-			for _, opts := range optss {
-				base, err := LabelOnPlatformRun(numObjects, order, NewSimPlatform(oracle, policy, nil), opts, RunOpts{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sharded, err := LabelShardedOnPlatformRun(numObjects, order, NewSimPlatform(oracle, policy, nil), opts, RunOpts{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(base.Labels, sharded.Labels) {
-					t.Fatalf("trial %d policy=%v opts=%+v: labels diverged", trial, policy, opts)
-				}
-				if !reflect.DeepEqual(base.Crowdsourced, sharded.Crowdsourced) ||
-					base.NumCrowdsourced != sharded.NumCrowdsourced ||
-					base.NumDeduced != sharded.NumDeduced ||
-					base.Conflicts != sharded.Conflicts {
-					t.Fatalf("trial %d policy=%v opts=%+v: cost diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
-						trial, policy, opts,
-						base.NumCrowdsourced, sharded.NumCrowdsourced,
-						base.NumDeduced, sharded.NumDeduced,
-						base.Conflicts, sharded.Conflicts)
-				}
-			}
-		}
-	}
-}
-
 // TestShardedProgressEventsCarryComponents checks that every event of a
 // sharded run carries the component id of its pair and global coordinates.
 func TestShardedProgressEventsCarryComponents(t *testing.T) {
@@ -258,7 +215,7 @@ func TestShardedProgressEventsCarryComponents(t *testing.T) {
 	}
 	var events []Event
 	ro := RunOpts{Progress: func(e Event) { events = append(events, e) }}
-	res, err := LabelShardedParallelRun(numObjects, order, Batched(truth), 4, ro)
+	res, err := LabelPartitionedParallelRun(pt, Batched(truth), 4, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +253,10 @@ func TestShardedCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		numObjects, order, truth := randomShardWorkload(rng)
+		pt, err := BuildPartition(numObjects, order)
+		if err != nil {
+			t.Fatal(err)
+		}
 		ctx, cancel := context.WithCancel(context.Background())
 		stopAfter := 1 + rng.Intn(8) // early enough that most trials cancel mid-run
 		seen := 0
@@ -306,7 +267,7 @@ func TestShardedCancellation(t *testing.T) {
 				}
 			}
 		}}
-		res, err := LabelShardedSequentialRun(numObjects, order, truth, 3, ro)
+		res, err := LabelPartitionedSequentialRun(pt, truth, 3, ro)
 		cancel()
 		if err != context.Canceled && err != nil {
 			t.Fatalf("trial %d: err = %v, want context.Canceled or nil", trial, err)

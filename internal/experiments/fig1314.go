@@ -49,7 +49,7 @@ func (e *Env) parallelRuns(figure string, threshold float64) (*Fig13Result, erro
 	for _, wl := range e.Workloads() {
 		pairs := wl.W.Candidates(threshold)
 		order := core.ExpectedOrder(pairs)
-		par, err := core.LabelParallel(wl.W.Dataset.Len(), order, core.Batched(wl.W.Truth))
+		par, err := core.LabelParallelRun(wl.W.Dataset.Len(), order, core.Batched(wl.W.Truth), core.RunOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("fig%s %s: %w", figure, wl.Name, err)
 		}

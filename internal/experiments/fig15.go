@@ -46,7 +46,10 @@ func (e *Env) Fig15() (*Fig15Result, error) {
 	res := &Fig15Result{Threshold: threshold}
 	for _, wl := range e.Workloads() {
 		pairs := wl.W.Candidates(threshold)
-		order := core.ExpectedOrder(pairs)
+		pt, err := core.SinglePartition(wl.W.Dataset.Len(), core.ExpectedOrder(pairs))
+		if err != nil {
+			return nil, fmt.Errorf("fig15 %s: %w", wl.Name, err)
+		}
 		for _, v := range []Fig15Variant{VariantParallel, VariantInstant, VariantInstantNF} {
 			policy := core.SelectRandom
 			instant := true
@@ -57,7 +60,7 @@ func (e *Env) Fig15() (*Fig15Result, error) {
 				policy = core.SelectAscendingLikelihood
 			}
 			pf := core.NewSimPlatform(wl.W.Truth, policy, rand.New(rand.NewSource(e.Cfg.Seed)))
-			run, err := core.LabelOnPlatform(wl.W.Dataset.Len(), order, pf, instant)
+			run, err := core.LabelPartitionedOnPlatformRun(pt, pf, instant, core.RunOpts{})
 			if err != nil {
 				return nil, fmt.Errorf("fig15 %s %s: %w", wl.Name, v, err)
 			}

@@ -40,7 +40,10 @@ func (e *Env) Table1() (*Table1Result, error) {
 	res := &Table1Result{Threshold: threshold}
 	for _, wl := range e.Workloads() {
 		pairs := wl.W.Candidates(threshold)
-		order := core.ExpectedOrder(pairs)
+		pt, err := core.SinglePartition(wl.W.Dataset.Len(), core.ExpectedOrder(pairs))
+		if err != nil {
+			return nil, fmt.Errorf("table1 %s: %w", wl.Name, err)
+		}
 		cfg := e.Cfg.Crowd
 		cfg.Model = crowd.PerfectModel{}
 		cfg.Seed = e.Cfg.Seed
@@ -48,7 +51,7 @@ func (e *Env) Table1() (*Table1Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table1 %s: %w", wl.Name, err)
 		}
-		if _, err := core.LabelOnPlatform(wl.W.Dataset.Len(), order, pf, true); err != nil {
+		if _, err := core.LabelPartitionedOnPlatformRun(pt, pf, true, core.RunOpts{}); err != nil {
 			return nil, fmt.Errorf("table1 %s parallel run: %w", wl.Name, err)
 		}
 		seqHours, err := crowd.RunHITsSequentially(pf.HITLog(), wl.W.Truth.Matches, cfg)

@@ -72,7 +72,11 @@ func (e *Env) Table2() (*Table2Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s: %w", wl.Name, err)
 		}
-		run, err := core.LabelOnPlatform(wl.W.Dataset.Len(), order, pf2, true)
+		pt, err := core.SinglePartition(wl.W.Dataset.Len(), order)
+		if err != nil {
+			return nil, fmt.Errorf("table2 %s: %w", wl.Name, err)
+		}
+		run, err := core.LabelPartitionedOnPlatformRun(pt, pf2, true, core.RunOpts{})
 		if err != nil {
 			return nil, fmt.Errorf("table2 %s transitive run: %w", wl.Name, err)
 		}

@@ -249,7 +249,6 @@ func (jb *job) buildJoin(journal io.ReadWriter) (*crowdjoin.Join, error) {
 		opts = append(opts,
 			crowdjoin.WithPlatform(jp),
 			crowdjoin.WithInstantDecisions(jb.spec.Instant),
-			crowdjoin.WithIncrementalPlatform(true, true),
 		)
 	} else {
 		opts = append(opts, crowdjoin.WithOracle(accountingOracle{jb: jb, reserve: reserve, inner: crowd}))

@@ -139,7 +139,6 @@ func libraryRun(t *testing.T, spec *JobSpec) *crowdjoin.JoinResult {
 		opts = append(opts,
 			crowdjoin.WithPlatform(crowdjoin.NewSimulatedCrowd(ents.oracle(), crowdjoin.SelectFIFO, nil)),
 			crowdjoin.WithInstantDecisions(sp.Instant),
-			crowdjoin.WithIncrementalPlatform(true, true),
 		)
 	} else {
 		opts = append(opts, crowdjoin.WithOracle(ents.oracle()))

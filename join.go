@@ -162,8 +162,6 @@ type Join struct {
 	platform Platform
 
 	instant     bool
-	incScan     bool
-	incDeduce   bool
 	concurrency int
 
 	// triage holds the similarity bands of WithTriage (zero = disabled),
@@ -305,12 +303,16 @@ func WithInstantDecisions(on bool) JoinOption {
 	return func(j *Join) { j.instant = on }
 }
 
-// WithIncrementalPlatform selects the incremental Algorithm-3 scan and the
-// incremental deduction pass for PlatformStrategy (identical results, less
-// work per answer on large candidate sets; default off, matching the
-// legacy LabelOnPlatform).
+// WithIncrementalPlatform is a no-op kept for source compatibility:
+// PlatformStrategy always runs the incremental Algorithm-3 scan and the
+// incremental deduction pass, which give the results of the from-scratch
+// ones with less work per answer. Sessions that never set the option now
+// see an answer's EventPairDeduced events in the incremental deducer's
+// order (the same events, possibly reordered).
+//
+// Deprecated: drop the option; it has no effect.
 func WithIncrementalPlatform(scan, deduce bool) JoinOption {
-	return func(j *Join) { j.incScan, j.incDeduce = scan, deduce }
+	return func(*Join) {}
 }
 
 // WithConcurrency shards the session by connected component of the
@@ -318,8 +320,9 @@ func WithIncrementalPlatform(scan, deduce bool) JoinOption {
 // component can run the paper's single-order algorithm independently while
 // k components consult the crowd at once.
 //
-// k = 1 (the default) is exactly the unsharded driver — byte-identical
-// results. With k > 1:
+// k = 1 (the default) runs unsharded: the sequential, parallel, and
+// one-to-one strategies run their labeling kernel over the whole order,
+// and PlatformStrategy runs its one driver over a single shard. With k > 1:
 //
 //   - Sequential, parallel, and one-to-one strategies run k component
 //     subproblems on concurrent goroutines; the configured Oracle or
@@ -329,7 +332,8 @@ func WithIncrementalPlatform(scan, deduce bool) JoinOption {
 //   - PlatformStrategy interleaves per-component publish rounds on the one
 //     platform (the driver itself stays single-threaded; the parallelism
 //     is in the crowd, which sees every component's mandatory pairs
-//     without cross-component round barriers).
+//     without cross-component round barriers). PublishSizes counts one
+//     publish event per component round.
 //   - Labels, crowdsourced flags, and counters are merged
 //     deterministically by pair; for crowds whose answer to a pair does
 //     not depend on question order, results are identical to k = 1.
@@ -534,7 +538,9 @@ func (r *JoinResult) fill(c *core.Result) {
 // over. A streaming unweighted session reuses the incremental
 // partitioner's persistent forest; IDF sessions rescore pairs at Run, so
 // their partition is derived from scratch like a batch session's. Both
-// routes produce identical partitions for the same order.
+// routes produce identical partitions for the same order. An unsharded
+// PlatformStrategy session gets a one-shard partition: the platform driver
+// is partition-native.
 func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]Pair, *core.Partition, error) {
 	order := j.ordering(pairs)
 	if len(order) != len(pairs) {
@@ -546,6 +552,10 @@ func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]P
 		order = triageOrder(order, j.triage)
 	}
 	if j.concurrency <= 1 {
+		if j.strategy.kind == strategyPlatform {
+			pt, err := core.SinglePartition(numObjects, order)
+			return order, pt, err
+		}
 		return order, nil, nil
 	}
 	if j.triage.Enabled() {
@@ -676,7 +686,7 @@ func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, 
 		// consistent partial result.
 		runCtx, cancel := context.WithCancel(ctx)
 		jrn.onError = cancel
-		return runCtx, cancel, jrn, nil
+		return journaledContext{Context: runCtx, caller: ctx}, cancel, jrn, nil
 	}
 	// No file journal: answers bought by earlier Runs of this session are
 	// cached in memory and replayed, so a re-Run — and in particular the
@@ -689,6 +699,26 @@ func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, 
 	j.streamMu.Unlock()
 	jrn.resetReplay()
 	return ctx, nil, jrn, nil
+}
+
+// journaledContext is the context a journaled Run hands its driver: a
+// child of the caller's ctx that the journal also cancels on a write
+// failure. Err reads the caller's ctx first. A child learns of ctx's
+// cancellation only when ctx's cancel reaches it, in no set order among
+// ctx's children, so a platform woken by context.AfterFunc on ctx can hand
+// the driver "no answer" while the child still reports nil — and the
+// driver would report a misbehaving platform instead of the cancellation.
+type journaledContext struct {
+	context.Context
+	caller context.Context
+}
+
+// Err implements context.Context.
+func (c journaledContext) Err() error {
+	if err := c.caller.Err(); err != nil {
+		return err
+	}
+	return c.Context.Err()
 }
 
 // runOnce drives the configured strategy over one ordered (and possibly
@@ -762,14 +792,7 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 			res.Conflicts = r.Conflicts
 		}
 	case strategyPlatform:
-		opts := PlatformOptions{Instant: j.instant, IncrementalScan: j.incScan, IncrementalDeduce: j.incDeduce}
-		var r *core.TraceResult
-		var err error
-		if sharded {
-			r, err = core.LabelPartitionedOnPlatformRun(pt, platform, opts, ro)
-		} else {
-			r, err = core.LabelOnPlatformRun(numObjects, order, platform, opts, ro)
-		}
+		r, err := core.LabelPartitionedOnPlatformRun(pt, platform, j.instant, ro)
 		runErr = err
 		if r != nil {
 			res.fill(&r.Result)

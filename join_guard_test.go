@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"crowdjoin"
@@ -132,6 +133,64 @@ func TestOpenJournalFile(t *testing.T) {
 	for i, l := range res2.Labels {
 		if l != res1.Labels[i] {
 			t.Fatalf("label %d changed across resume: %v -> %v", i, res1.Labels[i], l)
+		}
+	}
+}
+
+// roguePlatform answers one rogue pair before deferring to an honest
+// crowd.
+type roguePlatform struct {
+	crowdjoin.Platform
+	rogue crowdjoin.Pair
+	sent  bool
+}
+
+func (r *roguePlatform) NextLabel() (crowdjoin.Pair, crowdjoin.Label, bool) {
+	if !r.sent {
+		r.sent = true
+		return r.rogue, crowdjoin.Matching, true
+	}
+	return r.Platform.NextLabel()
+}
+
+// TestJoinRejectsRoguePlatform: a Platform answering a pair outside the
+// candidate set, or a pair the driver never published, fails Run with an
+// error — never a panic, and never a label counted as crowdsourced for a
+// question nobody asked — unsharded and sharded alike.
+func TestJoinRejectsRoguePlatform(t *testing.T) {
+	// A triangle: Algorithm 3 publishes (0,1) and (1,2) and withholds
+	// (0,2), which their answers may decide.
+	pairs := []crowdjoin.Pair{
+		{ID: 0, A: 0, B: 1, Likelihood: 0.9},
+		{ID: 1, A: 1, B: 2, Likelihood: 0.8},
+		{ID: 2, A: 0, B: 2, Likelihood: 0.7},
+	}
+	truth := &crowdjoin.TruthOracle{Entity: []int32{0, 0, 0}}
+	for _, k := range []int{1, 2} {
+		for _, tc := range []struct {
+			rogue crowdjoin.Pair
+			want  string
+		}{
+			{crowdjoin.Pair{ID: 99, A: 0, B: 1}, "unknown pair"},
+			{pairs[2], "unpublished pair"},
+		} {
+			j, err := crowdjoin.NewJoin(
+				crowdjoin.WithPairs(3, pairs),
+				crowdjoin.WithOrder(crowdjoin.OrderAsGiven),
+				crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
+				crowdjoin.WithPlatform(&roguePlatform{
+					Platform: crowdjoin.NewSimulatedCrowd(truth, crowdjoin.SelectFIFO, nil),
+					rogue:    tc.rogue,
+				}),
+				crowdjoin.WithConcurrency(k),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := j.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), tc.want) || res != nil {
+				t.Errorf("k=%d rogue %v: Run = (%+v, %v), want a %q error and no result", k, tc.rogue, res, err, tc.want)
+			}
 		}
 	}
 }

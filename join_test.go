@@ -70,9 +70,11 @@ func flakyOracle() crowdjoin.Oracle {
 }
 
 // TestJoinMatchesCoreDrivers: Join.Run must reproduce, byte for byte, what
-// the original internal/core drivers produce for every strategy, on
-// randomized datasets — the differential acceptance test for the session
-// redesign.
+// the internal/core labeling kernels produce for the sequential, parallel,
+// one-to-one, and budget strategies, on randomized datasets — the
+// differential acceptance test for the session redesign. PlatformStrategy
+// makes one call into the platform driver, which internal/core pins to its
+// from-scratch reference (platform_reference_test.go).
 func TestJoinMatchesCoreDrivers(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -111,7 +113,7 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 		}
 
 		// Sequential.
-		seq, err := core.LabelSequential(numObjects, order, oracle)
+		seq, err := core.LabelSequentialRun(numObjects, order, oracle, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +125,7 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 			name string
 			o    crowdjoin.Oracle
 		}{{"parallel", oracle}, {"parallel-flaky", flakyOracle()}} {
-			par, err := core.LabelParallel(numObjects, order, core.Batched(tc.o))
+			par, err := core.LabelParallelRun(numObjects, order, core.Batched(tc.o), core.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,44 +136,8 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 			}
 		}
 
-		// Platform, all option combinations, deterministic worker policy.
-		for _, opts := range []core.PlatformOptions{
-			{},
-			{Instant: true},
-			{Instant: true, IncrementalScan: true, IncrementalDeduce: true},
-		} {
-			pf1 := core.NewSimPlatform(oracle, core.SelectAscendingLikelihood, nil)
-			want, err := core.LabelOnPlatformOpts(numObjects, order, pf1, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pf2 := core.NewSimPlatform(oracle, core.SelectAscendingLikelihood, nil)
-			got := runJoin(
-				crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
-				crowdjoin.WithPlatform(pf2),
-				crowdjoin.WithInstantDecisions(opts.Instant),
-				crowdjoin.WithIncrementalPlatform(opts.IncrementalScan, opts.IncrementalDeduce))
-			checkCore("platform", &want.Result, got)
-			if !reflect.DeepEqual(want.PublishSizes, got.PublishSizes) ||
-				!reflect.DeepEqual(want.Availability, got.Availability) ||
-				want.Conflicts != got.Conflicts {
-				t.Fatalf("trial %d platform %+v: traces differ", trial, opts)
-			}
-		}
-
-		// Platform with a seeded random worker: same seed on both sides.
-		pf1 := core.NewSimPlatform(oracle, core.SelectRandom, rand.New(rand.NewSource(int64(trial))))
-		want, err := core.LabelOnPlatform(numObjects, order, pf1, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pf2 := core.NewSimPlatform(oracle, core.SelectRandom, rand.New(rand.NewSource(int64(trial))))
-		checkCore("platform-random", &want.Result,
-			runJoin(crowdjoin.WithStrategy(crowdjoin.PlatformStrategy), crowdjoin.WithPlatform(pf2),
-				crowdjoin.WithInstantDecisions(true)))
-
 		// One-to-one.
-		oto, err := core.LabelSequentialOneToOne(numObjects, order, oracle)
+		oto, err := core.LabelSequentialOneToOneRun(numObjects, order, oracle, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +149,7 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 
 		// Budget, several budgets.
 		for _, budget := range []int{0, len(pairs) / 4, len(pairs)} {
-			bud, err := core.LabelWithBudget(numObjects, order, oracle, budget, 0.5)
+			bud, err := core.LabelWithBudgetRun(numObjects, order, oracle, budget, 0.5, core.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,78 +170,6 @@ func gotOrderLabels(r *crowdjoin.JoinResult) []crowdjoin.Label {
 		out[p.ID] = r.Labels[p.ID]
 	}
 	return out
-}
-
-// TestDeprecatedWrappersMatchJoin: each legacy free function must be
-// result-identical to the equivalent Join configuration.
-func TestDeprecatedWrappersMatchJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	numObjects, pairs, entity := randomJoinCase(rng)
-	order := crowdjoin.ExpectedOrder(pairs)
-	oracle := &crowdjoin.TruthOracle{Entity: entity}
-
-	join := func(opts ...crowdjoin.JoinOption) *crowdjoin.JoinResult {
-		t.Helper()
-		opts = append([]crowdjoin.JoinOption{
-			crowdjoin.WithPairs(numObjects, order), crowdjoin.WithOrder(crowdjoin.OrderAsGiven)}, opts...)
-		j, err := crowdjoin.NewJoin(opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := j.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	seq, err := crowdjoin.LabelSequential(numObjects, order, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := join(crowdjoin.WithOracle(oracle)); !reflect.DeepEqual(seq.Labels, got.Labels) ||
-		seq.NumCrowdsourced != got.NumCrowdsourced {
-		t.Error("LabelSequential differs from its Join configuration")
-	}
-
-	par, err := crowdjoin.LabelParallel(numObjects, order, core.Batched(oracle))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := join(crowdjoin.WithStrategy(crowdjoin.ParallelStrategy), crowdjoin.WithBatchOracle(core.Batched(oracle))); !reflect.DeepEqual(par.Labels, got.Labels) ||
-		!reflect.DeepEqual(par.RoundSizes, got.RoundSizes) {
-		t.Error("LabelParallel differs from its Join configuration")
-	}
-
-	wrapPf := core.NewSimPlatform(oracle, core.SelectAscendingLikelihood, nil)
-	tr, err := crowdjoin.LabelOnPlatform(numObjects, order, wrapPf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joinPf := core.NewSimPlatform(oracle, core.SelectAscendingLikelihood, nil)
-	if got := join(crowdjoin.WithStrategy(crowdjoin.PlatformStrategy), crowdjoin.WithPlatform(joinPf),
-		crowdjoin.WithInstantDecisions(true)); !reflect.DeepEqual(tr.Labels, got.Labels) ||
-		!reflect.DeepEqual(tr.PublishSizes, got.PublishSizes) {
-		t.Error("LabelOnPlatform differs from its Join configuration")
-	}
-
-	oto, err := crowdjoin.LabelSequentialOneToOne(numObjects, order, oracle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := join(crowdjoin.WithStrategy(crowdjoin.OneToOneStrategy), crowdjoin.WithOracle(oracle)); !reflect.DeepEqual(oto.Labels, got.Labels) ||
-		oto.NumConstraintDeduced != got.NumConstraintDeduced {
-		t.Error("LabelSequentialOneToOne differs from its Join configuration")
-	}
-
-	bud, err := crowdjoin.LabelWithBudget(numObjects, order, oracle, len(order)/3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := join(crowdjoin.WithStrategy(crowdjoin.BudgetStrategy(len(order)/3, 0.5)), crowdjoin.WithOracle(oracle)); !reflect.DeepEqual(bud.Labels, got.Labels) ||
-		bud.NumGuessed != got.NumGuessed {
-		t.Error("LabelWithBudget differs from its Join configuration")
-	}
 }
 
 // TestJoinFromTexts: the session generates candidates itself when given
@@ -300,7 +194,7 @@ func TestJoinFromTexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := crowdjoin.LabelSequential(len(exampleTexts), crowdjoin.ExpectedOrder(pairs), oracle)
+	want, err := core.LabelSequentialRun(len(exampleTexts), crowdjoin.ExpectedOrder(pairs), oracle, core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

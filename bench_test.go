@@ -587,6 +587,39 @@ func BenchmarkCrowdsourceablePairs(b *testing.B) {
 	}
 }
 
+// BenchmarkPlatformInstant measures the platform driver without sleeps:
+// Paper@0.3 in expected order on a one-shard partition, answered by a fresh
+// AMT simulator with Table 2's crowd per iteration, with instant decisions
+// on — the paper-amt workload's driver. The simulator's clock is virtual,
+// so ns/op is the driver's and the simulator's machine time. questions is
+// the crowd cost, which the driver's scan must never change.
+func BenchmarkPlatformInstant(b *testing.B) {
+	e := benchEnv(b)
+	pairs := e.Paper.Candidates(0.3)
+	order := core.ExpectedOrder(pairs)
+	pt, err := core.SinglePartition(e.Paper.Dataset.Len(), order)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := e.Cfg.Crowd
+	cfg.Model = e.Cfg.NoisyModel
+	b.ReportAllocs()
+	b.ResetTimer()
+	var questions int
+	for i := 0; i < b.N; i++ {
+		pf, err := crowd.NewPlatform(e.Paper.Truth.Matches, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r, err := core.LabelPartitionedOnPlatformRun(pt, pf, true, core.RunOpts{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		questions = r.NumCrowdsourced
+	}
+	b.ReportMetric(float64(questions), "questions")
+}
+
 func BenchmarkCandidateGeneration(b *testing.B) {
 	e := benchEnv(b)
 	d := e.Paper.Dataset

@@ -111,6 +111,7 @@ func TestGated(t *testing.T) {
 		"BenchmarkCandidatesPositional": true,
 		"BenchmarkStreamingAppend":      true,
 		"BenchmarkGiantComponent/k=4":   true,
+		"BenchmarkPlatformInstant":      true,
 		"BenchmarkJournalReplay":        false,
 		"BenchmarkSomethingElse":        false,
 	} {

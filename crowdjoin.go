@@ -6,6 +6,7 @@ import (
 
 	"crowdjoin/internal/clustergraph"
 	"crowdjoin/internal/core"
+	"crowdjoin/internal/unionfind"
 )
 
 // Core labeling types. Pair IDs are dense within a candidate set; result
@@ -78,7 +79,7 @@ func Clusters(numObjects int, pairs []Pair, labels []Label) ([][]int32, error) {
 	if len(labels) < len(pairs) {
 		return nil, fmt.Errorf("crowdjoin: %d labels for %d pairs", len(labels), len(pairs))
 	}
-	g := clustergraph.New(numObjects)
+	u := unionfind.New(numObjects)
 	for _, p := range pairs {
 		if p.ID < 0 || p.ID >= len(labels) {
 			return nil, fmt.Errorf("crowdjoin: pair (%d,%d) has ID %d outside [0,%d)", p.A, p.B, p.ID, len(labels))
@@ -87,12 +88,12 @@ func Clusters(numObjects int, pairs []Pair, labels []Label) ([][]int32, error) {
 			return nil, fmt.Errorf("crowdjoin: pair %d references object outside [0,%d)", p.ID, numObjects)
 		}
 		if labels[p.ID] == Matching {
-			// ForceInsert: conflicting crowd labels collapse rather than
-			// error; positive labels win for clustering purposes.
-			g.ForceInsert(p.A, p.B, true)
+			// Conflicting crowd labels collapse rather than error:
+			// positive labels win for clustering purposes.
+			u.Union(p.A, p.B)
 		}
 	}
-	return g.Clusters(), nil
+	return u.Clusters(), nil
 }
 
 // Deducer answers whether a pair's label follows from already-known labels,

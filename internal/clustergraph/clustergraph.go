@@ -23,11 +23,15 @@
 //
 // # Rollback
 //
-// Snapshot/Rollback support backtracking search (the expected-cost world
-// enumeration of Section 4.2): every structural change after a Snapshot is
-// recorded in an undo journal, and Rollback replays it backwards. The
-// underlying union-find switches to its no-path-compression rollback
-// variant at the first Snapshot; Reset switches back.
+// Snapshot/Rollback support backtracking: every structural change after a
+// Snapshot is recorded in an undo journal, and Rollback replays it
+// backwards. Two callers use it: the expected-cost world enumeration of
+// Section 4.2 (a search tree), and the platform driver's resumable
+// Algorithm-3 scan, which keeps one journaled scan graph for a whole
+// session and rolls it back to the first order position a new label
+// changes. The underlying union-find switches to its rollback variant
+// (path halvings journaled too) at the first Snapshot; Reset switches
+// back.
 //
 // BruteForceDeduce (bruteforce.go) remains the correctness reference; the
 // differential tests drive both through randomized insert/snapshot/rollback
@@ -114,10 +118,12 @@ type Graph struct {
 	bits  [][]uint64
 	words int // words per bitset row: (n+63)/64
 	edges int // number of distinct non-matching cluster edges
-	// dirty lists every set id whose edge set became non-empty (possibly
-	// with duplicates), so Reset and CloneInto touch only populated sets
-	// instead of walking the whole universe.
-	dirty []int32
+	// dirty lists, once each, every set id whose edge set became
+	// non-empty since the last Reset or CloneInto (listed[s] marks the
+	// members), so Reset and CloneInto touch only populated sets instead of
+	// walking the whole universe. A set emptied by Rollback stays listed.
+	dirty  []int32
+	listed []bool
 	// rowPool recycles bitset rows shed by CloneInto and Reset.
 	rowPool [][]uint64
 
@@ -131,12 +137,13 @@ type Graph struct {
 // singleton cluster and there are no non-matching edges.
 func New(n int) *Graph {
 	g := &Graph{
-		uf:    unionfind.New(n),
-		eset:  make([]int32, n),
-		deg:   make([]int32, n),
-		adj:   make([][]int32, n),
-		bits:  make([][]uint64, n),
-		words: (n + 63) / 64,
+		uf:     unionfind.New(n),
+		eset:   make([]int32, n),
+		deg:    make([]int32, n),
+		adj:    make([][]int32, n),
+		bits:   make([][]uint64, n),
+		words:  (n + 63) / 64,
+		listed: make([]bool, n),
 	}
 	for i := range g.eset {
 		g.eset[i] = int32(i)
@@ -253,7 +260,8 @@ func (g *Graph) addHalf(s, v int32) {
 	if row := g.bits[s]; row != nil {
 		row[uint32(v)>>6] |= 1 << (uint32(v) & 63)
 	} else {
-		if g.deg[s] == 0 {
+		if g.deg[s] == 0 && !g.listed[s] {
+			g.listed[s] = true
 			g.dirty = append(g.dirty, s)
 		}
 		g.adj[s] = append(g.adj[s], v)
@@ -463,9 +471,9 @@ type Mark int
 
 // Snapshot records the current state and returns a mark Rollback can
 // restore. The first Snapshot switches the graph (and its union-find) into
-// rollback mode: subsequent structural changes are journaled and path
-// compression is off until Reset. Snapshots nest: rolling back to an outer
-// mark discards inner ones.
+// rollback mode until Reset: subsequent structural changes, and the
+// union-find's path halvings, are journaled. Snapshots nest: rolling back
+// to an outer mark discards inner ones.
 func (g *Graph) Snapshot() Mark {
 	if !g.journaling {
 		g.journaling = true
@@ -505,14 +513,15 @@ func (g *Graph) Clusters() [][]int32 { return g.uf.Clusters() }
 // Rollback history does not transfer: the clone starts un-journaled.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		uf:    g.uf.Clone(),
-		eset:  slices.Clone(g.eset),
-		deg:   slices.Clone(g.deg),
-		adj:   make([][]int32, len(g.adj)),
-		bits:  make([][]uint64, len(g.bits)),
-		words: g.words,
-		edges: g.edges,
-		dirty: slices.Clone(g.dirty),
+		uf:     g.uf.Clone(),
+		eset:   slices.Clone(g.eset),
+		deg:    slices.Clone(g.deg),
+		adj:    make([][]int32, len(g.adj)),
+		bits:   make([][]uint64, len(g.bits)),
+		words:  g.words,
+		edges:  g.edges,
+		dirty:  slices.Clone(g.dirty),
+		listed: slices.Clone(g.listed),
 	}
 	for i, s := range g.adj {
 		if len(s) > 0 {
@@ -542,6 +551,7 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	copy(dst.deg, g.deg)
 	for _, sid := range dst.dirty {
 		dst.adj[sid] = dst.adj[sid][:0]
+		dst.listed[sid] = false
 		if row := dst.bits[sid]; row != nil {
 			clear(row)
 			dst.rowPool = append(dst.rowPool, row)
@@ -550,6 +560,7 @@ func (g *Graph) CloneInto(dst *Graph) *Graph {
 	}
 	dst.dirty = append(dst.dirty[:0], g.dirty...)
 	for _, sid := range g.dirty {
+		dst.listed[sid] = true
 		dst.adj[sid] = append(dst.adj[sid][:0], g.adj[sid]...)
 		if row := g.bits[sid]; row != nil {
 			if dst.bits[sid] == nil {
@@ -572,6 +583,7 @@ func (g *Graph) Reset() {
 	for _, sid := range g.dirty {
 		g.adj[sid] = g.adj[sid][:0]
 		g.deg[sid] = 0
+		g.listed[sid] = false
 		if row := g.bits[sid]; row != nil {
 			clear(row)
 			g.rowPool = append(g.rowPool, row)

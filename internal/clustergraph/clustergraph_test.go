@@ -405,3 +405,50 @@ func TestRootStability(t *testing.T) {
 		t.Error("distinct clusters share a root")
 	}
 }
+
+// TestRollbackKeepsDirtyListBounded: an edge set emptied by Rollback stays
+// on the dirty list, so repopulating it must not list it again — long
+// snapshot/insert/rollback sessions would otherwise grow the list by two
+// entries per cycle. Reset and CloneInto must start the list afresh.
+func TestRollbackKeepsDirtyListBounded(t *testing.T) {
+	const n = 8
+	g := New(n)
+	rng := rand.New(rand.NewSource(5))
+	mustInsert(t, g, 0, 1, true)
+	for i := 0; i < 100_000; i++ {
+		m := g.Snapshot()
+		a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if a != b && !g.SameCluster(a, b) {
+			mustInsert(t, g, a, b, false)
+		}
+		if i%3 == 0 {
+			g.ForceInsert(int32(rng.Intn(n)), 7, true) // merges drain sets too
+		}
+		g.Rollback(m)
+	}
+	if len(g.dirty) > n {
+		t.Fatalf("dirty list holds %d entries for %d objects", len(g.dirty), n)
+	}
+	mustInsert(t, g, 2, 3, false)
+	dst := New(n)
+	g.CloneInto(dst)
+	g.Reset()
+	for _, h := range []*Graph{g, dst} {
+		h.Snapshot()
+		for k := 0; k < 3; k++ {
+			m := h.Snapshot()
+			mustInsert(t, h, 4, 5, false)
+			h.Rollback(m)
+		}
+		if len(h.dirty) > n {
+			t.Fatalf("dirty list holds %d entries for %d objects after Reset/CloneInto", len(h.dirty), n)
+		}
+		seen := make(map[int32]bool)
+		for _, s := range h.dirty {
+			if seen[s] {
+				t.Fatalf("set %d listed twice: %v", s, h.dirty)
+			}
+			seen[s] = true
+		}
+	}
+}

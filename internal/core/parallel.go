@@ -101,7 +101,6 @@ func LabelParallelRun(numObjects int, order []Pair, oracle BatchOracle, ro RunOp
 	res := &ParallelResult{Result: *newResult(len(order))}
 	labeled := clustergraph.New(numObjects) // crowd-labeled pairs only
 	scanner := NewIncrementalScanner(numObjects, order)
-	scanner.EnableLabelMirror()
 	if ro.Progress != nil {
 		scanner.OnDeduce = func(p Pair, l Label) { ro.emitPair(EventPairDeduced, p, l) }
 	}
@@ -114,7 +113,7 @@ func LabelParallelRun(numObjects int, order []Pair, oracle BatchOracle, ro RunOp
 	labeled.RootsInto(rootBuf)
 
 	for unlabeled > 0 {
-		batch, deduced := scanner.scan(res.Labels, nil, labeled, rootBuf)
+		batch, deduced := scanner.scan(res.Labels, labeled, rootBuf)
 		res.NumDeduced += deduced
 		unlabeled -= deduced
 		if len(batch) == 0 {

@@ -45,14 +45,15 @@ type TraceResult struct {
 }
 
 // platformShard is one component's private half of the platform driver:
-// its own crowd-label graph, Algorithm-3 scanner, deducer and publish
-// bookkeeping, all in the shard's local coordinates.
+// its own crowd-label graph, resumable Algorithm-3 scan, deducer and
+// publish bookkeeping, all in the shard's local coordinates, where a pair's
+// ID is its order position.
 type platformShard struct {
 	s         *Shard
 	ro        RunOpts
 	res       Result
 	labeled   *clustergraph.Graph
-	scanner   *IncrementalScanner
+	scan      *resumableScan
 	ded       *incrementalDeducer
 	affected  []int32
 	published []bool
@@ -77,7 +78,7 @@ type platformShard struct {
 // mandatory — a matching answer confirms what Algorithm 3 already assumed
 // — so the recomputation is skipped on matching answers.
 //
-// Every component runs its own incremental Algorithm-3 scan, deduction
+// Every component runs its own resumable Algorithm-3 scan, deduction
 // graph, and publish rounds, while sharing the one Platform. Publishes
 // interleave, a HIT round never waits for another component's answers, and
 // each incoming label is routed back to the component that published it.
@@ -111,7 +112,7 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 			ro:        s.shardRunOpts(ro.Ctx, ro.Progress, &progressMu),
 			res:       *newResult(len(s.Order)),
 			labeled:   labeled,
-			scanner:   NewIncrementalScanner(s.NumObjects, s.Order),
+			scan:      newResumableScan(s.NumObjects, s.Order),
 			ded:       newIncrementalDeducer(s.NumObjects, s.Order, labeled),
 			published: make([]bool, len(s.Order)),
 			unlabeled: len(s.Order),
@@ -123,7 +124,7 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 	// translated to global coordinates. One publish event per shard per
 	// round keeps traces attributable to components.
 	publish := func(sh *platformShard) {
-		batch := sh.scanner.Crowdsourceable(sh.res.Labels, sh.published)
+		batch := sh.scan.scan(sh.res.Labels, sh.published)
 		if len(batch) == 0 {
 			return
 		}
@@ -236,6 +237,7 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 			sh.ro.emitPair(EventConflictOverridden, lp, l)
 		}
 		sh.res.Labels[li] = l
+		sh.scan.note(li, l)
 		sh.res.Crowdsourced[li] = true
 		sh.res.NumCrowdsourced++
 		sh.ro.emitPair(EventPairCrowdsourced, lp, l)
@@ -264,6 +266,7 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 				continue
 			}
 			sh.res.Labels[q.ID] = dl
+			sh.scan.note(q.ID, dl)
 			sh.res.NumDeduced++
 			sh.unlabeled--
 			unlabeled--

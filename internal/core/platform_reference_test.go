@@ -263,3 +263,129 @@ func TestShardedPlatformMatchesUnsharded(t *testing.T) {
 		}
 	}
 }
+
+// publishRecorder wraps a Platform and keeps a copy of every Publish
+// batch, pairs in order.
+type publishRecorder struct {
+	Platform
+	batches [][]Pair
+}
+
+func (r *publishRecorder) Publish(ps []Pair) {
+	r.batches = append(r.batches, append([]Pair(nil), ps...))
+	r.Platform.Publish(ps)
+}
+
+// denseWorkload draws 8–24 objects in 2–6 entities and 4–8 candidate pairs
+// per object, repeats allowed, whose likelihoods ignore the truth: a
+// matcher that knows nothing. Crowd answers then keep contradicting the
+// order's optimism, so scans roll back often and deep.
+func denseWorkload(rng *rand.Rand) (numObjects int, order []Pair, truth *TruthOracle) {
+	numObjects = 8 + rng.Intn(17)
+	entity := make([]int32, numObjects)
+	numEntities := 2 + rng.Intn(5)
+	for i := range entity {
+		entity[i] = int32(rng.Intn(numEntities))
+	}
+	numPairs := numObjects * (4 + rng.Intn(5))
+	pairs := make([]Pair, 0, numPairs)
+	for len(pairs) < numPairs {
+		a, b := int32(rng.Intn(numObjects)), int32(rng.Intn(numObjects))
+		if a == b {
+			continue
+		}
+		if a > b {
+			a, b = b, a
+		}
+		pairs = append(pairs, Pair{ID: len(pairs), A: a, B: b, Likelihood: rng.Float64()})
+	}
+	return numObjects, ExpectedOrder(pairs), &TruthOracle{Entity: entity}
+}
+
+// FuzzPlatformMatchesReference draws a workload, sparse and fractured
+// into components (randomShardWorkload) or dense (denseWorkload), in
+// expected or random order; a perfect or flaky crowd;
+// first-in-first-out, lowest-likelihood-first or seeded-random workers; and
+// instant decisions on or off. On one shard the driver must reproduce
+// referencePlatform's whole trace and every Publish batch, pairs in order;
+// on the component partition it must reproduce every per-pair outcome,
+// counter and conflict.
+//
+// mode's bits: 1 random order, 2 flaky crowd, 4 instant decisions, 8 and
+// 16 the worker policy (their value mod 3), 32 a dense workload.
+func FuzzPlatformMatchesReference(f *testing.F) {
+	for mode := uint8(0); mode < 64; mode++ {
+		f.Add(int64(mode)*7919+1, mode)
+	}
+	// Dense instant-decision runs in which a deduced label is matching
+	// where the scan had deduced non-matching, and that flip changes a
+	// later publish: a driver that does not report deduced labels to the
+	// scan fails them. Fuzzing finds such runs within seconds; these keep
+	// them in every plain test run.
+	f.Add(int64(28), uint8(53))
+	f.Add(int64(59), uint8(38))
+	f.Fuzz(func(t *testing.T, seed int64, mode uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var numObjects int
+		var order []Pair
+		var truth *TruthOracle
+		if mode&32 != 0 {
+			numObjects, order, truth = denseWorkload(rng)
+		} else {
+			numObjects, order, truth = randomShardWorkload(rng)
+		}
+		if mode&1 != 0 {
+			order = RandomOrder(order, rng)
+		}
+		var oracle Oracle = truth
+		if mode&2 != 0 {
+			oracle = flakyOracle{truth}
+		}
+		instant := mode&4 != 0
+		rank := rng.Perm(len(order))
+		var newPlatform func() Platform
+		switch (mode >> 3 & 3) % 3 {
+		case 0:
+			newPlatform = func() Platform { return NewSimPlatform(oracle, SelectFIFO, nil) }
+		case 1:
+			newPlatform = func() Platform { return NewSimPlatform(oracle, SelectAscendingLikelihood, nil) }
+		default:
+			newPlatform = func() Platform { return &rankedPlatform{oracle: oracle, rank: rank} }
+		}
+
+		wantPf := &publishRecorder{Platform: newPlatform()}
+		want, err := referencePlatform(numObjects, order, wantPf, instant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := SinglePartition(numObjects, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPf := &publishRecorder{Platform: newPlatform()}
+		got, err := LabelPartitionedOnPlatformRun(single, gotPf, instant, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("one-shard run diverged from the reference:\n got %+v\nwant %+v", got, want)
+		}
+		if !reflect.DeepEqual(wantPf.batches, gotPf.batches) {
+			t.Fatalf("one-shard publishes diverged from the reference:\n got %v\nwant %v", gotPf.batches, wantPf.batches)
+		}
+
+		comps, err := BuildPartition(numObjects, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := LabelPartitionedOnPlatformRun(comps, newPlatform(), instant, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.Result, sharded.Result) || want.Conflicts != sharded.Conflicts {
+			t.Fatalf("%d-component run diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
+				len(comps.Shards), sharded.NumCrowdsourced, want.NumCrowdsourced,
+				sharded.NumDeduced, want.NumDeduced, sharded.Conflicts, want.Conflicts)
+		}
+	})
+}

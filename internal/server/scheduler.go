@@ -60,8 +60,8 @@ func (s *scheduler) enqueue(jp *jobPlatform, ps []crowdjoin.Pair) bool {
 }
 
 // worker answers one question at a time: claim the front job's next
-// question, rotate the job, simulate crowd latency, answer from the job's
-// oracle, deliver to the job's inbox.
+// question, number it in the job's dispatch order, rotate the job, simulate
+// crowd latency, answer from the job's oracle, deliver to the job's inbox.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -76,6 +76,8 @@ func (s *scheduler) worker() {
 		jp := s.ring[0]
 		q := jp.queue[0]
 		jp.queue = jp.queue[1:]
+		seq := jp.taken
+		jp.taken++
 		copy(s.ring, s.ring[1:])
 		if len(jp.queue) > 0 {
 			s.ring[len(s.ring)-1] = jp
@@ -89,7 +91,7 @@ func (s *scheduler) worker() {
 		if s.latency > 0 {
 			time.Sleep(s.latency)
 		}
-		jp.deliver(q, jp.oracle.Label(q))
+		jp.deliver(seq, q, jp.oracle.Label(q))
 	}
 }
 
@@ -109,6 +111,9 @@ func (s *scheduler) close() {
 // NextLabel blocks on the job's private inbox. The labeling driver is the
 // only Publish/NextLabel/Available caller (platform drivers are
 // single-threaded pullers); scheduler workers deliver answers concurrently.
+// NextLabel hands answers over in the order workers took the questions, so
+// a job's answer sequence, and with instant decisions its question count,
+// does not depend on which worker finishes first.
 //
 // It sits *inside* the session's journal wrapper: replayed answers are
 // served by the journal layer and never reach Publish, so resumed jobs
@@ -128,17 +133,24 @@ type jobPlatform struct {
 
 	// queue is the job's undispatched questions; guarded by sched.mu.
 	queue []crowdjoin.Pair
+	// taken numbers the job's questions as workers take them; guarded by
+	// sched.mu.
+	taken int
 
-	mu          sync.Mutex
-	inboxCond   *sync.Cond
+	mu        sync.Mutex
+	inboxCond *sync.Cond
+	// inbox[k] is the answer to question handed+k in dispatch order, once
+	// delivered; handed counts the answers NextLabel has returned.
 	inbox       []answered // guarded by mu
+	handed      int        // guarded by mu
 	outstanding int        // guarded by mu; published − handed to the driver
 	woken       bool       // guarded by mu; job context cancelled: NextLabel must not block
 }
 
 type answered struct {
-	p crowdjoin.Pair
-	l crowdjoin.Label
+	p         crowdjoin.Pair
+	l         crowdjoin.Label
+	delivered bool
 }
 
 // newJobPlatform wires a job's platform view to the scheduler. ctx is the
@@ -176,26 +188,34 @@ func (jp *jobPlatform) Publish(ps []crowdjoin.Pair) {
 	}
 }
 
-// deliver hands an answered question back to the job's driver.
-func (jp *jobPlatform) deliver(p crowdjoin.Pair, l crowdjoin.Label) {
+// deliver hands the answer to the job's question number seq (in dispatch
+// order) back to the job's driver.
+func (jp *jobPlatform) deliver(seq int, p crowdjoin.Pair, l crowdjoin.Label) {
 	jp.mu.Lock()
-	jp.inbox = append(jp.inbox, answered{p, l})
-	jp.inboxCond.Broadcast()
+	k := seq - jp.handed
+	for len(jp.inbox) <= k {
+		jp.inbox = append(jp.inbox, answered{})
+	}
+	jp.inbox[k] = answered{p, l, true}
+	if k == 0 {
+		jp.inboxCond.Broadcast()
+	}
 	jp.mu.Unlock()
 }
 
-// NextLabel implements crowdjoin.Platform: it blocks until an answer
-// arrives (unlike SimPlatform's non-blocking poll — the driver only calls
-// it with Available() > 0, and here "available" work is off with human
-// workers). A cancelled job context wakes it; with the inbox empty it then
-// reports no label, which the drivers turn into a partial result.
+// NextLabel implements crowdjoin.Platform: it blocks until the answer to
+// the next question in dispatch order arrives (unlike SimPlatform's
+// non-blocking poll — the driver only calls it with Available() > 0, and
+// here "available" work is off with human workers). A cancelled job context
+// wakes it; with that answer still missing it then reports no label, which
+// the drivers turn into a partial result.
 func (jp *jobPlatform) NextLabel() (crowdjoin.Pair, crowdjoin.Label, bool) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
-	for len(jp.inbox) == 0 && !jp.woken {
+	for (len(jp.inbox) == 0 || !jp.inbox[0].delivered) && !jp.woken {
 		jp.inboxCond.Wait()
 	}
-	if len(jp.inbox) == 0 {
+	if len(jp.inbox) == 0 || !jp.inbox[0].delivered {
 		return crowdjoin.Pair{}, crowdjoin.Unlabeled, false
 	}
 	a := jp.inbox[0]
@@ -203,6 +223,7 @@ func (jp *jobPlatform) NextLabel() (crowdjoin.Pair, crowdjoin.Label, bool) {
 	if len(jp.inbox) == 0 {
 		jp.inbox = nil
 	}
+	jp.handed++
 	jp.outstanding--
 	return a.p, a.l, true
 }

@@ -157,7 +157,10 @@ func libraryRun(t *testing.T, spec *JobSpec) *crowdjoin.JoinResult {
 // TestServerDifferential: for every strategy and weighting the HTTP
 // service must produce exactly the library's outcome — same clusters, same
 // crowd cost, same deductions — because a server job *is* a library
-// session; only the crowd transport differs.
+// session; only the crowd transport differs. The server runs several
+// workers with a small latency, so answers finish out of dispatch order;
+// an instant-decision platform job must still see them in that order,
+// like the library's first-in-first-out crowd.
 func TestServerDifferential(t *testing.T) {
 	recs := corpus(36)
 	bipA, bipB := corpus(18), corpus(24)[6:]
@@ -168,6 +171,7 @@ func TestServerDifferential(t *testing.T) {
 		{"platform", JobSpec{Records: recs}},
 		{"platform-sharded", JobSpec{Records: recs, Concurrency: 3}},
 		{"platform-idf", JobSpec{Records: recs, IDF: true}},
+		{"platform-instant", JobSpec{Records: corpus(120), Instant: true}},
 		{"sequential", JobSpec{Records: recs, Strategy: StrategySequential}},
 		{"parallel", JobSpec{Records: recs, Strategy: StrategyParallel, Concurrency: 2}},
 		{"budget", JobSpec{Records: recs, Strategy: StrategyBudget, Budget: 10}},
@@ -178,7 +182,7 @@ func TestServerDifferential(t *testing.T) {
 		{"parallel-triage-sharded", JobSpec{Records: recs, Strategy: StrategyParallel, Concurrency: 3, Accept: 0.7, Reject: 0.2}},
 		{"parallel-balanced", JobSpec{Records: recs, Strategy: StrategyParallel, Concurrency: 2, Router: RouterBalanced}},
 	}
-	_, ts := newTestServer(t, Config{Workers: 7})
+	_, ts := newTestServer(t, Config{Workers: 7, Latency: 20 * time.Microsecond})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := libraryRun(t, &tc.spec)

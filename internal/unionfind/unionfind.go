@@ -201,24 +201,26 @@ func (u *UF) Reset() {
 
 // Clusters groups the universe by set and returns each set's members.
 // Members appear in increasing order; cluster order is by smallest member.
-// Intended for tests and reporting, not hot paths.
+// One pass over the objects in index order opens each cluster at its first
+// (smallest) member, so the listing is O(n) and needs no sort. Intended for
+// tests and reporting, not hot paths.
 func (u *UF) Clusters() [][]int32 {
-	byRoot := make(map[int32][]int32)
+	// slot[r] is one past the index in out of the cluster rooted at r.
+	slot := make([]int32, len(u.parent))
+	out := make([][]int32, 0, u.sets)
+	members := make([]int32, len(u.parent))
+	next := int32(0) // start of the next cluster's run in members
 	for i := range u.parent {
 		r := u.Find(int32(i))
-		byRoot[r] = append(byRoot[r], int32(i))
-	}
-	out := make([][]int32, 0, len(byRoot))
-	//crowdjoin:orderinvariant fold order is erased by the sort-by-smallest-member below
-	for _, members := range byRoot {
-		out = append(out, members)
-	}
-	// Deterministic order: by first (smallest) member. Members are already
-	// ascending because we appended in index order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j][0] < out[j-1][0]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+		k := slot[r]
+		if k == 0 {
+			n := u.size[r]
+			out = append(out, members[next:next:next+n])
+			next += n
+			k = int32(len(out))
+			slot[r] = k
 		}
+		out[k-1] = append(out[k-1], int32(i))
 	}
 	return out
 }

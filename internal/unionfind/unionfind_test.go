@@ -2,6 +2,8 @@ package unionfind
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -337,4 +339,58 @@ func TestGrowInRollbackModePanics(t *testing.T) {
 	u := New(2)
 	u.BeginUndoLog()
 	u.Grow(4)
+}
+
+// sortedClusters is the group-then-sort listing Clusters replaced, kept as
+// its reference: group by root, then order clusters by smallest member.
+func sortedClusters(u *UF) [][]int32 {
+	byRoot := make([][]int32, u.Len())
+	for i := range byRoot {
+		r := u.Find(int32(i))
+		byRoot[r] = append(byRoot[r], int32(i))
+	}
+	out := make([][]int32, 0, u.Sets())
+	for _, members := range byRoot {
+		if len(members) > 0 {
+			out = append(out, members)
+		}
+	}
+	slices.SortFunc(out, func(a, b []int32) int { return int(a[0] - b[0]) })
+	return out
+}
+
+// TestClustersMatchesSortedListing: the one-pass listing equals the
+// group-then-sort one on random forests, all-singleton and single-cluster ones
+// included, in both Find modes.
+func TestClustersMatchesSortedListing(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		u := New(n)
+		if trial%5 == 4 {
+			u.BeginUndoLog()
+		}
+		var unions int
+		switch trial % 3 {
+		case 0: // all singletons
+		case 1: // one cluster
+			unions = 4 * n
+		default:
+			unions = rng.Intn(n + 1)
+		}
+		for i := 0; i < unions && n > 1; i++ {
+			if trial%3 == 1 {
+				u.Union(int32(i%n), int32((i+1)%n))
+			} else {
+				u.Union(int32(rng.Intn(n)), int32(rng.Intn(n)))
+			}
+		}
+		got, want := u.Clusters(), sortedClusters(u)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): Clusters() = %v, want %v", trial, n, got, want)
+		}
+		if len(got) != u.Sets() {
+			t.Fatalf("trial %d: %d clusters listed, %d sets", trial, len(got), u.Sets())
+		}
+	}
 }

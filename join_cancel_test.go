@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"crowdjoin"
@@ -11,13 +12,13 @@ import (
 )
 
 // cancelAfter wraps an oracle so the context is cancelled after n answers
-// (the n answers themselves are still returned).
+// (the n answers themselves are still returned). Sharded sessions call it
+// from several goroutines, so the count is atomic.
 func cancelAfter(inner crowdjoin.Oracle, n int, cancel context.CancelFunc) crowdjoin.Oracle {
-	answered := 0
+	var answered atomic.Int64
 	return crowdjoin.OracleFunc(func(p crowdjoin.Pair) crowdjoin.Label {
 		l := inner.Label(p)
-		answered++
-		if answered == n {
+		if answered.Add(1) == int64(n) {
 			cancel()
 		}
 		return l

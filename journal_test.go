@@ -9,6 +9,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"crowdjoin"
@@ -16,13 +17,18 @@ import (
 )
 
 // countingOracle counts how many answers the underlying crowd produced.
+// Sharded sessions call it from several goroutines; read asked once the
+// session has returned.
 type countingOracle struct {
 	inner crowdjoin.Oracle
+	mu    sync.Mutex
 	asked int
 }
 
 func (c *countingOracle) Label(p crowdjoin.Pair) crowdjoin.Label {
+	c.mu.Lock()
 	c.asked++
+	c.mu.Unlock()
 	return c.inner.Label(p)
 }
 

@@ -8,7 +8,9 @@
 # server's cross-job HIT multiplexing, J concurrent jobs vs sequential;
 # BenchmarkGiantComponent tracks the balance-aware question router's
 # wall-clock win over largest-first component scheduling on Paper@0.3's
-# 94%-giant-component workload) and writes BENCH_core.json
+# 94%-giant-component workload; BenchmarkPlatformInstant tracks the
+# instant-decision platform driver on the AMT simulator, with no sleeps)
+# and writes BENCH_core.json
 # (ns/op, B/op, allocs/op, and custom metrics per benchmark) so the perf
 # trajectory can be compared across PRs.
 #
@@ -17,8 +19,10 @@
 #                                            committed BENCH_core.json
 #                                            (benchstat-style deltas; exits
 #                                            1 when a gated bench — the
-#                                            BenchmarkCandidates* family or
-#                                            BenchmarkStreamingAppend —
+#                                            BenchmarkCandidates* family,
+#                                            BenchmarkStreamingAppend,
+#                                            BenchmarkGiantComponent* or
+#                                            BenchmarkPlatformInstant —
 #                                            regresses >10% ns/op)
 #   count  -count passed to `go test` (default 1; --compare benefits from
 #          2-3 — benchjson takes the best-of-count sample per side)
@@ -31,7 +35,7 @@ if [ "${1:-}" = "--compare" ]; then
 	shift
 fi
 COUNT="${1:-1}"
-PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent'
+PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant'
 
 if [ "$MODE" = compare ]; then
 	go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . |

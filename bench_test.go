@@ -620,16 +620,63 @@ func BenchmarkPlatformInstant(b *testing.B) {
 	b.ReportMetric(float64(questions), "questions")
 }
 
-func BenchmarkCandidateGeneration(b *testing.B) {
+// BenchmarkCandidatesFromTexts times candidate generation from tokenized
+// records: a fresh Scorer each iteration, so tokenization (NewScorer) and
+// the rare-first rank arena (built on the first prefix join) are timed
+// with the join itself. BenchmarkCandidates reuses one Scorer and times
+// the join alone.
+func BenchmarkCandidatesFromTexts(b *testing.B) {
 	e := benchEnv(b)
 	d := e.Paper.Dataset
+	var n int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := candgen.NewScorer(d, candgen.Unweighted)
-		if _, err := candgen.Candidates(d, s, 0.1); err != nil {
+		pairs, err := candgen.Candidates(d, s, benchCandThreshold)
+		if err != nil {
 			b.Fatal(err)
 		}
+		n = len(pairs)
 	}
+	b.ReportMetric(float64(n), "pairs")
+}
+
+// BenchmarkJoinEndToEnd times one join from texts to clusters: Paper@0.3's
+// record texts through Join.Run (parallel strategy, a perfect batch crowd,
+// k=1, no sleep), then Clusters. It is the op perfbench's paper-batch
+// workload times, on the experiments' Paper corpus.
+func BenchmarkJoinEndToEnd(b *testing.B) {
+	e := benchEnv(b)
+	d := e.Paper.Dataset
+	texts := make([]string, d.Len())
+	for i := range texts {
+		texts[i] = d.Records[i].Text()
+	}
+	crowd := core.Batched(e.Paper.Truth)
+	ctx := context.Background()
+	var pairs, questions int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j, err := crowdjoin.NewJoin(crowdjoin.WithTexts(texts),
+			crowdjoin.WithMatcher(crowdjoin.Matcher{Threshold: benchCandThreshold}),
+			crowdjoin.WithStrategy(crowdjoin.ParallelStrategy), crowdjoin.WithBatchOracle(crowd),
+			crowdjoin.WithConcurrency(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := j.Run(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := res.Clusters(); err != nil {
+			b.Fatal(err)
+		}
+		pairs, questions = len(res.Order), res.NumCrowdsourced
+	}
+	b.ReportMetric(float64(pairs), "pairs")
+	b.ReportMetric(float64(questions), "questions")
 }
 
 func benchName(prefix string, v int) string {

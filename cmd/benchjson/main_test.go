@@ -112,6 +112,8 @@ func TestGated(t *testing.T) {
 		"BenchmarkStreamingAppend":      true,
 		"BenchmarkGiantComponent/k=4":   true,
 		"BenchmarkPlatformInstant":      true,
+		"BenchmarkJoinEndToEnd":         true,
+		"BenchmarkCandidatesFromTexts":  true,
 		"BenchmarkJournalReplay":        false,
 		"BenchmarkSomethingElse":        false,
 	} {

@@ -115,7 +115,18 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv}
+	// The header and idle timeouts bound how long a client that never
+	// finishes its request headers, or leaves a keep-alive connection
+	// idle, holds a socket and a goroutine. WriteTimeout stays zero: a
+	// job's SSE stream (/jobs/{id}/events) stays open for the job's whole
+	// run, and a write deadline would cut it. ReadTimeout stays zero too:
+	// it would cut slow uploads of large specs, whose size maxBody already
+	// bounds.
+	hs := &http.Server{
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -1,52 +1,28 @@
 package candgen
 
-import (
-	"math"
-	"slices"
-
-	"crowdjoin/internal/similarity"
-)
+import "math"
 
 // TextSimilarity scores two raw texts directly — the lightweight path
 // behind Matcher.Similarity. It reproduces, bit for bit, what
-// NewScorer(two-record dataset, w).Similarity(0, 1) computes (same
-// first-seen token-id assignment, same merge kernel, same two-document IDF
-// formula), without building a dataset, a token arena, or per-record
-// weight tables, so pairwise probes stop paying the corpus-construction
-// cost.
+// NewScorer(two-record dataset, w).Similarity(0, 1) computes (the same
+// tokenizer, first-seen token ids, merge kernel and two-document IDF
+// formula), without building a dataset or per-record weight tables, so
+// pairwise probes stop paying the corpus-construction cost.
 func TextSimilarity(a, b string, w Weighting) float64 {
-	dict := make(map[string]int32)
-	intern := func(text string) []int32 {
-		toks := similarity.TokenSet(text)
-		ids := make([]int32, 0, len(toks))
-		for _, t := range toks {
-			id, ok := dict[t]
-			if !ok {
-				id = int32(len(dict))
-				dict[t] = id
-			}
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		return ids
-	}
-	ta := intern(a)
-	tb := intern(b)
+	s := &Scorer{offs: make([]int32, 1, 3)}
+	tz := newTokenizer()
+	tz.add(s, a)
+	s.endRecord()
+	tz.add(s, b)
+	s.endRecord()
 	if w == Unweighted {
-		return jaccardMerge(ta, tb)
+		return jaccardMerge(s.tok(0), s.tok(1))
 	}
 	// Two-document IDF, exactly as NewScorer computes it: df is 1 for a
 	// token in one record, 2 for a shared token; idf = log(1 + 2/(1+df)).
-	df := make([]int8, len(dict))
-	for _, id := range ta {
-		df[id]++
-	}
-	for _, id := range tb {
-		df[id]++
-	}
-	idf := make([]float64, len(dict))
-	for id, f := range df {
+	idf := make([]float64, len(s.df))
+	for id, f := range s.df {
 		idf[id] = math.Log(1 + 2/float64(1+f))
 	}
-	return weightedJaccardMerge(ta, tb, idf)
+	return weightedJaccardMerge(s.tok(0), s.tok(1), idf)
 }

@@ -1,10 +1,8 @@
 package candgen
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"crowdjoin/internal/core"
 	"crowdjoin/internal/dataset"
@@ -54,25 +52,32 @@ func (s *Scorer) fullTokenSet() *prefixSet {
 	return ps
 }
 
-// tokenRanks returns each token id's position in the global rare-first
-// order (document frequency ascending, ties by id for determinism). The
-// document frequencies were counted once during tokenization.
-func (s *Scorer) tokenRanks() []int32 {
-	byRarity := make([]int32, s.numTokens)
-	for i := range byRarity {
-		byRarity[i] = int32(i)
+// rarityOrder returns the global rare-first token order: rank[id] is token
+// id's position in it, and byRank its inverse. The order is document
+// frequency ascending, ties by id for determinism; a counting sort over the
+// frequencies produces it directly.
+func rarityOrder(df []int32) (rank, byRank []int32) {
+	var maxDF int32
+	for _, f := range df {
+		maxDF = max(maxDF, f)
 	}
-	slices.SortFunc(byRarity, func(a, b int32) int {
-		if c := cmp.Compare(s.df[a], s.df[b]); c != 0 {
-			return c
+	start := make([]int32, maxDF+1)
+	for _, f := range df {
+		if f < maxDF {
+			start[f+1]++
 		}
-		return cmp.Compare(a, b)
-	})
-	rank := make([]int32, s.numTokens)
-	for pos, id := range byRarity {
-		rank[id] = int32(pos)
 	}
-	return rank
+	for f := int32(1); f <= maxDF; f++ {
+		start[f] += start[f-1]
+	}
+	rank = make([]int32, len(df))
+	byRank = make([]int32, len(df))
+	for id, f := range df {
+		rank[id] = start[f]
+		byRank[start[f]] = int32(id)
+		start[f]++
+	}
+	return rank, byRank
 }
 
 // verifier checks one candidate pair and, when its exact similarity

@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"crowdjoin/internal/core"
-	"crowdjoin/internal/similarity"
 )
 
 // This file holds the incremental (streaming) variant of the size-ordered
@@ -103,8 +102,8 @@ type StreamIndex struct {
 	weighting Weighting
 	bipartite bool
 
-	s    *Scorer
-	dict map[string]int32
+	s  *Scorer
+	tz *tokenizer
 	// rank[tok] is the token's frozen global rank value; nextNewRank is the
 	// next (negative, descending) value for tokens discovered after the
 	// first batch. frozen flips once the first batch fixed the order.
@@ -136,7 +135,6 @@ type StreamIndex struct {
 	ryj   []int32
 	fsh   []int32
 	cands []int32
-	idbuf []int32
 }
 
 // NewStreamIndex returns an empty incremental index for the given
@@ -151,7 +149,7 @@ func NewStreamIndex(w Weighting, t float64, bipartite bool) (*StreamIndex, error
 		weighting: w,
 		bipartite: bipartite,
 		s:         &Scorer{offs: make([]int32, 1), weighting: w},
-		dict:      make(map[string]int32),
+		tz:        newTokenizer(),
 	}
 	// The rank state is maintained incrementally by Append; a stray
 	// ensureRankArena (e.g. via a shared kernel helper) must never rebuild
@@ -190,55 +188,14 @@ func (si *StreamIndex) cmpRec(a, b int32) int {
 	return cmp.Compare(a, b)
 }
 
-// tokenizeInto resolves text's distinct tokens to ids, growing the
-// dictionary (and, post-freeze, assigning new tokens descending negative
-// ranks so they sort rarer than every frozen token).
-func (si *StreamIndex) tokenizeInto(text string) []int32 {
-	toks := similarity.TokenSet(text)
-	ids := si.idbuf[:0]
-	for _, tk := range toks {
-		id, ok := si.dict[tk]
-		if !ok {
-			id = int32(len(si.dict))
-			si.dict[tk] = id
-			si.s.df = append(si.s.df, 0)
-			if si.frozen {
-				si.rank = append(si.rank, si.nextNewRank)
-				si.nextNewRank--
-			} else {
-				si.rank = append(si.rank, 0) // assigned at freeze
-			}
-		}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	si.idbuf = ids
-	return ids
-}
-
 // freezeRanks fixes the global token order from the first batch's document
 // frequencies (df ascending, ties by id — the batch engine's rarity order)
 // and the frequent-row cut. Later tokens extend the order at the rare end
 // via nextNewRank; the frozen ranks and freqCut never change again.
 func (si *StreamIndex) freezeRanks() {
 	s := si.s
-	byRarity := make([]int32, s.numTokens)
-	for i := range byRarity {
-		byRarity[i] = int32(i)
-	}
-	slices.SortFunc(byRarity, func(a, b int32) int {
-		if c := cmp.Compare(s.df[a], s.df[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for pos, id := range byRarity {
-		si.rank[id] = int32(pos)
-	}
-	s.freqCut = int32(s.numTokens - freqTokens)
-	if s.freqCut < 0 {
-		s.freqCut = 0
-	}
+	si.rank, _ = rarityOrder(s.df)
+	s.freqCut = max(int32(s.numTokens-freqTokens), 0)
 	si.frozen = true
 	si.nextNewRank = -1
 }
@@ -266,23 +223,22 @@ func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error
 	}
 	s := si.s
 	base := int32(s.numRecords())
-	for i, text := range texts {
-		ids := si.tokenizeInto(text)
-		s.arena = append(s.arena, ids...)
-		if len(s.arena) > math.MaxInt32 {
-			panic("candgen: token arena exceeds int32 offset range")
-		}
-		s.offs = append(s.offs, int32(len(s.arena)))
-		for _, id := range ids {
-			s.df[id]++
-		}
-		if si.bipartite {
-			si.side = append(si.side, sides[i])
-		}
+	for _, text := range texts {
+		si.tz.add(s, text)
+		s.endRecord()
 	}
-	s.numTokens = len(si.dict)
+	if si.bipartite {
+		si.side = append(si.side, sides...)
+	}
+	s.numTokens = len(s.df)
 	if !si.frozen {
 		si.freezeRanks()
+	}
+	// Tokens first seen after the freeze sort rarer than every frozen
+	// token, in id order.
+	for len(si.rank) < s.numTokens {
+		si.rank = append(si.rank, si.nextNewRank)
+		si.nextNewRank--
 	}
 	si.extendRecordState(base)
 

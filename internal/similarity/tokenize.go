@@ -14,7 +14,9 @@ import (
 )
 
 // Tokenize lowercases s and splits it into maximal runs of letters and
-// digits; everything else separates tokens.
+// digits; everything else separates tokens. It is the reference for
+// candgen's byte tokenizer, which interns the same tokens without building
+// strings and is fuzzed against TokenSet (FuzzTokenIDsMatchTokenSet).
 func Tokenize(s string) []string {
 	var tokens []string
 	var b strings.Builder

@@ -9,8 +9,9 @@
 # BenchmarkGiantComponent tracks the balance-aware question router's
 # wall-clock win over largest-first component scheduling on Paper@0.3's
 # 94%-giant-component workload; BenchmarkPlatformInstant tracks the
-# instant-decision platform driver on the AMT simulator, with no sleeps)
-# and writes BENCH_core.json
+# instant-decision platform driver on the AMT simulator, with no sleeps;
+# BenchmarkJoinEndToEnd times one Paper@0.3 join from texts to clusters
+# with a perfect crowd and no sleeps) and writes BENCH_core.json
 # (ns/op, B/op, allocs/op, and custom metrics per benchmark) so the perf
 # trajectory can be compared across PRs.
 #
@@ -21,8 +22,9 @@
 #                                            1 when a gated bench — the
 #                                            BenchmarkCandidates* family,
 #                                            BenchmarkStreamingAppend,
-#                                            BenchmarkGiantComponent* or
-#                                            BenchmarkPlatformInstant —
+#                                            BenchmarkGiantComponent*,
+#                                            BenchmarkPlatformInstant or
+#                                            BenchmarkJoinEndToEnd —
 #                                            regresses >10% ns/op)
 #   count  -count passed to `go test` (default 1; --compare benefits from
 #          2-3 — benchjson takes the best-of-count sample per side)
@@ -35,7 +37,7 @@ if [ "${1:-}" = "--compare" ]; then
 	shift
 fi
 COUNT="${1:-1}"
-PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant'
+PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd'
 
 if [ "$MODE" = compare ]; then
 	go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . |

@@ -114,6 +114,8 @@ func TestGated(t *testing.T) {
 		"BenchmarkPlatformInstant":      true,
 		"BenchmarkJoinEndToEnd":         true,
 		"BenchmarkCandidatesFromTexts":  true,
+		"BenchmarkServerEventStream":    true,
+		"BenchmarkServerThroughput":     false,
 		"BenchmarkJournalReplay":        false,
 		"BenchmarkSomethingElse":        false,
 	} {

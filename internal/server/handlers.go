@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -110,8 +111,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents is GET /jobs/{id}/events: the job's progress stream as
-// server-sent events, sequence-numbered for Last-Event-ID resumption. The
-// stream ends (cleanly) once the job reaches a terminal state.
+// server-sent events, sequence-numbered for Last-Event-ID resumption. One
+// loop serves replay and live events alike: it copies out a batch of the
+// events after its cursor, formats them into one reused buffer, sends them
+// with one write and one flush, and waits for a wake-up only when it has
+// caught up. The stream ends (cleanly) once the job reaches a terminal
+// state, or when this follower falls more than hubBuffer events behind;
+// its client then resumes with Last-Event-ID from what the ring retains.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jb, ok := s.job(r.PathValue("id"))
 	if !ok {
@@ -135,36 +141,46 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	_, _ = fmt.Fprint(w, "retry: 1000\n\n")
 	fl.Flush()
 
-	replay, live := jb.hub.subscribe(after)
-	defer jb.hub.unsubscribe(live)
-	send := func(e JobEvent) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	for _, e := range replay {
-		if !send(e) {
-			return
-		}
-	}
+	wake, cursor := jb.hub.subscribe(after)
+	defer jb.hub.unsubscribe(wake)
+	var (
+		events []JobEvent
+		frames bytes.Buffer
+	)
+	// Encode writes exactly json.Marshal's bytes plus a newline, which
+	// ends the data line.
+	enc := json.NewEncoder(&frames)
 	for {
-		select {
-		case <-r.Context().Done():
+		var lost, closed bool
+		events, lost, closed = jb.hub.read(cursor, events[:0])
+		if lost || (len(events) == 0 && closed) {
 			return
-		case e, ok := <-live:
-			if !ok {
-				return // job terminal (or this subscriber lagged out)
+		}
+		if len(events) == 0 {
+			select {
+			case <-r.Context().Done():
+				return
+			case <-wake:
 			}
-			if !send(e) {
+			continue
+		}
+		frames.Reset()
+		for _, e := range events {
+			frames.WriteString("id: ")
+			frames.Write(strconv.AppendInt(frames.AvailableBuffer(), e.Seq, 10))
+			frames.WriteString("\nevent: ")
+			frames.WriteString(e.Kind)
+			frames.WriteString("\ndata: ")
+			if err := enc.Encode(e); err != nil {
 				return
 			}
+			frames.WriteByte('\n')
 		}
+		if _, err := w.Write(frames.Bytes()); err != nil {
+			return
+		}
+		fl.Flush()
+		cursor = events[len(events)-1].Seq
 	}
 }
 

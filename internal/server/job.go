@@ -163,8 +163,8 @@ func (jb *job) status() JobStatus {
 
 // onEvent is the session's progress hook: it keeps the live counters and
 // fans the event out to SSE subscribers. It runs on the labeling driver's
-// goroutines, so it must never block (hub.publish drops slow subscribers
-// instead).
+// goroutines, so it must never block (hub.publish only stores the event
+// and signals subscribers, who read at their own pace).
 func (jb *job) onEvent(e crowdjoin.Event) {
 	jb.mu.Lock()
 	switch e.Kind {

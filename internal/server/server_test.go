@@ -775,6 +775,180 @@ func TestServerEvents(t *testing.T) {
 	}
 }
 
+// TestServerEventsReplayWrappedRing: a closed job whose hub has wrapped
+// the ring three times serves, for each Last-Event-ID, exactly the
+// retained events above the cursor, in order, each framed as
+// "id: <seq>\nevent: <kind>\ndata: <json>\n\n".
+func TestServerEventsReplayWrappedRing(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	const total = 3*hubBuffer + 5
+	h := newEventHub()
+	want := make([]JobEvent, total)
+	for i := range want {
+		e := hubEvent(i)
+		if i == total-1 {
+			e = JobEvent{Kind: "state", State: StateDone}
+		}
+		h.publish(e)
+		e.Seq = int64(i)
+		want[i] = e
+	}
+	h.close()
+	s.mu.Lock()
+	s.jobs["j-wrapped"] = &job{id: "j-wrapped", hub: h}
+	s.mu.Unlock()
+
+	oldest := int64(total - hubBuffer)
+	for _, c := range []struct {
+		lastID string
+		from   int64 // first seq the response must carry
+	}{
+		{"", oldest},
+		{"17", oldest},
+		{strconv.FormatInt(total-100, 10), total - 99},
+		{strconv.FormatInt(total-1, 10), total},
+	} {
+		req, err := http.NewRequest("GET", ts.URL+"/jobs/j-wrapped/events", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.lastID != "" {
+			req.Header.Set("Last-Event-ID", c.lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames, ok := bytes.CutPrefix(body, []byte("retry: 1000\n\n"))
+		if !ok {
+			t.Fatalf("Last-Event-ID %q: stream does not open with the retry field: %.40q", c.lastID, body)
+		}
+		for seq := c.from; seq < total; seq++ {
+			e := want[seq]
+			data, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := fmt.Sprintf("id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data)
+			rest, ok := bytes.CutPrefix(frames, []byte(frame))
+			if !ok {
+				t.Fatalf("Last-Event-ID %q: at seq %d got %.120q, want %q", c.lastID, seq, frames, frame)
+			}
+			frames = rest
+		}
+		if len(frames) != 0 {
+			t.Fatalf("Last-Event-ID %q: %d bytes after the last event: %.120q", c.lastID, len(frames), frames)
+		}
+	}
+}
+
+// TestServerCloseEndsEventStreams: Server.Close ends an open event stream
+// with the shutdown's failed state, leaves no handler waiting (the
+// httptest server's Close returns), and a new server on the same data
+// directory finishes the job without asking a journaled pair again.
+func TestServerCloseEndsEventStreams(t *testing.T) {
+	dataDir := t.TempDir()
+	tracker := newAskTracker()
+	s1, err := New(Config{DataDir: dataDir, Workers: 2, WrapOracle: tracker.wrap(3 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1)
+	t.Cleanup(func() { // both Closes are idempotent; this covers early failures
+		ts1.Close()
+		s1.Close()
+	})
+	var created JobStatus
+	doJSON(t, "POST", ts1.URL+"/jobs", JobSpec{Records: corpus(60)}, &created, http.StatusCreated)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts1.URL+"/jobs/"+created.ID+"/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var (
+		last         JobEvent
+		crowdsourced int
+		closed       = make(chan error, 1)
+		closedAt     time.Time
+	)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		last = JobEvent{}
+		if err := json.Unmarshal([]byte(data), &last); err != nil {
+			t.Fatalf("bad SSE data %q: %v", data, err)
+		}
+		if last.Kind == "pair-crowdsourced" {
+			crowdsourced++
+		}
+		if crowdsourced == 3 && closedAt.IsZero() {
+			closedAt = time.Now()
+			time.AfterFunc(5*time.Second, cancel)
+			go func() { closed <- s1.Close() }()
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("event stream did not end within 5s of Server.Close: %v", err)
+	}
+	if closedAt.IsZero() {
+		t.Fatalf("job ended with %+v before 3 pairs were crowdsourced", last)
+	}
+	if last.Kind != "state" || last.State != StateFailed || last.Error != errShutdown.Error() {
+		t.Fatalf("stream ended with %+v, want state %s (%s)", last, StateFailed, errShutdown)
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	tsClosed := make(chan struct{})
+	go func() {
+		ts1.Close()
+		close(tsClosed)
+	}()
+	select {
+	case <-tsClosed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("httptest server Close did not return: a handler is still open")
+	}
+
+	journaled := journaledPairs(t, dataDir)[created.ID]
+	if len(journaled) == 0 {
+		t.Fatal("nothing journaled before the shutdown")
+	}
+	tracker.mu.Lock()
+	askedBefore := make(map[[2]int32]int, len(tracker.asked[created.ID]))
+	for k, n := range tracker.asked[created.ID] {
+		askedBefore[k] = n
+	}
+	tracker.mu.Unlock()
+
+	_, ts2 := newTestServer(t, Config{DataDir: dataDir, Workers: 2, WrapOracle: tracker.wrap(0)})
+	if st := waitState(t, ts2.URL, created.ID, StateDone); st.Replayed == 0 {
+		t.Fatalf("resumed job replayed nothing of the %d journaled answers", len(journaled))
+	}
+	tracker.mu.Lock()
+	defer tracker.mu.Unlock()
+	for k, n := range tracker.asked[created.ID] {
+		if journaled[k] && n > askedBefore[k] {
+			t.Errorf("journaled pair %v asked again after the restart", k)
+		}
+	}
+}
+
 // TestServerValidation: malformed submissions are rejected up front.
 func TestServerValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

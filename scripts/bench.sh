@@ -11,7 +11,9 @@
 # 94%-giant-component workload; BenchmarkPlatformInstant tracks the
 # instant-decision platform driver on the AMT simulator, with no sleeps;
 # BenchmarkJoinEndToEnd times one Paper@0.3 join from texts to clusters
-# with a perfect crowd and no sleeps) and writes BENCH_core.json
+# with a perfect crowd and no sleeps; BenchmarkServerEventStream follows
+# one Paper@0.3 server job's SSE stream to its terminal state, reporting
+# events and reconnects per job) and writes BENCH_core.json
 # (ns/op, B/op, allocs/op, and custom metrics per benchmark) so the perf
 # trajectory can be compared across PRs.
 #
@@ -23,8 +25,9 @@
 #                                            BenchmarkCandidates* family,
 #                                            BenchmarkStreamingAppend,
 #                                            BenchmarkGiantComponent*,
-#                                            BenchmarkPlatformInstant or
-#                                            BenchmarkJoinEndToEnd —
+#                                            BenchmarkPlatformInstant,
+#                                            BenchmarkJoinEndToEnd or
+#                                            BenchmarkServerEventStream —
 #                                            regresses >10% ns/op)
 #   count  -count passed to `go test` (default 1; --compare benefits from
 #          2-3 — benchjson takes the best-of-count sample per side)
@@ -37,7 +40,7 @@ if [ "${1:-}" = "--compare" ]; then
 	shift
 fi
 COUNT="${1:-1}"
-PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd'
+PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd|BenchmarkServerEventStream'
 
 if [ "$MODE" = compare ]; then
 	go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . |

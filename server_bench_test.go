@@ -1,12 +1,14 @@
 package crowdjoin_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -68,6 +70,95 @@ func BenchmarkServerThroughput(b *testing.B) {
 			secPerOp := b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(float64(jobs)/secPerOp, "jobs/sec")
 		})
+	}
+}
+
+// BenchmarkServerEventStream times one job as an SSE follower sees it:
+// Paper@0.3's 997 records, with their entity ids, submitted as a default
+// (platform) job to a server with two crowd workers and no latency, then
+// followed over GET /jobs/{id}/events to the terminal state. Every
+// candidate pair ends as one crowd answer or one deduction, and each is
+// one event, so the stream runs past the hub's ring; a stream that ends
+// early is resumed with Last-Event-ID and counted as a reconnect.
+func BenchmarkServerEventStream(b *testing.B) {
+	d := benchEnv(b).Paper.Dataset
+	recs := make([]server.Record, d.Len())
+	for i := range recs {
+		recs[i] = server.Record{Text: d.Records[i].Text(), Entity: strconv.Itoa(int(d.Records[i].Entity))}
+	}
+	spec, err := json.Marshal(server.JobSpec{Records: recs})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{DataDir: b.TempDir(), Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var events, reconnects int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, r := benchFollow(b, ts.URL, benchSubmit(b, ts.URL, spec))
+		events += n
+		reconnects += r
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+	b.ReportMetric(float64(reconnects)/float64(b.N), "reconnects/op")
+}
+
+// benchFollow reads a job's event stream until its terminal state event,
+// resuming with Last-Event-ID whenever a stream ends before it, and
+// returns the events read and the reconnects made.
+func benchFollow(b *testing.B, base, id string) (events, reconnects int) {
+	b.Helper()
+	lastID := ""
+	for {
+		req, err := http.NewRequest("GET", base+"/jobs/"+id+"/events", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if lastID != "" {
+			req.Header.Set("Last-Event-ID", lastID)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var kind []byte
+		state := ""
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() && state == "" {
+			line := sc.Bytes()
+			if v, ok := bytes.CutPrefix(line, []byte("id: ")); ok {
+				lastID = string(v)
+				events++
+			} else if v, ok := bytes.CutPrefix(line, []byte("event: ")); ok {
+				kind = append(kind[:0], v...)
+			} else if v, ok := bytes.CutPrefix(line, []byte("data: ")); ok && string(kind) == "state" {
+				var e server.JobEvent
+				if err := json.Unmarshal(v, &e); err != nil {
+					b.Fatal(err)
+				}
+				if e.State != server.StateRunning {
+					state = e.State
+				}
+			}
+		}
+		err = sc.Err()
+		resp.Body.Close()
+		switch {
+		case err != nil:
+			b.Fatal(err)
+		case state == server.StateDone:
+			return events, reconnects
+		case state != "":
+			b.Fatalf("job %s ended %s", id, state)
+		}
+		reconnects++
 	}
 }
 

@@ -346,9 +346,10 @@ func BenchmarkAblationPrefixFilter(b *testing.B) {
 // --- Candidate-generation benchmarks (tracked in BENCH_core.json) -------
 //
 // BenchmarkCandidates pins the default auto-routed path on the Paper-scale
-// dataset; the *Positional* variants pin the size-ordered positional
-// prefix routes (the default since PR 5), and *FullIndex* keeps PR 1's
-// default path measurable for the trajectory comparison.
+// dataset, which for this unweighted scorer is PrefixCandidates' size-ordered
+// positional join; *PositionalWeighted* pins the IDF route of the same
+// engine, and *FullIndex* keeps the full-token-index path, the original
+// default, measurable for the trajectory comparison.
 
 const benchCandThreshold = 0.3
 
@@ -361,23 +362,6 @@ func BenchmarkCandidates(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pairs, err := candgen.Candidates(d, s, benchCandThreshold)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(pairs)
-	}
-	b.ReportMetric(float64(n), "pairs")
-}
-
-func BenchmarkCandidatesPositionalUnweighted(b *testing.B) {
-	e := benchEnv(b)
-	d := e.Paper.Dataset
-	s := candgen.NewScorer(d, candgen.Unweighted)
-	var n int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs, err := candgen.PrefixCandidates(d, s, benchCandThreshold)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,9 +28,9 @@
 //     probes scan their full |x| − ⌈t·|x|⌉ + 1 probe prefix. Postings
 //     carry (record, prefix position), and a ppjoin-style positional
 //     upper bound — overlap so far plus the smaller remaining suffix —
-//     kills candidates before the merge-based verifier runs. The probe
-//     loop is sharded across GOMAXPROCS workers with deterministic
-//     merging.
+//     kills candidates before the merge-based verifier runs. GOMAXPROCS
+//     workers claim chunks of the probe list from one work queue and sort
+//     their own runs, which merge into the result.
 //   - Full token index (IndexCandidates): used below the routing threshold,
 //     where prefixes degenerate to whole token lists and the global
 //     rarity sort is pure overhead. Lossless for any positive threshold.
@@ -341,7 +341,7 @@ func Candidates(d *dataset.Dataset, s *Scorer, minThreshold float64) ([]core.Pai
 // verified. It is the routing fallback for near-zero thresholds and the
 // baseline the prefix-filter ablation compares against. Structurally it is
 // the prefix join with every record's "prefix" being its whole token list,
-// which shares the sharded probe loop and postings builder.
+// which shares the probe queue and buildPostings.
 func IndexCandidates(d *dataset.Dataset, s *Scorer, minThreshold float64) ([]core.Pair, error) {
 	if minThreshold <= 0 || minThreshold > 1 {
 		return nil, fmt.Errorf("candgen: minThreshold %v outside (0,1]", minThreshold)

@@ -155,29 +155,45 @@ func TestWeightedPrefixOnPaperShapedData(t *testing.T) {
 	}
 }
 
-// TestProbeShardsMatchSerial forces a multi-shard probe (regardless of
-// GOMAXPROCS) through the full-token-index configuration — the one
-// production path probeShards still serves (IndexCandidates) — and checks
-// the sharded scan emits exactly the serial scan's pairs after the
-// deterministic merge and sort. The positional engine's sharding has its
-// own forced-shard suite (TestPositionalShardsMatchSerial).
+// TestProbeShardsMatchSerial pins the plain probe queue — the
+// full-token-index configuration, the one production path probeShards
+// still serves (IndexCandidates) — to one serial probeShard call over the
+// whole probe list, on both dataset shapes, with the same probe lengths,
+// worker counts, repetitions and back-to-back joins on one pooled scratch
+// as TestPositionalShardsMatchSerial.
 func TestProbeShardsMatchSerial(t *testing.T) {
-	d := randomDataset(rand.New(rand.NewSource(23)), 120, false)
-	s := NewScorer(d, Unweighted)
-	const th = 0.25
-	ps := s.fullTokenSet()
-	verify := func(a, b int32, _ resume) (float64, bool) { return s.verifyJaccard(a, b, th) }
-	index := buildPostings(s.numTokens, s.numRecords(), nil, ps.prefix)
-	probe := make([]int32, d.Len())
-	for i := range probe {
-		probe[i] = int32(i)
-	}
-	serial := probeShards(d.Len(), ps, index, probe, true, verify, 1)
-	SortByLikelihood(serial)
-	for _, workers := range []int{2, 3, 7, 16} {
-		sharded := probeShards(d.Len(), ps, index, probe, true, verify, workers)
-		SortByLikelihood(sharded)
-		assertSamePairs(t, fmt.Sprintf("workers=%d", workers), sharded, serial)
+	thresholds := []float64{0.25, 0.5}
+	for _, d := range queueDatasets(rand.New(rand.NewSource(23))) {
+		n := d.Len()
+		s := NewScorer(d, Unweighted)
+		ps := s.fullTokenSet()
+		verifyAt := func(th float64) verifier {
+			return func(a, b int32, _ resume) (float64, bool) { return s.verifyJaccard(a, b, th) }
+		}
+		var probe, build []int32
+		if d.Bipartite {
+			probe, build = d.SourceA, d.SourceB
+		} else {
+			for i := 0; i < n; i++ {
+				probe = append(probe, int32(i))
+			}
+		}
+		index := buildPostings(s.numTokens, s.numRecords(), build, ps.prefix)
+		serial := make([][]core.Pair, len(thresholds))
+		for i, th := range thresholds {
+			serial[i] = probeShard(ps, index, probe, 0, len(probe), !d.Bipartite, make([]int32, n), verifyAt(th), nil)
+			SortByLikelihood(serial[i])
+		}
+		for _, workers := range queueWorkers {
+			for rep := 0; rep < queueReps; rep++ {
+				js := s.getScratch()
+				for i, th := range thresholds {
+					got := probeShards(ps, index, probe, !d.Bipartite, verifyAt(th), workers, js)
+					assertSamePairs(t, fmt.Sprintf("%s bipartite=%v n=%d th=%v workers=%d rep=%d", d.Name, d.Bipartite, n, th, workers, rep), got, serial[i])
+				}
+				s.putScratch(js)
+			}
+		}
 	}
 }
 

@@ -16,12 +16,19 @@ import (
 // token id mod 97, so corpora cross the 64-token frequent-row boundary in
 // both directions), the threshold (1%..100%), the weighting, and the
 // dataset shape; the positional result must be byte-identical to
-// ExhaustiveCandidates in every case.
+// ExhaustiveCandidates in every case. The probe queue on three forced
+// workers must also return the one-worker run bit for bit.
 func FuzzPositionalMatchesExhaustive(f *testing.F) {
 	f.Add([]byte("the quick fox\xffthe quick fox\xfflazy dog"), uint8(30), false, false)
 	f.Add([]byte{1, 2, 3, 4, 0xFF, 2, 3, 4, 5, 0xFF, 90, 91, 92, 0xFF, 0xFF}, uint8(50), true, true)
 	f.Add([]byte("a\xffb\xffc\xffa b c"), uint8(100), false, true)
 	f.Add([]byte{}, uint8(5), true, false)
+	// Enough records for several probe chunks, so three workers share them.
+	var many []byte
+	for i := 0; i < 60; i++ {
+		many = append(many, byte(i%7), byte(i%11+10), byte(i%5+30), 0xFF)
+	}
+	f.Add(many, uint8(20), false, false)
 	f.Fuzz(func(t *testing.T, data []byte, thByte uint8, weighted, bipartite bool) {
 		if len(data) > 400 {
 			data = data[:400] // keep the O(n²) exhaustive reference cheap
@@ -74,14 +81,23 @@ func FuzzPositionalMatchesExhaustive(f *testing.F) {
 			t.Fatal(err)
 		}
 		var got []core.Pair
+		var verify verifier
 		if weighted {
 			got, err = WeightedPrefixCandidates(d, s, th)
+			verify = func(x, y int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(x, y, rs, th) }
 		} else {
 			got, err = PrefixCandidates(d, s, th)
+			verify = func(x, y int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(x, y, rs, th) }
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertSamePairs(t, fmt.Sprintf("th=%v weighted=%v bipartite=%v", th, weighted, bipartite), got, want)
+		label := fmt.Sprintf("th=%v weighted=%v bipartite=%v", th, weighted, bipartite)
+		assertSamePairs(t, label, got, want)
+		ps := buildPositionalSet(d, s, th, nil)
+		ix := buildPositionalPostings(ps, nil)
+		one := positionalShards(ps, ix, ps.order, verify, 1, nil)
+		three := positionalShards(ps, ix, ps.order, verify, 3, nil)
+		assertIdenticalPairs(t, label+" workers=3", len(one), three, one)
 	})
 }

@@ -1,6 +1,7 @@
 package candgen
 
 import (
+	"fmt"
 	"testing"
 
 	"crowdjoin/internal/dataset"
@@ -79,4 +80,31 @@ func BenchmarkVerifyKernelAblations(b *testing.B) {
 		s := NewScorer(d, IDFWeighted)
 		run(b, s, func(x, y int32, _ resume) (float64, bool) { return s.verifyWeightedResumed(x, y, noResume, th) })
 	})
+}
+
+// BenchmarkProbeQueue times the positional join at t = 0.3 on Cora-style
+// corpora of growing size, probing on one worker and on two: the
+// measurement behind minForkProbes and probeChunk (parallel.go). Run it
+// with -cpu 2 on an otherwise idle machine.
+func BenchmarkProbeQueue(b *testing.B) {
+	const th = 0.3
+	for _, n := range []int{32, 64, 96, 128, 192, 256, 300, 500, 997} {
+		cfg := dataset.DefaultCoraConfig()
+		cfg.Records = n
+		cfg.LargestCluster = max(1, n*cfg.LargestCluster/997)
+		d := dataset.GenerateCora(cfg)
+		s := NewScorer(d, Unweighted)
+		verify := func(x, y int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(x, y, rs, th) }
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					js := s.getScratch()
+					ps := buildPositionalSet(d, s, th, js)
+					positionalShards(ps, buildPositionalPostings(ps, js), ps.order, verify, workers, js)
+					s.putScratch(js)
+				}
+			})
+		}
+	}
 }

@@ -1,16 +1,28 @@
 package candgen
 
 import (
-	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"crowdjoin/internal/core"
 )
 
-// minProbesPerShard keeps tiny probe sets on one goroutine: below this the
-// per-shard seen-scratch allocation outweighs the parallel win.
-const minProbesPerShard = 256
+// probeChunk is how many probe records a worker claims from the probe
+// queue at a time. Small chunks even out the end of the queue, where a
+// size-ordered probe list keeps its heaviest records. BenchmarkProbeQueue
+// at -cpu 2, two workers, three alternated runs on an idle 2-vCPU VM: at
+// 997 records, chunks of 4, 8, 16, 32 and 64 took 4.6–5.4, 4.9–5.1,
+// 5.3–5.4, 5.6–5.8 and 5.2–5.7 ms; at 300 records, 0.71–0.77, 0.57–0.62,
+// 0.73–0.77, 0.72–0.84 and 0.74–0.80 ms.
+const probeChunk = 8
+
+// minForkProbes is the smallest probe list probed on more than one
+// worker: below it, starting the second worker and merging its run cost
+// more than the worker saves. BenchmarkProbeQueue at -cpu 2 on the same
+// machine, two workers against one over three runs: 0.58–0.88x at 32
+// records, 0.71–1.00x at 64, 0.65–0.99x at 96, 1.16–1.52x at 128,
+// 1.48–1.54x at 192, 1.37–1.65x from 256 to 500 and 1.67–1.86x at 997.
+const minForkProbes = 128
 
 // grow returns b resized to n elements, reusing the backing array when
 // capacity allows. A fresh slice is zeroed (make's guarantee); a reused
@@ -23,18 +35,18 @@ func grow[T any](b []T, n int) []T {
 }
 
 // shardScratch is one probe worker's private state: the candidate
-// bookkeeping arrays of positionalProbeShard plus its output buffer. All
+// bookkeeping arrays of the probe kernels plus its output buffer. All
 // per-record arrays are indexed by record id and reused across joins via
 // the scorer's scratch pool.
 type shardScratch struct {
-	seen  []int32     // candidate-dedup marks, keyed by probe slot
+	seen  []int32     // candidate-dedup marks: probe-list index + 1
 	ov    []float64   // accumulated prefix overlap; -1 = candidate killed
 	rov   []int32     // unweighted resume: rare-region match count
 	rxi   []int32     // resume: rank position of the last tracked match in x
 	ryj   []int32     // resume: rank position of the last tracked match in y
 	fsh   []int32     // cached popcount of the pair's shared frequent row
 	cands []int32     // distinct candidates of the current probe record
-	pairs []core.Pair // per-shard output buffer, reused across joins
+	pairs []core.Pair // the worker's sorted run, reused across joins
 }
 
 // ensure sizes the per-record arrays for n records and resets per-join
@@ -52,11 +64,11 @@ func (sc *shardScratch) ensure(n int) {
 	sc.pairs = sc.pairs[:0]
 }
 
-// joinScratch bundles every reusable buffer of one positional join: the
+// joinScratch bundles every reusable buffer of one join: the
 // positionalSet/positionalIndex backing arrays, the filtered probe list,
 // the CSR fill cursor, and one shardScratch per worker. Scorer.getScratch
 // hands these out from a sync.Pool so repeated joins over the same corpus
-// allocate nothing but the exact-size result slice.
+// allocate little beyond the exact-size result slice.
 type joinScratch struct {
 	set     positionalSet
 	index   positionalIndex
@@ -78,140 +90,134 @@ func (s *Scorer) getScratch() *joinScratch {
 
 func (s *Scorer) putScratch(js *joinScratch) { s.scratch.Put(js) }
 
-// shardStart returns the probe index where shard w of `workers` begins.
-// Bipartite probes get equal-count shards. Unipartite probes scan only
-// partners b < a, so per-record work grows roughly linearly with the probe
-// position — equal-count shards would leave the last shard with most of
-// the triangular workload; √-spaced boundaries give each shard equal area
-// instead. Boundaries only repartition the probe list, so results are
-// unchanged.
-func shardStart(w, workers, n int, uni bool) int {
-	if !uni {
-		return w * n / workers
+// probeWorkers returns how many workers probe a list of numProbes records
+// when procs CPUs may run Go code: one below minForkProbes, otherwise
+// procs, but never more workers than the list has chunks to claim.
+func probeWorkers(numProbes, procs int) int {
+	if numProbes < minForkProbes {
+		return 1
 	}
-	return int(math.Round(float64(n) * math.Sqrt(float64(w)/float64(workers))))
+	chunks := (numProbes + probeChunk - 1) / probeChunk
+	return max(1, min(procs, chunks))
 }
 
-// probeWorkers returns how many shards to probe numProbes records with:
-// GOMAXPROCS workers, shrunk so every shard keeps at least
-// minProbesPerShard probes. Unipartite shards are √-spaced (see
-// shardStart), making the smallest (last) shard about numProbes/(2·workers)
-// records, so the unipartite divisor is doubled to keep the floor honest.
-func probeWorkers(numProbes int, uni bool) int {
-	workers := runtime.GOMAXPROCS(0)
-	byLoad := numProbes / minProbesPerShard
-	if uni {
-		byLoad = numProbes / (2 * minProbesPerShard)
-	}
-	if workers > byLoad {
-		workers = byLoad
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runShards splits the probe list into `workers` contiguous shards
-// (boundaries from shardStart), runs scan on each concurrently, and
-// concatenates the shard buffers in shard order: each shard is copied once
-// into its own offset of one exact-size result, and the shard buffer is
-// released as soon as it is copied, so pairs are never held twice. Each
-// scan call allocates its own scratch, so shards never share state. The
-// concatenation order is deterministic, and the caller's final
-// SortByLikelihood imposes a total order on pairs anyway — so results are
-// byte-identical to a serial scan regardless of scheduling.
-func runShards(probe []int32, uni bool, workers int, scan func(shard []int32) []core.Pair) []core.Pair {
-	if workers <= 1 || len(probe) < 2 {
-		return scan(probe)
-	}
-	if workers > len(probe) {
-		workers = len(probe)
-	}
-	results := make([][]core.Pair, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := shardStart(w, workers, len(probe), uni)
-		hi := shardStart(w+1, workers, len(probe), uni)
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			results[w] = scan(probe[lo:hi])
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]core.Pair, total)
-	off := 0
-	for w := range results {
-		off += copy(out[off:], results[w])
-		results[w] = nil
-	}
-	return out
-}
-
-// positionalShards is the sharded driver for the size-ordered positional
-// engine (positional.go). A probe record only scans postings that precede
-// it in the processing order, so per-record work grows roughly linearly
-// with the record's order position for both dataset shapes — the shard
-// boundaries are √-spaced (shardStart's unipartite mode) to equalize the
-// triangular workload. Worker scratch comes from js (nil: allocate fresh,
-// for tests); the returned slice is the join's only surviving allocation —
-// exact-size, filled by one copy per shard at its offset.
-func positionalShards(ps *positionalSet, ix *positionalIndex, probe []int32, verify verifier, workers int, js *joinScratch) []core.Pair {
+// probeQueue probes a list of numProbes records on `workers` goroutines
+// over n-record scratch from js (nil: allocate fresh, for tests) and
+// returns every pair found, sorted by likelihood in one fresh exact-size
+// slice. Each worker claims the next
+// probeChunk list positions from one atomic cursor until none are left
+// and runs scan(sc, lo, hi) on them with its own scratch, so a load that
+// piles up at one end of the list (a unipartite probe only scans
+// order-earlier partners) still spreads evenly. scan appends to sc.pairs,
+// marking seen with list positions, which are unique across the whole
+// list however the chunks are claimed. Each worker then sorts its own
+// run, and mergeRuns combines the runs. A pair is found by exactly one
+// probe record, so comparePairsByLikelihood orders the pairs totally and
+// the result does not depend on the schedule. It never aliases js, which
+// the caller may return to the pool at once.
+func probeQueue(js *joinScratch, n, numProbes, workers int, scan func(sc *shardScratch, lo, hi int)) []core.Pair {
 	if js == nil {
 		js = &joinScratch{}
 	}
-	n := ps.s.numRecords()
-	if workers > len(probe) {
-		workers = len(probe)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, numProbes))
 	for len(js.shards) < workers {
 		js.shards = append(js.shards, shardScratch{})
 	}
 	shards := js.shards[:workers]
-	for w := range shards {
-		shards[w].ensure(n)
+	var cursor atomic.Int64
+	work := func(sc *shardScratch) {
+		sc.ensure(n)
+		for {
+			hi := int(cursor.Add(probeChunk))
+			lo := hi - probeChunk
+			if lo >= numProbes {
+				break
+			}
+			scan(sc, lo, min(hi, numProbes))
+		}
+		SortByLikelihood(sc.pairs)
 	}
 	if workers == 1 {
-		res := positionalProbeShard(ps, ix, probe, &shards[0], verify)
-		out := make([]core.Pair, len(res))
-		copy(out, res)
-		return out
+		work(&shards[0])
+	} else {
+		var wg sync.WaitGroup
+		for w := range shards {
+			wg.Add(1)
+			go func(sc *shardScratch) {
+				defer wg.Done()
+				work(sc)
+			}(&shards[w])
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := shardStart(w, workers, len(probe), true)
-		hi := shardStart(w+1, workers, len(probe), true)
-		wg.Add(1)
-		go func(sc *shardScratch, shard []int32) {
-			defer wg.Done()
-			positionalProbeShard(ps, ix, shard, sc, verify)
-		}(&shards[w], probe[lo:hi])
-	}
-	wg.Wait()
-	total := 0
+	runs := make([][]core.Pair, workers)
 	for w := range shards {
-		total += len(shards[w].pairs)
+		runs[w] = shards[w].pairs
 	}
-	out := make([]core.Pair, total)
-	off := 0
-	for w := range shards {
-		off += copy(out[off:], shards[w].pairs)
+	return mergeRuns(runs)
+}
+
+// mergeRuns merges SortByLikelihood-ordered runs into one fresh
+// exact-size slice, pairwise: the two halves of the runs merge
+// recursively, so n pairs in k runs cost O(n log k) comparisons. Two runs
+// merge straight into the result; more runs also allocate the merged
+// halves.
+func mergeRuns(runs [][]core.Pair) []core.Pair {
+	if len(runs) > 2 {
+		h := len(runs) / 2
+		return mergeByLikelihood(mergeRuns(runs[:h]), mergeRuns(runs[h:]))
 	}
+	a, b := runs[0], []core.Pair(nil)
+	if len(runs) == 2 {
+		b = runs[1]
+	}
+	out := make([]core.Pair, len(a)+len(b))
+	mergeInto(out, a, b)
 	return out
 }
 
-// probeShards is the sharded driver for the plain (position-free) probe
+// mergeByLikelihood merges two SortByLikelihood-ordered pair slices into a
+// fresh slice (stable: a's pairs win ties, though streamed deltas are
+// disjoint by construction).
+func mergeByLikelihood(a, b []core.Pair) []core.Pair {
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]core.Pair, len(a)+len(b))
+	mergeInto(out, a, b)
+	return out
+}
+
+// mergeInto merges the SortByLikelihood-ordered a and b into dst, which
+// holds exactly len(a)+len(b) pairs; a's pairs win ties.
+func mergeInto(dst, a, b []core.Pair) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if comparePairsByLikelihood(a[i], b[j]) <= 0 {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
+}
+
+// positionalShards is the queue driver for the size-ordered positional
+// engine (positional.go).
+func positionalShards(ps *positionalSet, ix *positionalIndex, probe []int32, verify verifier, workers int, js *joinScratch) []core.Pair {
+	return probeQueue(js, ps.s.numRecords(), len(probe), workers, func(sc *shardScratch, lo, hi int) {
+		positionalProbeShard(ps, ix, probe, lo, hi, sc, verify)
+	})
+}
+
+// probeShards is the queue driver for the plain (position-free) probe
 // loop, which the full-token-index path still runs on.
-func probeShards(numRecords int, ps *prefixSet, index [][]int32, probe []int32, uni bool, verify verifier, workers int) []core.Pair {
-	return runShards(probe, uni, workers, func(shard []int32) []core.Pair {
-		return probeShard(ps, index, shard, uni, make([]int32, numRecords), verify, nil)
+func probeShards(ps *prefixSet, index [][]int32, probe []int32, uni bool, verify verifier, workers int, js *joinScratch) []core.Pair {
+	return probeQueue(js, ps.s.numRecords(), len(probe), workers, func(sc *shardScratch, lo, hi int) {
+		sc.pairs = probeShard(ps, index, probe, lo, hi, uni, sc.seen, verify, sc.pairs)
 	})
 }

@@ -3,6 +3,7 @@ package candgen
 import (
 	"cmp"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
 
@@ -196,26 +197,29 @@ func buildPositionalPostings(ps *positionalSet, js *joinScratch) *positionalInde
 	return ix
 }
 
-// positionalProbeShard scans probe (a slice of the processing order)
-// against the positional index. Per candidate it applies the size filter
-// once, accumulates the prefix overlap, and kills the candidate at the
-// first match whose positional (or, unweighted, bitset-tightened) upper
-// bound cannot reach the pair's minimum overlap; survivors are verified
-// exactly once per probe record, with the accumulated overlap and last
-// matched positions handed to the verifier as resume state (verify.go) so
-// the merge continues mid-stream instead of restarting at token 0. sc
-// holds the shard-private scratch (see parallel.go); the appended-to pair
-// buffer sc.pairs is returned.
-func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32, sc *shardScratch, verify verifier) []core.Pair {
+// positionalProbeShard scans probe[lo:hi] (probe is a slice of the
+// processing order) against the positional index. Per candidate it
+// applies the size filter once, accumulates the prefix overlap, and
+// kills the candidate at the first match whose positional (or,
+// unweighted, bitset-tightened) upper bound cannot reach the pair's
+// minimum overlap; survivors are verified exactly once per probe record,
+// with the accumulated overlap and last matched positions handed to the
+// verifier as resume state (verify.go) so the merge continues mid-stream
+// instead of restarting at token 0. sc
+// holds the worker-private scratch (see parallel.go); seen marks are
+// positions in the whole probe list, so one scratch serves every chunk a
+// worker claims, and pairs are appended to sc.pairs.
+func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32, lo, hi int, sc *shardScratch, verify verifier) {
 	s := ps.s
 	weighted := ps.sufW != nil
 	c1 := ps.t / (1 + ps.t)
 	seen, ov := sc.seen, sc.ov
 	rov, rxi, ryj, fsh := sc.rov, sc.rxi, sc.ryj, sc.fsh
 	cands := sc.cands[:0]
-	out := sc.pairs[:0]
+	out := sc.pairs
 	masks, rareLens := s.freqMask, s.rareLen
-	for pi, x := range probe {
+	for pi := lo; pi < hi; pi++ {
+		x := probe[pi]
 		prefix := ps.probePrefix(x)
 		if len(prefix) == 0 {
 			continue
@@ -363,13 +367,12 @@ func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32,
 	}
 	sc.cands = cands
 	sc.pairs = out
-	return out
 }
 
 // positionalJoin runs the size-ordered positional join end to end: build
 // the CSR postings once (into the scorer's pooled scratch, so repeated
-// joins allocate only the returned pair slice), shard the probes across
-// GOMAXPROCS workers (see parallel.go), and return the result sorted by
+// joins allocate little beyond the returned pair slice), probe on the
+// chunked work queue (see parallel.go), and return the result sorted by
 // likelihood with dense IDs — byte-identical to ExhaustiveCandidates.
 func positionalJoin(d *dataset.Dataset, s *Scorer, t float64, verify verifier) []core.Pair {
 	js := s.getScratch()
@@ -377,7 +380,7 @@ func positionalJoin(d *dataset.Dataset, s *Scorer, t float64, verify verifier) [
 	ix := buildPositionalPostings(ps, js)
 	// Zero-size and empty-prefix records contribute no probe work; drop
 	// them from the probe list (pos keeps full-order coordinates) so the
-	// worker count and the √-spaced shard boundaries reflect real load.
+	// worker count reflects real load.
 	probe := js.probe[:0]
 	for _, r := range ps.order {
 		if ps.plen[r] > 0 {
@@ -385,9 +388,8 @@ func positionalJoin(d *dataset.Dataset, s *Scorer, t float64, verify verifier) [
 		}
 	}
 	js.probe = probe
-	pairs := positionalShards(ps, ix, probe, verify, probeWorkers(len(probe), true), js)
+	pairs := positionalShards(ps, ix, probe, verify, probeWorkers(len(probe), runtime.GOMAXPROCS(0)), js)
 	s.putScratch(js)
-	SortByLikelihood(pairs)
 	for i := range pairs {
 		pairs[i].ID = i
 	}

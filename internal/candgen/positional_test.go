@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"crowdjoin/internal/core"
 	"crowdjoin/internal/dataset"
 )
 
@@ -138,31 +139,105 @@ func TestVerifyJaccardDegenerateAgreesWithSimilarity(t *testing.T) {
 	}
 }
 
-// TestPositionalShardsMatchSerial forces multi-shard positional probes
-// (regardless of GOMAXPROCS) for both weightings and both dataset shapes:
-// the sharded scan must emit exactly the serial scan's pairs after the
-// deterministic merge and sort.
-func TestPositionalShardsMatchSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
+// queueDatasets are the corpora of the probe-queue tests: random token
+// soups of both shapes whose probe lists are not a multiple of probeChunk
+// and are shorter than one chunk per worker at the larger forced worker
+// counts (so some workers claim nothing), plus identical records repeating
+// every probeChunk ids, whose partners a mark taken relative to the chunk
+// would skip.
+func queueDatasets(rng *rand.Rand) []*dataset.Dataset {
+	var ds []*dataset.Dataset
 	for _, bipartite := range []bool{false, true} {
-		d := randomDataset(rng, 150, bipartite)
+		for _, n := range []int{150, 43} {
+			ds = append(ds, randomDataset(rng, n, bipartite))
+		}
+	}
+	periodic := &dataset.Dataset{Name: "periodic", NumEntities: 1}
+	for i := 0; i < 150; i++ {
+		c := i % probeChunk
+		periodic.Records = append(periodic.Records, dataset.Record{
+			ID:     int32(i),
+			Source: "a",
+			Fields: []dataset.Field{{Name: "text", Value: fmt.Sprintf("p%d q%d", c, c)}},
+		})
+	}
+	return append(ds, periodic)
+}
+
+// queueWorkers are the forced worker counts of the probe-queue tests; each
+// runs queueReps times, so chunk claims interleave differently.
+var queueWorkers = []int{1, 2, 3, 7, 16}
+
+const queueReps = 20
+
+// TestPositionalShardsMatchSerial pins the positional probe queue to one
+// serial kernel call over the whole probe list, for both weightings and
+// both dataset shapes: every forced worker count must return exactly the
+// serial pairs in SortByLikelihood order. Each repetition runs two joins
+// back to back on one of the scorer's pooled scratches, at different
+// thresholds, so marks left by the first join would show in the second.
+func TestPositionalShardsMatchSerial(t *testing.T) {
+	thresholds := []float64{0.25, 0.5}
+	for _, d := range queueDatasets(rand.New(rand.NewSource(41))) {
+		n := d.Len()
 		for _, w := range []Weighting{Unweighted, IDFWeighted} {
 			s := NewScorer(d, w)
-			const th = 0.25
-			var verify verifier
-			if w == Unweighted {
-				verify = func(a, b int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(a, b, rs, th) }
-			} else {
-				verify = func(a, b int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(a, b, rs, th) }
+			verifyAt := func(th float64) verifier {
+				if w == Unweighted {
+					return func(a, b int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(a, b, rs, th) }
+				}
+				return func(a, b int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(a, b, rs, th) }
 			}
-			ps := buildPositionalSet(d, s, th, nil)
-			ix := buildPositionalPostings(ps, nil)
-			serial := positionalShards(ps, ix, ps.order, verify, 1, nil)
-			SortByLikelihood(serial)
-			for _, workers := range []int{2, 3, 7, 16} {
-				sharded := positionalShards(ps, ix, ps.order, verify, workers, nil)
-				SortByLikelihood(sharded)
-				assertSamePairs(t, fmt.Sprintf("bipartite=%v w=%d workers=%d", bipartite, w, workers), sharded, serial)
+			serial := make([][]core.Pair, len(thresholds))
+			for i, th := range thresholds {
+				ps := buildPositionalSet(d, s, th, nil)
+				ix := buildPositionalPostings(ps, nil)
+				var sc shardScratch
+				sc.ensure(n)
+				positionalProbeShard(ps, ix, ps.order, 0, n, &sc, verifyAt(th))
+				SortByLikelihood(sc.pairs)
+				serial[i] = sc.pairs
+			}
+			for _, workers := range queueWorkers {
+				for rep := 0; rep < queueReps; rep++ {
+					js := s.getScratch()
+					for i, th := range thresholds {
+						ps := buildPositionalSet(d, s, th, js)
+						ix := buildPositionalPostings(ps, js)
+						got := positionalShards(ps, ix, ps.order, verifyAt(th), workers, js)
+						assertSamePairs(t, fmt.Sprintf("%s bipartite=%v n=%d w=%d th=%v workers=%d rep=%d", d.Name, d.Bipartite, n, w, th, workers, rep), got, serial[i])
+					}
+					s.putScratch(js)
+				}
+			}
+		}
+	}
+}
+
+// TestProbeWorkers pins the fork rule: the worker count depends only on
+// the probe count and GOMAXPROCS, one worker below minForkProbes, and
+// never more workers than the list has chunks.
+func TestProbeWorkers(t *testing.T) {
+	for _, c := range []struct{ probes, procs, want int }{
+		{997, 2, 2}, // the Paper corpus on two CPUs; the √-split rule gave 1
+		{997, 1, 1},
+		{minForkProbes - 1, 2, 1},
+		{minForkProbes - 1, 64, 1},
+		{0, 8, 1},
+		{minForkProbes, 2, 2},
+		{minForkProbes, 1000, (minForkProbes + probeChunk - 1) / probeChunk},
+		{100000, 8, 8},
+	} {
+		if got := probeWorkers(c.probes, c.procs); got != c.want {
+			t.Errorf("probeWorkers(%d, %d) = %d, want %d", c.probes, c.procs, got, c.want)
+		}
+	}
+	for probes := 0; probes <= 4*minForkProbes; probes++ {
+		for _, procs := range []int{1, 2, 3, 64, 1024} {
+			got := probeWorkers(probes, procs)
+			chunks := (probes + probeChunk - 1) / probeChunk
+			if got < 1 || got > procs || (probes > 0 && got > chunks) {
+				t.Fatalf("probeWorkers(%d, %d) = %d: outside [1, min(procs, %d chunks)]", probes, procs, got, chunks)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package candgen
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"crowdjoin/internal/core"
 	"crowdjoin/internal/dataset"
@@ -91,40 +92,41 @@ type verifier func(x, y int32, rs resume) (float64, bool)
 // prefixJoin runs the prefix-filtered join: it builds the prefix index
 // (over the smaller side for bipartite datasets), probes it with every
 // record's prefix, verifies each distinct candidate pair once, and returns
-// the result sorted by likelihood with dense IDs. The probe loop is sharded
-// across GOMAXPROCS workers (see parallel.go).
+// the result sorted by likelihood with dense IDs. The probes run on the
+// chunked work queue (see parallel.go).
 func prefixJoin(d *dataset.Dataset, s *Scorer, ps *prefixSet, verify verifier) []core.Pair {
-	var pairs []core.Pair
+	var probe, build []int32
 	if d.Bipartite {
-		probe, build := d.SourceA, d.SourceB
+		probe, build = d.SourceA, d.SourceB
 		if len(probe) < len(build) {
 			probe, build = build, probe
 		}
-		index := buildPostings(s.numTokens, s.numRecords(), build, ps.prefix)
-		pairs = probeShards(d.Len(), ps, index, probe, false, verify, probeWorkers(len(probe), false))
 	} else {
-		index := buildPostings(s.numTokens, s.numRecords(), nil, ps.prefix)
-		probe := make([]int32, d.Len())
+		probe = make([]int32, d.Len())
 		for i := range probe {
 			probe[i] = int32(i)
 		}
-		pairs = probeShards(d.Len(), ps, index, probe, true, verify, probeWorkers(len(probe), true))
 	}
-	SortByLikelihood(pairs)
+	index := buildPostings(s.numTokens, s.numRecords(), build, ps.prefix)
+	js := s.getScratch()
+	pairs := probeShards(ps, index, probe, !d.Bipartite, verify, probeWorkers(len(probe), runtime.GOMAXPROCS(0)), js)
+	s.putScratch(js)
 	for i := range pairs {
 		pairs[i].ID = i
 	}
 	return pairs
 }
 
-// probeShard scans the probe records against the prefix index, verifying
-// each distinct candidate pair once per probe record. In unipartite mode
-// only partners b < a are considered (posting lists are ascending, so the
-// scan breaks at the first b ≥ a), giving each unordered pair exactly one
-// probing side. seen must be a zeroed (or shard-private) d.Len()-sized
-// scratch slice.
-func probeShard(ps *prefixSet, index [][]int32, probe []int32, uni bool, seen []int32, verify verifier, out []core.Pair) []core.Pair {
-	for pi, a := range probe {
+// probeShard scans the records probe[lo:hi] against the prefix index,
+// verifying each distinct candidate pair once per probe record, and
+// appends the accepted pairs to out. In unipartite mode only partners
+// b < a are considered (posting lists are ascending, so the scan breaks at
+// the first b ≥ a), giving each unordered pair exactly one probing side.
+// seen is worker-private d.Len()-sized scratch, zeroed at the start of the
+// join; its marks are positions in the whole probe list.
+func probeShard(ps *prefixSet, index [][]int32, probe []int32, lo, hi int, uni bool, seen []int32, verify verifier, out []core.Pair) []core.Pair {
+	for pi := lo; pi < hi; pi++ {
+		a := probe[pi]
 		mark := int32(pi + 1)
 		for _, tok := range ps.prefix(a) {
 			for _, b := range index[tok] {

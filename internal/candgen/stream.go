@@ -662,25 +662,3 @@ func (si *StreamIndex) finishWeighted() []core.Pair {
 	}
 	return pairs
 }
-
-// mergeByLikelihood merges two SortByLikelihood-ordered pair slices into a
-// fresh slice (stable: a's pairs win ties, though streamed deltas are
-// disjoint by construction).
-func mergeByLikelihood(a, b []core.Pair) []core.Pair {
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]core.Pair, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if comparePairsByLikelihood(a[i], b[j]) <= 0 {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}

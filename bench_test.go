@@ -293,10 +293,10 @@ func BenchmarkAblationDeduction(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationBlocking compares inverted-index candidate generation
-// against the exhaustive scorer (IndexCandidates, not the auto-routed
-// Candidates, so the blocking win is measured separately from the
-// prefix-filter win).
+// BenchmarkAblationBlocking compares indexed candidate generation
+// (Candidates) against the exhaustive scorer. The indexed side is the
+// positional prefix join, the only engine, so this measures the blocking
+// and prefix-filter wins together; they can no longer be measured apart.
 func BenchmarkAblationBlocking(b *testing.B) {
 	cfg := dataset.DefaultAbtBuyConfig()
 	cfg.AbtRecords, cfg.BuyRecords = 400, 420
@@ -304,7 +304,7 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	s := candgen.NewScorer(d, candgen.Unweighted)
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := candgen.IndexCandidates(d, s, 0.3); err != nil {
+			if _, err := candgen.Candidates(d, s, 0.3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -318,38 +318,11 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationPrefixFilter compares the candidate generators the
-// Candidates dispatcher routes between: the full token index (the routing
-// fallback, and PR 1's default path) and prefix filtering (the default).
-func BenchmarkAblationPrefixFilter(b *testing.B) {
-	e := benchEnv(b)
-	d := e.Paper.Dataset
-	s := candgen.NewScorer(d, candgen.Unweighted)
-	for _, th := range []float64{0.3, 0.5} {
-		b.Run(benchName("full-index@", int(th*10)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := candgen.IndexCandidates(d, s, th); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(benchName("prefix@", int(th*10)), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := candgen.PrefixCandidates(d, s, th); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Candidate-generation benchmarks (tracked in BENCH_core.json) -------
 //
-// BenchmarkCandidates pins the default auto-routed path on the Paper-scale
-// dataset, which for this unweighted scorer is PrefixCandidates' size-ordered
-// positional join; *PositionalWeighted* pins the IDF route of the same
-// engine, and *FullIndex* keeps the full-token-index path, the original
-// default, measurable for the trajectory comparison.
+// BenchmarkCandidates pins Candidates' size-ordered positional join on the
+// Paper-scale dataset with an unweighted scorer; *PositionalWeighted* pins
+// the same engine with an IDF-weighted scorer.
 
 const benchCandThreshold = 0.3
 
@@ -378,26 +351,13 @@ func BenchmarkCandidatesPositionalWeighted(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := candgen.WeightedPrefixCandidates(d, s, benchCandThreshold)
+		pairs, err := candgen.Candidates(d, s, benchCandThreshold)
 		if err != nil {
 			b.Fatal(err)
 		}
 		n = len(pairs)
 	}
 	b.ReportMetric(float64(n), "pairs")
-}
-
-func BenchmarkCandidatesFullIndex(b *testing.B) {
-	e := benchEnv(b)
-	d := e.Paper.Dataset
-	s := candgen.NewScorer(d, candgen.Unweighted)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := candgen.IndexCandidates(d, s, benchCandThreshold); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // --- Core micro-benchmarks ---------------------------------------------

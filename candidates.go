@@ -34,16 +34,16 @@ func (m Matcher) CandidatesAcross(a, b []string) ([]Pair, error) {
 }
 
 func (m Matcher) candidates(d *dataset.Dataset) ([]Pair, error) {
-	if m.Threshold <= 0 || m.Threshold > 1 {
+	if !(m.Threshold > 0 && m.Threshold <= 1) {
 		return nil, fmt.Errorf("crowdjoin: Matcher.Threshold %v outside (0,1]", m.Threshold)
 	}
 	w := candgen.Unweighted
 	if m.UseIDF {
 		w = candgen.IDFWeighted
 	}
-	// Candidates auto-routes to prefix filtering (weighted or unweighted)
-	// whenever the threshold admits it; all routes return identical results
-	// (see TestCandidatePathsAgreeOnRandomDatasets).
+	// Candidates runs the positional prefix join for every threshold and
+	// both weightings, byte-identical to the exhaustive reference (see
+	// TestCandidatePathsAgreeOnRandomDatasets).
 	return candgen.Candidates(d, candgen.NewScorer(d, w), m.Threshold)
 }
 
@@ -69,7 +69,7 @@ type cascadeSession struct {
 }
 
 func (m Matcher) newCascadeSession(a, b []string, bipartite bool) (*cascadeSession, error) {
-	if m.Threshold <= 0 || m.Threshold > 1 {
+	if !(m.Threshold > 0 && m.Threshold <= 1) {
 		return nil, fmt.Errorf("crowdjoin: Matcher.Threshold %v outside (0,1]", m.Threshold)
 	}
 	if !bipartite {

@@ -1,10 +1,16 @@
 package crowdjoin_test
 
 import (
+	"context"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"crowdjoin"
+	"crowdjoin/internal/candgen"
+	"crowdjoin/internal/core"
+	"crowdjoin/internal/dataset"
 )
 
 // exampleTexts: three records of one product, two of another, one loner.
@@ -59,6 +65,55 @@ func TestMatcherValidatesThreshold(t *testing.T) {
 	}
 	if _, err := (crowdjoin.Matcher{Threshold: 2}).Candidates(exampleTexts); err == nil {
 		t.Error("threshold 2 accepted")
+	}
+}
+
+// TestNaNThresholdsRejected: NaN fails every comparison, so a range check
+// written as t <= 0 || t > 1 lets it through. Every entry point that checks
+// a threshold or a triage band must return its range error for NaN, and
+// that error names the value.
+func TestNaNThresholdsRejected(t *testing.T) {
+	nan := math.NaN()
+	d := &dataset.Dataset{Name: "nan", NumEntities: 1}
+	for i, txt := range exampleTexts {
+		d.Records = append(d.Records, dataset.Record{
+			ID:     int32(i),
+			Source: "a",
+			Fields: []dataset.Field{{Name: "text", Value: txt}},
+		})
+	}
+	s := candgen.NewScorer(d, candgen.Unweighted)
+	run := func(opts ...crowdjoin.JoinOption) error {
+		j, err := crowdjoin.NewJoin(append([]crowdjoin.JoinOption{
+			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(exampleOracle()),
+		}, opts...)...)
+		if err != nil {
+			return err
+		}
+		_, err = j.Run(context.Background())
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		err  func() error
+	}{
+		{"candgen.Candidates", func() error { _, err := candgen.Candidates(d, s, nan); return err }},
+		{"candgen.ExhaustiveCandidates", func() error { _, err := candgen.ExhaustiveCandidates(d, s, nan); return err }},
+		{"candgen.BandCandidates floor", func() error { _, err := candgen.BandCandidates(d, s, nan, 2, nil); return err }},
+		{"candgen.BandCandidates ceiling", func() error { _, err := candgen.BandCandidates(d, s, 0.3, nan, nil); return err }},
+		{"candgen.NewStreamIndex", func() error { _, err := candgen.NewStreamIndex(candgen.Unweighted, nan, false); return err }},
+		{"Matcher.Candidates", func() error { _, err := (crowdjoin.Matcher{Threshold: nan}).Candidates(exampleTexts); return err }},
+		{"Matcher in a cascade", func() error {
+			return run(crowdjoin.WithMatcher(crowdjoin.Matcher{Threshold: nan}), crowdjoin.WithCascade(0.5))
+		}},
+		{"WithCascade", func() error { return run(crowdjoin.WithCascade(0.5, nan)) }},
+		{"core.TriageBands.Validate", func() error { return core.TriageBands{AcceptAbove: nan, RejectBelow: 0.1}.Validate() }},
+		{"WithTriage", func() error { return run(crowdjoin.WithTriage(nan, 0.1)) }},
+	} {
+		err := c.err()
+		if err == nil || !strings.Contains(err.Error(), "NaN") {
+			t.Errorf("%s: NaN gave error %v, want the range error naming NaN", c.name, err)
+		}
 	}
 }
 

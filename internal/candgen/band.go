@@ -17,30 +17,18 @@ import (
 // settled into entities, which is where the low thresholds would otherwise
 // flood. Results are sorted by likelihood descending with dense pair IDs.
 //
-// The generation route matches the Candidates dispatcher for threshold lo
-// (positional prefix join at lo ≥ 0.05, full token index below), with the
-// band's upper edge and the keep filter folded into the verifier — repeated
-// bands over one scorer reuse its rank arenas and pooled scratch rather
-// than rebuilding anything.
+// The band runs the same positional join as Candidates at threshold lo,
+// with the band's upper edge and the keep filter folded into the verifier
+// — repeated bands over one scorer reuse its rank arenas and pooled
+// scratch rather than rebuilding anything.
 func BandCandidates(d *dataset.Dataset, s *Scorer, lo, hi float64, keep func(a, b int32) bool) ([]core.Pair, error) {
-	if lo <= 0 || lo > 1 {
-		return nil, fmt.Errorf("candgen: band floor %v outside (0,1]", lo)
+	if err := checkThreshold("band floor", lo); err != nil {
+		return nil, err
 	}
-	if hi <= lo {
+	if !(hi > lo) {
 		return nil, fmt.Errorf("candgen: band [%v, %v) is empty", lo, hi)
 	}
-	var inner verifier
-	switch {
-	case lo >= prefixRoutingThreshold && s.weighting == IDFWeighted:
-		inner = func(x, y int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(x, y, rs, lo) }
-	case lo >= prefixRoutingThreshold:
-		inner = func(x, y int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(x, y, rs, lo) }
-	default:
-		inner = func(x, y int32, _ resume) (float64, bool) {
-			sim := s.Similarity(x, y)
-			return sim, sim >= lo
-		}
-	}
+	inner := s.verifierAt(lo)
 	verify := func(x, y int32, rs resume) (float64, bool) {
 		if keep != nil && !keep(x, y) {
 			return 0, false
@@ -48,8 +36,5 @@ func BandCandidates(d *dataset.Dataset, s *Scorer, lo, hi float64, keep func(a, 
 		sim, ok := inner(x, y, rs)
 		return sim, ok && sim < hi
 	}
-	if lo >= prefixRoutingThreshold {
-		return positionalJoin(d, s, lo, verify), nil
-	}
-	return prefixJoin(d, s, s.fullTokenSet(), verify), nil
+	return positionalJoin(d, s, lo, verify), nil
 }

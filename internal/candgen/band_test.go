@@ -11,10 +11,10 @@ import (
 // TestBandCandidatesPartitionCandidates: descending a threshold ladder via
 // BandCandidates must partition the flat Candidates set exactly — every pair
 // lands in precisely one band (its likelihood's), and re-sorting the union
-// reproduces Candidates byte for byte. The ladder crosses the positional/
-// full-index routing cut, so both inner verifiers are exercised.
+// reproduces Candidates byte for byte. The ladder descends to 0.01, far
+// below every default threshold.
 func TestBandCandidatesPartitionCandidates(t *testing.T) {
-	ladder := []float64{0.5, 0.3, 0.1, 0.04}
+	ladder := []float64{0.5, 0.3, 0.1, 0.04, 0.01}
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, bipartite := range []bool{false, true} {
@@ -96,8 +96,8 @@ func TestBandCandidatesValidation(t *testing.T) {
 
 // TestCandidateLikelihoodsAreExactSimilarities pins the verification
 // kernels' scores to the reference Scorer.Similarity, bit for bit: every
-// candidate pair's Likelihood — on the positional-join, full-index, and
-// band paths, weighted and unweighted — must equal the similarity computed
+// candidate pair's Likelihood — from Candidates and BandCandidates,
+// weighted and unweighted — must equal the similarity computed
 // directly from the token sets. The labeling order, the triage bands, and
 // the cascade's band edges all key off these scores, so an approximate or
 // path-dependent value would silently reshard sessions.

@@ -12,16 +12,15 @@
 // reference), even though Similarity degenerately reports 1 for two empty
 // token sets.
 //
-// # Candidate generation paths and routing
+// # Candidate generation
 //
-// Candidates is the entry point and auto-routes between three equivalent
-// generators — every path returns the byte-identical pair set (same pairs,
-// same likelihoods, same order, same dense IDs):
+// Every threshold, weighting and caller runs one engine, the size-ordered
+// positional prefix join (positional.go), and returns the byte-identical
+// pair set ExhaustiveCandidates computes (same pairs, same likelihoods,
+// same order, same dense IDs):
 //
-//   - Size-ordered positional prefix join (PrefixCandidates,
-//     WeightedPrefixCandidates; positional.go): the default whenever
-//     minThreshold ≥ 0.05. Tokens are ordered globally from rare to
-//     frequent and records are processed in size-ascending
+//   - Candidates and BandCandidates run it. Tokens are ordered globally
+//     from rare to frequent and records are processed in size-ascending
 //     (weight-ascending for IDF) order, so the index side of every pair
 //     is the smaller record and only needs its first
 //     |y| − ⌈2t·|y|/(1+t)⌉ + 1 tokens indexed (the AllPairs bound) while
@@ -30,12 +29,11 @@
 //     upper bound — overlap so far plus the smaller remaining suffix —
 //     kills candidates before the merge-based verifier runs. GOMAXPROCS
 //     workers claim chunks of the probe list from one work queue and sort
-//     their own runs, which merge into the result.
-//   - Full token index (IndexCandidates): used below the routing threshold,
-//     where prefixes degenerate to whole token lists and the global
-//     rarity sort is pure overhead. Lossless for any positive threshold.
-//   - Exhaustive scoring (ExhaustiveCandidates): scores the whole pair
-//     universe; the correctness reference and blocking-ablation baseline.
+//     their own runs, which merge into the result. Near t = 0 the
+//     prefixes grow to whole token lists and the bounds cut little, but
+//     the result stays exact.
+//   - ExhaustiveCandidates scores the whole pair universe; it is the
+//     correctness reference and the blocking-ablation baseline.
 //
 // The unweighted prefix bound is the classic one: a pair can reach Jaccard
 // ≥ t only if the records share a token among their probe prefixes and
@@ -47,9 +45,8 @@
 // with remaining suffix weights: each record's probe prefix extends until
 // the weight remaining after it drops below t·W(x), its index prefix until
 // the remainder drops below 2t/(1+t)·W(x), and the size filter becomes
-// min(W(x), W(y)) ≥ t·max(W(x), W(y)). Derivations live with the code:
-// positional.go (engine and unweighted bounds) and weighted.go (weighted
-// bounds).
+// min(W(x), W(y)) ≥ t·max(W(x), W(y)). The derivations of both live with
+// the engine in positional.go.
 package candgen
 
 import (
@@ -75,12 +72,6 @@ const (
 	IDFWeighted
 )
 
-// prefixRoutingThreshold is the smallest threshold Candidates routes to the
-// prefix-filtering path. Below it a record's filter prefix is (nearly) its
-// whole token list, so the rare-first sort buys nothing over the plain
-// token index.
-const prefixRoutingThreshold = 0.05
-
 // boundSlack pads the floating-point filter bounds (size ratio, prefix
 // length, merge early-exit) so rounding can only make them more permissive:
 // a pair on the exact threshold boundary is always verified, never dropped.
@@ -96,8 +87,8 @@ type Scorer struct {
 	// rankArena mirrors arena with each record's tokens sorted rare-first
 	// (global df order; see rarityOrder) — the order prefix filtering
 	// needs. It is threshold-independent, so it is built once, lazily on
-	// the first prefix-path use (ensureRankArena): scorers that only score
-	// pairs or run the full index never pay for it.
+	// the first join (ensureRankArena): scorers that only score pairs never
+	// pay for it.
 	rankOnce  sync.Once
 	rankArena []int32
 	// rankValArena parallels rankArena with each token's global rank value
@@ -316,66 +307,24 @@ func weightedJaccardMerge(ta, tb []int32, w []float64) float64 {
 
 // Candidates returns every pair of d's pair universe whose likelihood is at
 // least minThreshold, sorted by likelihood descending (ties by object ids),
-// with dense pair IDs assigned in that order. minThreshold must be positive:
-// the inverted index only reaches pairs sharing a token.
-//
-// Candidates is a dispatcher: thresholds ≥ 0.05 route to the size-ordered
-// positional prefix join (weighted or unweighted to match the scorer),
-// lower thresholds to the full token index. All routes return identical
-// results; see the package comment for the routing rules.
+// with dense pair IDs assigned in that order. minThreshold must lie in
+// (0,1]; it must be positive because the inverted index only reaches pairs
+// sharing a token.
 func Candidates(d *dataset.Dataset, s *Scorer, minThreshold float64) ([]core.Pair, error) {
-	if minThreshold <= 0 || minThreshold > 1 {
-		return nil, fmt.Errorf("candgen: minThreshold %v outside (0,1]", minThreshold)
+	if err := checkThreshold("minThreshold", minThreshold); err != nil {
+		return nil, err
 	}
-	if minThreshold >= prefixRoutingThreshold {
-		if s.weighting == IDFWeighted {
-			return WeightedPrefixCandidates(d, s, minThreshold)
-		}
-		return PrefixCandidates(d, s, minThreshold)
-	}
-	return IndexCandidates(d, s, minThreshold)
+	return positionalJoin(d, s, minThreshold, s.verifierAt(minThreshold)), nil
 }
 
-// IndexCandidates computes the candidate set with a full token inverted
-// index (no prefix truncation): every pair sharing at least one token is
-// verified. It is the routing fallback for near-zero thresholds and the
-// baseline the prefix-filter ablation compares against. Structurally it is
-// the prefix join with every record's "prefix" being its whole token list,
-// which shares the probe queue and buildPostings.
-func IndexCandidates(d *dataset.Dataset, s *Scorer, minThreshold float64) ([]core.Pair, error) {
-	if minThreshold <= 0 || minThreshold > 1 {
-		return nil, fmt.Errorf("candgen: minThreshold %v outside (0,1]", minThreshold)
+// checkThreshold returns the range error for a threshold outside (0,1].
+// The test is phrased so that NaN, which fails every comparison, is
+// rejected too.
+func checkThreshold(what string, t float64) error {
+	if !(t > 0 && t <= 1) {
+		return fmt.Errorf("candgen: %s %v outside (0,1]", what, t)
 	}
-	verify := func(a, b int32, _ resume) (float64, bool) {
-		sim := s.Similarity(a, b)
-		return sim, sim >= minThreshold
-	}
-	return prefixJoin(d, s, s.fullTokenSet(), verify), nil
-}
-
-// buildPostings returns token id → record ids (ascending), taking each
-// record's indexable tokens from tokensOf (the full token list for the
-// plain index, the filter prefix for prefix filtering). With ids == nil it
-// indexes every record.
-func buildPostings(numTokens, numRecords int, ids []int32, tokensOf func(int32) []int32) [][]int32 {
-	index := make([][]int32, numTokens)
-	add := func(r int32) {
-		for _, tok := range tokensOf(r) {
-			index[tok] = append(index[tok], r)
-		}
-	}
-	if ids == nil {
-		for r := int32(0); r < int32(numRecords); r++ {
-			add(r)
-		}
-	} else {
-		sorted := slices.Clone(ids)
-		slices.Sort(sorted)
-		for _, r := range sorted {
-			add(r)
-		}
-	}
-	return index
+	return nil
 }
 
 // radixSortMin is the input size from which SortByLikelihood radix-sorts.
@@ -484,12 +433,12 @@ func ForThreshold(master []core.Pair, threshold float64) []core.Pair {
 // index, scoring every pair of the universe. It exists as the correctness
 // reference and the blocking ablation baseline.
 //
-// Like every indexed path it honors the shared-token contract: a pair of
+// Like the indexed engine it honors the shared-token contract: a pair of
 // records that both tokenize to nothing shares no token and is never a
 // candidate, even though Similarity reports 1 for it.
 func ExhaustiveCandidates(d *dataset.Dataset, s *Scorer, minThreshold float64) ([]core.Pair, error) {
-	if minThreshold <= 0 || minThreshold > 1 {
-		return nil, fmt.Errorf("candgen: minThreshold %v outside (0,1]", minThreshold)
+	if err := checkThreshold("minThreshold", minThreshold); err != nil {
+		return nil, err
 	}
 	var pairs []core.Pair
 	emit := func(a, b int32) {

@@ -66,13 +66,12 @@ func assertSamePairs(t *testing.T, label string, got, want []core.Pair) {
 
 // TestCandidatePathsAgreeOnRandomDatasets is the differential test for the
 // whole candidate-generation surface: on randomized unipartite and
-// bipartite datasets, at thresholds on both sides of the routing cut and on
-// exact rational boundaries, every generator — the auto-routed Candidates,
-// PrefixCandidates (unweighted), WeightedPrefixCandidates (IDF), and the
-// full token index — returns the byte-identical pair list (same pairs, same
+// bipartite datasets, at thresholds down to 1e-9 and on exact rational
+// boundaries, Candidates — the positional engine, unweighted and
+// IDF-weighted — returns the byte-identical pair list (same pairs, same
 // likelihoods, same order, same IDs) as ExhaustiveCandidates.
 func TestCandidatePathsAgreeOnRandomDatasets(t *testing.T) {
-	thresholds := []float64{0.04, 0.1, 0.25, 1.0 / 3, 0.5, 0.75, 0.9, 1}
+	thresholds := []float64{1e-9, 0.001, 0.01, 0.04, 0.1, 0.25, 1.0 / 3, 0.5, 0.75, 0.9, 1}
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		for _, bipartite := range []bool{false, true} {
@@ -93,37 +92,19 @@ func TestCandidatePathsAgreeOnRandomDatasets(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSamePairs(t, name+" auto", auto, want)
-					idx, err := IndexCandidates(d, s, th)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSamePairs(t, name+" index", idx, want)
-					if w == Unweighted {
-						pre, err := PrefixCandidates(d, s, th)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSamePairs(t, name+" prefix", pre, want)
-					} else {
-						pre, err := WeightedPrefixCandidates(d, s, th)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertSamePairs(t, name+" weighted-prefix", pre, want)
-					}
 				}
 			}
 		}
 	}
 }
 
-// TestCandidatesRoutesBelowCutoff: thresholds below the routing constant
-// still work (via the full token index) and still match the exhaustive
-// reference.
+// TestCandidatesRoutesBelowCutoff: a threshold below every default and
+// benchmark workload, where the prefixes cover nearly whole token lists,
+// still matches the exhaustive reference.
 func TestCandidatesRoutesBelowCutoff(t *testing.T) {
 	d := randomDataset(rand.New(rand.NewSource(11)), 50, false)
 	s := NewScorer(d, Unweighted)
-	th := prefixRoutingThreshold / 2
+	th := 0.025
 	got, err := Candidates(d, s, th)
 	if err != nil {
 		t.Fatal(err)
@@ -135,66 +116,56 @@ func TestCandidatesRoutesBelowCutoff(t *testing.T) {
 	assertSamePairs(t, "below-cutoff", got, want)
 }
 
-// TestWeightedPrefixOnPaperShapedData runs the weighted prefix path on the
-// generated Cora/Abt-Buy shapes (realistic token distributions, not token
-// soup) against the exhaustive reference.
-func TestWeightedPrefixOnPaperShapedData(t *testing.T) {
+// assertPaperShapedMatchExhaustive runs Candidates on the generated
+// Cora/Abt-Buy shapes (realistic token distributions, not token soup) with
+// weighting w at each threshold and checks it against the exhaustive
+// reference. The prefix-filter tests below are its rows.
+func assertPaperShapedMatchExhaustive(t *testing.T, w Weighting, thresholds []float64) {
+	t.Helper()
 	for _, d := range []*dataset.Dataset{smallCora(t), smallAbtBuy(t)} {
-		s := NewScorer(d, IDFWeighted)
-		for _, th := range []float64{0.15, 0.3, 0.5, 0.8} {
+		s := NewScorer(d, w)
+		for _, th := range thresholds {
 			want, err := ExhaustiveCandidates(d, s, th)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := WeightedPrefixCandidates(d, s, th)
+			got, err := Candidates(d, s, th)
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertSamePairs(t, fmt.Sprintf("%s@%v", d.Name, th), got, want)
+			assertSamePairs(t, fmt.Sprintf("%s w=%d th=%v", d.Name, w, th), got, want)
 		}
 	}
 }
 
-// TestProbeShardsMatchSerial pins the plain probe queue — the
-// full-token-index configuration, the one production path probeShards
-// still serves (IndexCandidates) — to one serial probeShard call over the
-// whole probe list, on both dataset shapes, with the same probe lengths,
-// worker counts, repetitions and back-to-back joins on one pooled scratch
-// as TestPositionalShardsMatchSerial.
-func TestProbeShardsMatchSerial(t *testing.T) {
-	thresholds := []float64{0.25, 0.5}
-	for _, d := range queueDatasets(rand.New(rand.NewSource(23))) {
-		n := d.Len()
-		s := NewScorer(d, Unweighted)
-		ps := s.fullTokenSet()
-		verifyAt := func(th float64) verifier {
-			return func(a, b int32, _ resume) (float64, bool) { return s.verifyJaccard(a, b, th) }
-		}
-		var probe, build []int32
-		if d.Bipartite {
-			probe, build = d.SourceA, d.SourceB
-		} else {
-			for i := 0; i < n; i++ {
-				probe = append(probe, int32(i))
-			}
-		}
-		index := buildPostings(s.numTokens, s.numRecords(), build, ps.prefix)
-		serial := make([][]core.Pair, len(thresholds))
-		for i, th := range thresholds {
-			serial[i] = probeShard(ps, index, probe, 0, len(probe), !d.Bipartite, make([]int32, n), verifyAt(th), nil)
-			SortByLikelihood(serial[i])
-		}
-		for _, workers := range queueWorkers {
-			for rep := 0; rep < queueReps; rep++ {
-				js := s.getScratch()
-				for i, th := range thresholds {
-					got := probeShards(ps, index, probe, !d.Bipartite, verifyAt(th), workers, js)
-					assertSamePairs(t, fmt.Sprintf("%s bipartite=%v n=%d th=%v workers=%d rep=%d", d.Name, d.Bipartite, n, th, workers, rep), got, serial[i])
-				}
-				s.putScratch(js)
-			}
+// TestPrefixMatchesFullIndex: unweighted prefix filtering returns exactly
+// the candidates of an un-truncated scan on both dataset shapes, across
+// thresholds.
+func TestPrefixMatchesFullIndex(t *testing.T) {
+	assertPaperShapedMatchExhaustive(t, Unweighted, []float64{0.15, 0.2, 0.3, 0.5, 0.8})
+}
+
+// TestPrefixHighThreshold: at a high threshold, where the prefixes are
+// shortest, the prefix path still finds every pair the exhaustive scan does
+// and no pair below the threshold.
+func TestPrefixHighThreshold(t *testing.T) {
+	assertPaperShapedMatchExhaustive(t, Unweighted, []float64{0.9})
+	d := smallCora(t)
+	got, err := Candidates(d, NewScorer(d, Unweighted), 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range got {
+		if p.Likelihood < 0.9 {
+			t.Fatalf("pair %v below threshold", p)
 		}
 	}
+}
+
+// TestWeightedPrefixOnPaperShapedData: the IDF-weighted prefix bound keeps
+// every pair the exhaustive scan finds, up to a high threshold.
+func TestWeightedPrefixOnPaperShapedData(t *testing.T) {
+	assertPaperShapedMatchExhaustive(t, IDFWeighted, []float64{0.15, 0.2, 0.3, 0.5, 0.8, 0.9})
 }
 
 // TestScorerCachesTokenStats: NumTokens and document frequencies are

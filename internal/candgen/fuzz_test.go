@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"crowdjoin/internal/core"
 	"crowdjoin/internal/dataset"
 )
 
@@ -80,15 +79,7 @@ func FuzzPositionalMatchesExhaustive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got []core.Pair
-		var verify verifier
-		if weighted {
-			got, err = WeightedPrefixCandidates(d, s, th)
-			verify = func(x, y int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(x, y, rs, th) }
-		} else {
-			got, err = PrefixCandidates(d, s, th)
-			verify = func(x, y int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(x, y, rs, th) }
-		}
+		got, err := Candidates(d, s, th)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +87,7 @@ func FuzzPositionalMatchesExhaustive(f *testing.F) {
 		assertSamePairs(t, label, got, want)
 		ps := buildPositionalSet(d, s, th, nil)
 		ix := buildPositionalPostings(ps, nil)
+		verify := s.verifierAt(th)
 		one := positionalShards(ps, ix, ps.order, verify, 1, nil)
 		three := positionalShards(ps, ix, ps.order, verify, 3, nil)
 		assertIdenticalPairs(t, label+" workers=3", len(one), three, one)

@@ -35,7 +35,7 @@ func grow[T any](b []T, n int) []T {
 }
 
 // shardScratch is one probe worker's private state: the candidate
-// bookkeeping arrays of the probe kernels plus its output buffer. All
+// bookkeeping arrays of the probe kernel plus its output buffer. All
 // per-record arrays are indexed by record id and reused across joins via
 // the scorer's scratch pool.
 type shardScratch struct {
@@ -101,24 +101,25 @@ func probeWorkers(numProbes, procs int) int {
 	return max(1, min(procs, chunks))
 }
 
-// probeQueue probes a list of numProbes records on `workers` goroutines
-// over n-record scratch from js (nil: allocate fresh, for tests) and
-// returns every pair found, sorted by likelihood in one fresh exact-size
-// slice. Each worker claims the next
-// probeChunk list positions from one atomic cursor until none are left
-// and runs scan(sc, lo, hi) on them with its own scratch, so a load that
-// piles up at one end of the list (a unipartite probe only scans
-// order-earlier partners) still spreads evenly. scan appends to sc.pairs,
-// marking seen with list positions, which are unique across the whole
-// list however the chunks are claimed. Each worker then sorts its own
-// run, and mergeRuns combines the runs. A pair is found by exactly one
+// positionalShards probes the records of probe (a slice of ps's
+// processing order) against ix on `workers` goroutines, over scratch from
+// js (nil: allocate fresh, for tests), and returns every pair found,
+// sorted by likelihood in one fresh exact-size slice. It is the probe
+// queue: each worker claims the next probeChunk list positions from one
+// atomic cursor until none are left and runs positionalProbeShard on them
+// with its own scratch, so a load that piles up at one end of the list (a
+// probe only scans order-earlier partners) still spreads evenly. The
+// kernel marks seen with list positions, which are unique across the
+// whole list however the chunks are claimed. Each worker then sorts its
+// own run, and mergeRuns combines the runs. A pair is found by exactly one
 // probe record, so comparePairsByLikelihood orders the pairs totally and
 // the result does not depend on the schedule. It never aliases js, which
 // the caller may return to the pool at once.
-func probeQueue(js *joinScratch, n, numProbes, workers int, scan func(sc *shardScratch, lo, hi int)) []core.Pair {
+func positionalShards(ps *positionalSet, ix *positionalIndex, probe []int32, verify verifier, workers int, js *joinScratch) []core.Pair {
 	if js == nil {
 		js = &joinScratch{}
 	}
+	n, numProbes := ps.s.numRecords(), len(probe)
 	workers = max(1, min(workers, numProbes))
 	for len(js.shards) < workers {
 		js.shards = append(js.shards, shardScratch{})
@@ -133,7 +134,7 @@ func probeQueue(js *joinScratch, n, numProbes, workers int, scan func(sc *shardS
 			if lo >= numProbes {
 				break
 			}
-			scan(sc, lo, min(hi, numProbes))
+			positionalProbeShard(ps, ix, probe, lo, min(hi, numProbes), sc, verify)
 		}
 		SortByLikelihood(sc.pairs)
 	}
@@ -204,20 +205,4 @@ func mergeInto(dst, a, b []core.Pair) {
 	}
 	k += copy(dst[k:], a[i:])
 	copy(dst[k:], b[j:])
-}
-
-// positionalShards is the queue driver for the size-ordered positional
-// engine (positional.go).
-func positionalShards(ps *positionalSet, ix *positionalIndex, probe []int32, verify verifier, workers int, js *joinScratch) []core.Pair {
-	return probeQueue(js, ps.s.numRecords(), len(probe), workers, func(sc *shardScratch, lo, hi int) {
-		positionalProbeShard(ps, ix, probe, lo, hi, sc, verify)
-	})
-}
-
-// probeShards is the queue driver for the plain (position-free) probe
-// loop, which the full-token-index path still runs on.
-func probeShards(ps *prefixSet, index [][]int32, probe []int32, uni bool, verify verifier, workers int, js *joinScratch) []core.Pair {
-	return probeQueue(js, ps.s.numRecords(), len(probe), workers, func(sc *shardScratch, lo, hi int) {
-		sc.pairs = probeShard(ps, index, probe, lo, hi, uni, sc.seen, verify, sc.pairs)
-	})
 }

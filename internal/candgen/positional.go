@@ -12,8 +12,8 @@ import (
 )
 
 // This file holds the size-ordered AllPairs engine with ppjoin-style
-// positional filtering — the default prefix-join implementation behind
-// PrefixCandidates and WeightedPrefixCandidates.
+// positional filtering — the one candidate engine, behind Candidates and
+// BandCandidates, for every threshold and both weightings.
 //
 // Records are processed in size-ascending order (weight-ascending for IDF
 // scorers, ties by record id), so when record x probes the index every
@@ -25,20 +25,52 @@ import (
 //     |y| − ⌈2t·|y|/(1+t)⌉ + 1 rare-first tokens in the index — shorter
 //     than the n − ⌈t·n⌉ + 1 probe prefix, which x still probes in full
 //     (by the prefix lemma with the pair's true minimum overlap, y's
-//     index prefix and x's probe prefix must share a token). Weighted:
-//     suffix weight < 2t/(1+t)·W(y) replaces the count bound.
+//     index prefix and x's probe prefix must share a token).
 //   - Positional filter (ppjoin): postings store (record, prefix
 //     position). Both token lists are sorted by the same global rank
 //     order, so at a match of x[i] with y[j] every earlier shared token
 //     was already counted and every later one sits past both positions.
 //     The overlap can therefore never exceed
-//     (overlap so far) + 1 + min(|x|−i−1, |y|−j−1)
-//     (suffix *weights* after i and j for IDF scorers); when that upper
+//     (overlap so far) + 1 + min(|x|−i−1, |y|−j−1); when that upper
 //     bound cannot reach the pair's minimum overlap the candidate is
 //     killed before the merge-based verifier ever runs, and later
 //     matches of a killed candidate are skipped.
 //
-// Both filters only ever discard pairs whose similarity is provably below
+// # Weighted bounds
+//
+// IDF-weighted scorers run the same loop with per-record weight totals
+// W(x) = Σ idf(tok) in place of set sizes and remaining suffix *weight* in
+// place of remaining token counts:
+//
+//   - Size filter: weighted Jaccard w(x∩y)/w(x∪y) ≥ t implies
+//     w(x∩y) ≥ t·w(x∪y) ≥ t·max(W(x), W(y)) and w(x∩y) ≤ min(W(x), W(y)),
+//     so min(W(x), W(y)) ≥ t·max(W(x), W(y)).
+//   - Probe prefix: with all records' tokens in the same global rare-first
+//     order, record x's probe prefix extends until the weight remaining in
+//     its suffix drops below t·W(x). If a qualifying pair shared no token
+//     in either relevant prefix, all shared weight would sit inside the
+//     rank-earlier-ending record's suffix — at most its suffix weight,
+//     which is below the pair's required overlap — a contradiction. So
+//     probing prefixes against a prefix index is lossless, exactly as in
+//     the unweighted case.
+//   - Index prefix: records are processed in weight-ascending order, so
+//     the index side of a pair always has W(y) ≤ W(x) and the required
+//     overlap t/(1+t)·(W(x)+W(y)) is at least 2t/(1+t)·W(y) — y's index
+//     prefix stops as soon as its suffix weight drops below that, shorter
+//     than the probe prefix. (For the probe side the size filter gives
+//     t·W(x) ≤ W(y), so t·W(x) ≤ t/(1+t)·(W(x)+W(y)) and the probe
+//     prefix covers the required overlap too.)
+//   - Positional filter: at a match of x[i] with y[j], the overlap weight
+//     can never exceed (overlap so far) + idf(tok) + min(suffix weight
+//     after i, suffix weight after j); below t/(1+t)·(W(x)+W(y)) the
+//     candidate is killed before verification.
+//
+// Verification resumes the weighted merge from the probe loop's
+// accumulated overlap as a reject filter (verifyWeightedResumed) and
+// computes the exact weighted similarity via Similarity for every pair
+// the filter cannot provably reject.
+//
+// Every filter only ever discards pairs whose similarity is provably below
 // the threshold (boundSlack pads every comparison toward keeping the
 // pair), and verification computes the identical expression Similarity
 // does — so the engine stays byte-identical to ExhaustiveCandidates.

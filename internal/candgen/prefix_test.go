@@ -1,98 +1,25 @@
 package candgen
 
-import (
-	"testing"
-
-	"crowdjoin/internal/dataset"
-)
-
-// TestPrefixMatchesFullIndex: prefix filtering returns exactly the full
-// inverted index's candidates on both dataset shapes, across thresholds.
-// (Candidates itself now routes to the prefix path, so the reference here
-// is IndexCandidates, the un-truncated token index.)
-func TestPrefixMatchesFullIndex(t *testing.T) {
-	for _, d := range []*dataset.Dataset{smallCora(t), smallAbtBuy(t)} {
-		s := NewScorer(d, Unweighted)
-		for _, th := range []float64{0.2, 0.3, 0.5, 0.8} {
-			want, err := IndexCandidates(d, s, th)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := PrefixCandidates(d, s, th)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s@%v: prefix %d pairs, full %d", d.Name, th, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s@%v: pair %d differs: %v vs %v", d.Name, th, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPrefixRejectsWeightedScorer(t *testing.T) {
-	d := smallCora(t)
-	s := NewScorer(d, IDFWeighted)
-	if _, err := PrefixCandidates(d, s, 0.3); err == nil {
-		t.Fatal("weighted scorer accepted; the prefix bound does not hold for IDF weights")
-	}
-}
+import "testing"
 
 func TestPrefixThresholdValidation(t *testing.T) {
 	d := smallCora(t)
 	s := NewScorer(d, Unweighted)
-	if _, err := PrefixCandidates(d, s, 0); err == nil {
+	if _, err := Candidates(d, s, 0); err == nil {
 		t.Error("threshold 0 accepted")
 	}
-	if _, err := PrefixCandidates(d, s, 1.2); err == nil {
+	if _, err := Candidates(d, s, 1.2); err == nil {
 		t.Error("threshold > 1 accepted")
-	}
-}
-
-// TestPrefixProbesFewerPairs: sanity check that the optimization actually
-// reduces verification work at high thresholds (measured indirectly via
-// timing in BenchmarkAblationPrefixFilter; here just behaviourally: it
-// still finds every high-similarity pair).
-func TestPrefixHighThreshold(t *testing.T) {
-	d := smallCora(t)
-	s := NewScorer(d, Unweighted)
-	got, err := PrefixCandidates(d, s, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range got {
-		if p.Likelihood < 0.9 {
-			t.Fatalf("pair %v below threshold", p)
-		}
-	}
-	exhaustive, err := ExhaustiveCandidates(d, s, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(exhaustive) {
-		t.Fatalf("prefix found %d pairs, exhaustive %d", len(got), len(exhaustive))
-	}
-}
-
-func TestWeightedPrefixRejectsUnweightedScorer(t *testing.T) {
-	d := smallCora(t)
-	s := NewScorer(d, Unweighted)
-	if _, err := WeightedPrefixCandidates(d, s, 0.3); err == nil {
-		t.Fatal("unweighted scorer accepted; the weighted bound needs IDF weight totals")
 	}
 }
 
 func TestWeightedPrefixThresholdValidation(t *testing.T) {
 	d := smallCora(t)
 	s := NewScorer(d, IDFWeighted)
-	if _, err := WeightedPrefixCandidates(d, s, 0); err == nil {
+	if _, err := Candidates(d, s, 0); err == nil {
 		t.Error("threshold 0 accepted")
 	}
-	if _, err := WeightedPrefixCandidates(d, s, 1.2); err == nil {
+	if _, err := Candidates(d, s, 1.2); err == nil {
 		t.Error("threshold > 1 accepted")
 	}
 }

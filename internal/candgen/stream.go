@@ -141,8 +141,8 @@ type StreamIndex struct {
 // weighting, threshold, and dataset shape. Bipartite indexes take each
 // record with a side (0 or 1) and only pair across sides.
 func NewStreamIndex(w Weighting, t float64, bipartite bool) (*StreamIndex, error) {
-	if t <= 0 || t > 1 {
-		return nil, fmt.Errorf("candgen: stream threshold %v outside (0,1]", t)
+	if err := checkThreshold("stream threshold", t); err != nil {
+		return nil, err
 	}
 	si := &StreamIndex{
 		t:         t,
@@ -418,16 +418,7 @@ func (si *StreamIndex) probeRun(run *streamRun, older []streamRun) []core.Pair {
 	seen, adm, ov := si.seen, si.adm, si.ov
 	rov, rxi, ryj, fsh := si.rov, si.rxi, si.ryj, si.fsh
 	masks, rareLens := s.freqMask, s.rareLen
-	var verify verifier
-	if weighted {
-		verify = func(x, y int32, rs resume) (float64, bool) {
-			return s.verifyWeightedResumed(x, y, rs, t)
-		}
-	} else {
-		verify = func(x, y int32, rs resume) (float64, bool) {
-			return s.verifyJaccardResumed(x, y, rs, t)
-		}
-	}
+	verify := s.verifierAt(t)
 	var out []core.Pair
 	ownIdx := len(older) // run's slot in the scan sequence
 	for _, x := range run.order {

@@ -77,8 +77,8 @@ func randomBatches(rng *rand.Rand, n int) [][2]int {
 
 // TestStreamMatchesBatch is the core differential: appending a corpus in
 // arbitrary batches and reading Pairs must be byte-identical to running
-// the batch dispatcher over the final corpus — both weightings, both
-// shapes, thresholds across the routing range.
+// Candidates over the final corpus — both weightings, both shapes,
+// thresholds from 0.05 to 1.
 func TestStreamMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	thresholds := []float64{0.05, 0.3, 0.6, 1.0}

@@ -39,10 +39,23 @@ type resume struct {
 	shared int32
 }
 
-// noResume is the verifier argument for call sites with no probe state
-// (the full-index path and direct pair checks): verification runs from
-// token 0.
-var noResume = resume{xi: -1, yj: -1, shared: -1}
+// verifier checks one candidate pair and, when its exact similarity
+// reaches the threshold, returns it. The first argument is the probing
+// record, the second its indexed partner; rs carries the probe loop's
+// accumulated resume state so the kernel continues the merge mid-stream
+// instead of re-merging from token 0.
+type verifier func(x, y int32, rs resume) (float64, bool)
+
+// verifierAt returns the scorer's acceptance test at threshold t: the
+// resumed kernel of its weighting. It is the one place that maps a
+// weighting to its kernel; the batch join, the cascade's bands and the
+// stream index all take their verifier from it.
+func (s *Scorer) verifierAt(t float64) verifier {
+	if s.weighting == IDFWeighted {
+		return func(x, y int32, rs resume) (float64, bool) { return s.verifyWeightedResumed(x, y, rs, t) }
+	}
+	return func(x, y int32, rs resume) (float64, bool) { return s.verifyJaccardResumed(x, y, rs, t) }
+}
 
 // verifyJaccardResumed applies the exact unweighted acceptance test for
 // the probing pair (x, y), resuming from the probe state rs:

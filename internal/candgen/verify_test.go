@@ -8,6 +8,10 @@ import (
 	"crowdjoin/internal/dataset"
 )
 
+// noResume is the resume state of a pair checked without a probe loop:
+// no match tracked, no popcount cached, so verification runs from token 0.
+var noResume = resume{xi: -1, yj: -1, shared: -1}
+
 // TestResumedVerifiersAgreeWithSimilarity checks the resumed kernels from
 // a cold start (noResume): for every pair of a mixed corpus — degenerate
 // and random records, paper-shaped text — the unweighted kernel must
@@ -87,19 +91,11 @@ func TestKernelTogglesStayExact(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if w == Unweighted {
-							pre, err := PrefixCandidates(d, s, th)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertSamePairs(t, fmt.Sprintf("d=%d w=%d th=%v", di, w, th), pre, want)
-						} else {
-							pre, err := WeightedPrefixCandidates(d, s, th)
-							if err != nil {
-								t.Fatal(err)
-							}
-							assertSamePairs(t, fmt.Sprintf("d=%d w=%d th=%v", di, w, th), pre, want)
+						got, err := Candidates(d, s, th)
+						if err != nil {
+							t.Fatal(err)
 						}
+						assertSamePairs(t, fmt.Sprintf("d=%d w=%d th=%v", di, w, th), got, want)
 					}
 				}
 			}

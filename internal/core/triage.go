@@ -34,7 +34,8 @@ func (b TriageBands) Validate() error {
 	if !b.Enabled() {
 		return nil
 	}
-	if b.RejectBelow < 0 || b.AcceptAbove > 1 || b.RejectBelow >= b.AcceptAbove {
+	// Phrased so that NaN, which fails every comparison, fails the check.
+	if !(b.RejectBelow >= 0 && b.AcceptAbove <= 1 && b.RejectBelow < b.AcceptAbove) {
 		return fmt.Errorf("core: triage bands want 0 <= rejectBelow < acceptAbove <= 1, got accept above %v, reject below %v",
 			b.AcceptAbove, b.RejectBelow)
 	}

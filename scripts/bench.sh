@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Runs the labeling / deduction-core / world-enumeration /
 # candidate-generation / streaming-append / join-server benchmarks (the
-# BenchmarkCandidates* family covers the auto-routed default, which is
-# the unweighted size-ordered positional prefix route, the IDF-weighted
-# positional route, and the full-index fallback; BenchmarkStreamingAppend tracks the Join.Append
+# BenchmarkCandidates* family covers the size-ordered positional prefix
+# join over a built unweighted and IDF-weighted scorer, and from raw texts
+# with NewScorer included; BenchmarkStreamingAppend tracks the Join.Append
 # marginal-cost criterion; BenchmarkServerThroughput tracks the join
 # server's cross-job HIT multiplexing, J concurrent jobs vs sequential;
 # BenchmarkGiantComponent tracks the balance-aware question router's

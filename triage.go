@@ -112,7 +112,7 @@ func WithCascade(thresholds ...float64) JoinOption {
 		}
 		prev := 1.0001
 		for _, t := range thresholds {
-			if t <= 0 || t > 1 {
+			if !(t > 0 && t <= 1) {
 				j.setErr(fmt.Errorf("crowdjoin: WithCascade threshold %v outside (0,1]", t))
 				return
 			}

@@ -5,13 +5,15 @@
 //
 //	experiments [-exp all|fig10|fig11|fig12|fig13|fig14|fig15|table1|table2|extbudget|ext1to1|triagecurve] [-small] [-idf] [-seed N]
 //
-// Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// Each experiment prints the same rows/series the paper reports. The
+// output of -exp all, with and without -idf, is pinned byte for byte in
+// testdata/all.golden and testdata/all-idf.golden, less its timing lines.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -21,11 +23,21 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig10..fig15, table1, table2")
-	small := flag.Bool("small", false, "use the reduced-scale configuration (fast smoke run)")
-	idf := flag.Bool("idf", false, "score candidates with IDF-weighted Jaccard (exercises the weighted prefix filter)")
-	seed := flag.Int64("seed", 42, "experiment seed")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and writes the selected experiments to w. A bad flag
+// exits with status 2, as the flag package's command line does.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	exp := fs.String("exp", "all", "experiment to run: all, fig10..fig15, table1, table2")
+	small := fs.Bool("small", false, "use the reduced-scale configuration (fast smoke run)")
+	idf := fs.Bool("idf", false, "score candidates with IDF-weighted Jaccard (exercises the weighted prefix filter)")
+	seed := fs.Int64("seed", 42, "experiment seed")
+	fs.Parse(args) // ExitOnError: never returns an error
 
 	cfg := experiments.DefaultConfig()
 	if *small {
@@ -39,9 +51,9 @@ func main() {
 	start := time.Now()
 	env, err := experiments.NewEnv(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("workloads ready in %v: paper %d records / %d candidates, product %d records / %d candidates\n\n",
+	fmt.Fprintf(w, "workloads ready in %v: paper %d records / %d candidates, product %d records / %d candidates\n\n",
 		time.Since(start).Round(time.Millisecond),
 		env.Paper.Dataset.Len(), len(env.Paper.Master),
 		env.Product.Dataset.Len(), len(env.Product.Master))
@@ -71,17 +83,13 @@ func main() {
 		t0 := time.Now()
 		res, err := r.run()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", r.name, err))
+			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		fmt.Println(res.String())
-		fmt.Printf("[%s completed in %v]\n\n", r.name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintln(w, res.String())
+		fmt.Fprintf(w, "[%s completed in %v]\n\n", r.name, time.Since(t0).Round(time.Millisecond))
 	}
 	if !matched {
-		fatal(fmt.Errorf("unknown experiment %q", *exp))
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+	return nil
 }

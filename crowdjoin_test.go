@@ -70,8 +70,9 @@ func TestMatcherValidatesThreshold(t *testing.T) {
 
 // TestNaNThresholdsRejected: NaN fails every comparison, so a range check
 // written as t <= 0 || t > 1 lets it through. Every entry point that checks
-// a threshold or a triage band must return its range error for NaN, and
-// that error names the value.
+// a threshold, a triage band, a pair likelihood, a budget's guess or a
+// simulated crowd's parameter must return its range error for NaN, and that
+// error names the value.
 func TestNaNThresholdsRejected(t *testing.T) {
 	nan := math.NaN()
 	d := &dataset.Dataset{Name: "nan", NumEntities: 1}
@@ -83,14 +84,23 @@ func TestNaNThresholdsRejected(t *testing.T) {
 		})
 	}
 	s := candgen.NewScorer(d, candgen.Unweighted)
-	run := func(opts ...crowdjoin.JoinOption) error {
-		j, err := crowdjoin.NewJoin(append([]crowdjoin.JoinOption{
-			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(exampleOracle()),
-		}, opts...)...)
+	join := func(opts ...crowdjoin.JoinOption) error {
+		j, err := crowdjoin.NewJoin(opts...)
 		if err != nil {
 			return err
 		}
 		_, err = j.Run(context.Background())
+		return err
+	}
+	run := func(opts ...crowdjoin.JoinOption) error {
+		return join(append([]crowdjoin.JoinOption{
+			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(exampleOracle()),
+		}, opts...)...)
+	}
+	amt := func(edit func(*crowdjoin.AMTConfig)) error {
+		cfg := crowdjoin.DefaultAMTConfig()
+		edit(&cfg)
+		_, err := crowdjoin.NewAMTSimulator(func(a, b int32) bool { return false }, cfg)
 		return err
 	}
 	for _, c := range []struct {
@@ -109,11 +119,25 @@ func TestNaNThresholdsRejected(t *testing.T) {
 		{"WithCascade", func() error { return run(crowdjoin.WithCascade(0.5, nan)) }},
 		{"core.TriageBands.Validate", func() error { return core.TriageBands{AcceptAbove: nan, RejectBelow: 0.1}.Validate() }},
 		{"WithTriage", func() error { return run(crowdjoin.WithTriage(nan, 0.1)) }},
+		{"WithPairs likelihood", func() error {
+			pairs := []crowdjoin.Pair{{ID: 0, A: 0, B: 1, Likelihood: nan}}
+			return join(crowdjoin.WithPairs(2, pairs), crowdjoin.WithOracle(exampleOracle()))
+		}},
+		{"BudgetStrategy guess", func() error { return run(crowdjoin.WithStrategy(crowdjoin.BudgetStrategy(0, nan))) }},
+		{"NewAMTSimulator SpammerFraction", func() error {
+			return amt(func(c *crowdjoin.AMTConfig) { c.SpammerFraction = nan })
+		}},
+		{"NewAMTSimulator latency", func() error {
+			return amt(func(c *crowdjoin.AMTConfig) { c.ServiceMeanHours = nan })
+		}},
 	} {
 		err := c.err()
 		if err == nil || !strings.Contains(err.Error(), "NaN") {
 			t.Errorf("%s: NaN gave error %v, want the range error naming NaN", c.name, err)
 		}
+	}
+	if err := run(crowdjoin.WithStrategy(crowdjoin.BudgetStrategy(0, 7))); err == nil || !strings.Contains(err.Error(), "guess 7 outside [0,1]") {
+		t.Errorf("BudgetStrategy(0, 7): error %v, want the guess range error", err)
 	}
 }
 

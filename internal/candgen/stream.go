@@ -167,13 +167,6 @@ func (si *StreamIndex) NumRecords() int { return si.s.numRecords() }
 // NumRuns returns the current run count (observability and tests).
 func (si *StreamIndex) NumRuns() int { return len(si.runs) }
 
-// Threshold returns the index's candidate threshold.
-func (si *StreamIndex) Threshold() float64 { return si.t }
-
-// Scorer exposes the incrementally grown scorer (read-only use: similarity
-// checks over the appended corpus).
-func (si *StreamIndex) Scorer() *Scorer { return si.s }
-
 // cmpRec is the global processing relation: size-ascending (weight-
 // ascending for IDF), ties by record id. Record ids are unique, so it is a
 // total order.

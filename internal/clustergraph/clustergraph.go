@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"crowdjoin/internal/unionfind"
 )
@@ -508,33 +507,6 @@ func (g *Graph) ClusterSize(a int32) int32 { return g.uf.SizeOf(a) }
 // Clusters returns the current clusters; see unionfind.UF.Clusters for
 // ordering guarantees. Intended for reporting and tests.
 func (g *Graph) Clusters() [][]int32 { return g.uf.Clusters() }
-
-// Clone returns an independent deep copy of the graph's current state.
-// Rollback history does not transfer: the clone starts un-journaled.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		uf:     g.uf.Clone(),
-		eset:   slices.Clone(g.eset),
-		deg:    slices.Clone(g.deg),
-		adj:    make([][]int32, len(g.adj)),
-		bits:   make([][]uint64, len(g.bits)),
-		words:  g.words,
-		edges:  g.edges,
-		dirty:  slices.Clone(g.dirty),
-		listed: slices.Clone(g.listed),
-	}
-	for i, s := range g.adj {
-		if len(s) > 0 {
-			c.adj[i] = slices.Clone(s)
-		}
-	}
-	for i, row := range g.bits {
-		if row != nil {
-			c.bits[i] = slices.Clone(row)
-		}
-	}
-	return c
-}
 
 // CloneInto copies g's current state into dst, which must cover the same
 // universe; dst's allocations are reused where possible and its rollback

@@ -175,20 +175,6 @@ func TestHasEdgeFalseWithinCluster(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	g := New(4)
-	mustInsert(t, g, 0, 1, true)
-	mustInsert(t, g, 1, 2, false)
-	c := g.Clone()
-	mustInsert(t, c, 2, 3, true)
-	if g.Deduce(0, 3) != Undeduced {
-		t.Error("mutating clone affected original")
-	}
-	if c.Deduce(0, 3) != DeducedNonMatching {
-		t.Error("clone did not retain + extend original state")
-	}
-}
-
 func TestReset(t *testing.T) {
 	g := New(4)
 	mustInsert(t, g, 0, 1, true)

@@ -40,7 +40,8 @@ func ValidatePairs(numObjects int, pairs []Pair) error {
 		if p.A < 0 || int(p.A) >= numObjects || p.B < 0 || int(p.B) >= numObjects {
 			return fmt.Errorf("core: pair %d references object outside [0,%d)", p.ID, numObjects)
 		}
-		if p.Likelihood < 0 || p.Likelihood > 1 {
+		// Phrased so that NaN, which fails every comparison, fails the check.
+		if !(p.Likelihood >= 0 && p.Likelihood <= 1) {
 			return fmt.Errorf("core: pair %d has likelihood %v outside [0,1]", p.ID, p.Likelihood)
 		}
 	}
@@ -66,15 +67,4 @@ func newResult(n int) *Result {
 		Labels:       make([]Label, n),
 		Crowdsourced: make([]bool, n),
 	}
-}
-
-// CrowdsourcedPairs returns the IDs of crowdsourced pairs in ascending order.
-func (r *Result) CrowdsourcedPairs() []int {
-	out := make([]int, 0, r.NumCrowdsourced)
-	for id, c := range r.Crowdsourced {
-		if c {
-			out = append(out, id)
-		}
-	}
-	return out
 }

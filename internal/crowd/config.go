@@ -1,10 +1,6 @@
 package crowd
 
-import (
-	"fmt"
-
-	"crowdjoin/internal/core"
-)
+import "fmt"
 
 // Config parameterizes the simulated platform. Defaults mirror the paper's
 // AMT setup (Section 6.4).
@@ -75,49 +71,16 @@ func (c Config) validate() error {
 		return fmt.Errorf("crowd: %d workers cannot cover %d assignments per HIT (each assignment needs a distinct worker)",
 			c.Workers, c.Assignments)
 	}
-	if c.PickupMeanHours < 0 || c.EngagedPickupHours < 0 || c.ServiceMeanHours < 0 || c.ServiceFloorHours < 0 {
-		return fmt.Errorf("crowd: negative latency parameters")
+	// Phrased so that NaN, which fails every comparison, fails the checks.
+	if !(c.PickupMeanHours >= 0 && c.EngagedPickupHours >= 0 && c.ServiceMeanHours >= 0 && c.ServiceFloorHours >= 0) {
+		return fmt.Errorf("crowd: latency parameters (pickup %v, engaged pickup %v, service %v, service floor %v) must be non-negative",
+			c.PickupMeanHours, c.EngagedPickupHours, c.ServiceMeanHours, c.ServiceFloorHours)
 	}
-	if c.SpammerFraction < 0 || c.SpammerFraction > 1 {
+	if !(c.SpammerFraction >= 0 && c.SpammerFraction <= 1) {
 		return fmt.Errorf("crowd: SpammerFraction %v outside [0,1]", c.SpammerFraction)
 	}
+	if !(c.QualificationCatchRate >= 0 && c.QualificationCatchRate <= 1) {
+		return fmt.Errorf("crowd: QualificationCatchRate %v outside [0,1]", c.QualificationCatchRate)
+	}
 	return nil
-}
-
-// MajorityVote aggregates per-worker answers for one pair. Ties (possible
-// only with an even number of answers) resolve to NonMatching, the
-// conservative choice for joins.
-func MajorityVote(answers []core.Label) core.Label {
-	yes := 0
-	for _, a := range answers {
-		if a == core.Matching {
-			yes++
-		}
-	}
-	if 2*yes > len(answers) {
-		return core.Matching
-	}
-	return core.NonMatching
-}
-
-// BatchIntoHITs greedily chunks pairs into HITs of at most batchSize. Each
-// publish event chunks independently, which is why iterative publication
-// creates more (partially filled) HITs than publishing everything at once —
-// visible in the paper's HIT counts.
-func BatchIntoHITs(pairs []core.Pair, batchSize int) [][]core.Pair {
-	if batchSize <= 0 {
-		panic("crowd: batchSize must be positive")
-	}
-	var hits [][]core.Pair
-	for len(pairs) > 0 {
-		n := batchSize
-		if n > len(pairs) {
-			n = len(pairs)
-		}
-		hit := make([]core.Pair, n)
-		copy(hit, pairs[:n])
-		hits = append(hits, hit)
-		pairs = pairs[n:]
-	}
-	return hits
 }

@@ -1,6 +1,7 @@
 package crowd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,39 +18,6 @@ func testPairs(n int) []core.Pair {
 }
 
 func evenOddTruth(a, b int32) bool { return a/2 == b/2 }
-
-func TestBatchIntoHITs(t *testing.T) {
-	pairs := testPairs(45)
-	hits := BatchIntoHITs(pairs, 20)
-	if len(hits) != 3 {
-		t.Fatalf("hits = %d, want 3", len(hits))
-	}
-	if len(hits[0]) != 20 || len(hits[1]) != 20 || len(hits[2]) != 5 {
-		t.Errorf("hit sizes = %d/%d/%d, want 20/20/5", len(hits[0]), len(hits[1]), len(hits[2]))
-	}
-	if len(BatchIntoHITs(nil, 20)) != 0 {
-		t.Error("empty input should produce no HITs")
-	}
-}
-
-func TestMajorityVote(t *testing.T) {
-	m, n := core.Matching, core.NonMatching
-	cases := []struct {
-		in   []core.Label
-		want core.Label
-	}{
-		{[]core.Label{m, m, n}, m},
-		{[]core.Label{m, n, n}, n},
-		{[]core.Label{m, m, m}, m},
-		{[]core.Label{m, n}, n}, // tie → conservative non-matching
-		{[]core.Label{m}, m},
-	}
-	for _, tc := range cases {
-		if got := MajorityVote(tc.in); got != tc.want {
-			t.Errorf("MajorityVote(%v) = %v, want %v", tc.in, got, tc.want)
-		}
-	}
-}
 
 func TestPlatformDeliversAllPairsPerfectly(t *testing.T) {
 	cfg := DefaultConfig()
@@ -140,15 +108,21 @@ func TestPlatformEmptyNextLabel(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 2 // fewer than Assignments=3
-	if _, err := NewPlatform(evenOddTruth, cfg); err == nil {
-		t.Error("pool smaller than assignments accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.BatchSize = 0
-	if _, err := NewPlatform(evenOddTruth, cfg); err == nil {
-		t.Error("zero batch size accepted")
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"pool smaller than assignments", func(c *Config) { c.Workers = 2 }}, // Assignments is 3
+		{"zero batch size", func(c *Config) { c.BatchSize = 0 }},
+		{"negative pickup delay", func(c *Config) { c.PickupMeanHours = -1 }},
+		{"catch rate above 1", func(c *Config) { c.QualificationCatchRate = 1.5 }},
+		{"NaN catch rate", func(c *Config) { c.QualificationCatchRate = math.NaN() }},
+	} {
+		cfg := DefaultConfig()
+		c.edit(&cfg)
+		if _, err := NewPlatform(evenOddTruth, cfg); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
 	}
 }
 
@@ -202,32 +176,6 @@ func TestSequentialSlowerThanParallel(t *testing.T) {
 	t.Logf("parallel=%0.1fh sequential=%0.1fh ratio=%.1fx", parallelTime, seqTime, seqTime/parallelTime)
 	if seqTime < 3*parallelTime {
 		t.Errorf("sequential %.1fh not clearly slower than parallel %.1fh", seqTime, parallelTime)
-	}
-}
-
-// TestMajorityVoteRepairsSomeErrors: with a noisy-but-decent crowd, the
-// majority-voted accuracy beats the single-worker accuracy.
-func TestMajorityVoteRepairsSomeErrors(t *testing.T) {
-	model := UniformErrorModel{Rate: 0.2}
-	rng := rand.New(rand.NewSource(3))
-	pair := core.Pair{ID: 0, A: 0, B: 1, Likelihood: 0.5}
-	const trials = 4000
-	singleRight, votedRight := 0, 0
-	for i := 0; i < trials; i++ {
-		answers := []core.Label{
-			model.Answer(pair, true, 1, rng),
-			model.Answer(pair, true, 1, rng),
-			model.Answer(pair, true, 1, rng),
-		}
-		if answers[0] == core.Matching {
-			singleRight++
-		}
-		if MajorityVote(answers) == core.Matching {
-			votedRight++
-		}
-	}
-	if votedRight <= singleRight {
-		t.Errorf("majority voting (%d) did not beat single workers (%d)", votedRight, singleRight)
 	}
 }
 
@@ -355,7 +303,8 @@ func TestRunHITsSequentiallyEmpty(t *testing.T) {
 
 func TestRunHITsSequentiallyDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	hits := BatchIntoHITs(testPairs(60), cfg.BatchSize)
+	pairs := testPairs(60)
+	hits := [][]core.Pair{pairs[:20], pairs[20:40], pairs[40:]}
 	a, err := RunHITsSequentially(hits, evenOddTruth, cfg)
 	if err != nil {
 		t.Fatal(err)

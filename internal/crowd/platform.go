@@ -33,21 +33,9 @@ type Platform struct {
 	buffer []core.Pair
 
 	hitLog      [][]core.Pair
-	assignLog   []Assignment
 	published   int
 	delivered   int
 	assignments int
-}
-
-// Assignment records one worker's answer to one pair — the raw material
-// for post-hoc consensus methods beyond majority voting (see EMConsensus).
-type Assignment struct {
-	// Worker indexes the platform's worker pool.
-	Worker int
-	// PairID is the answered pair's Pair.ID.
-	PairID int
-	// Answer is the worker's label.
-	Answer core.Label
 }
 
 type labeledPair struct {
@@ -267,7 +255,6 @@ func (p *Platform) submit(w *worker, h *hit) {
 		if ans == core.Matching {
 			h.votes[i]++
 		}
-		p.assignLog = append(p.assignLog, Assignment{Worker: w.id, PairID: pair.ID, Answer: ans})
 	}
 	h.answered++
 	h.remaining--
@@ -283,6 +270,10 @@ func (p *Platform) submit(w *worker, h *hit) {
 	p.engine.Schedule(p.exp(p.cfg.EngagedPickupHours), func() { p.tryPickup(w) })
 }
 
+// finalize closes h and labels each of its pairs by majority vote over
+// its assignments, the paper's only aggregation; a tie (possible only with
+// an even Assignments) goes to NonMatching, the conservative choice for
+// joins.
 func (p *Platform) finalize(h *hit) {
 	for i := range p.open {
 		if p.open[i] == h {
@@ -341,10 +332,6 @@ func (p *Platform) CostCents() int { return p.HITs() * p.cfg.Assignments * p.cfg
 
 // AssignmentsDone returns the number of submitted assignments.
 func (p *Platform) AssignmentsDone() int { return p.assignments }
-
-// AssignmentLog returns every (worker, pair, answer) triple submitted so
-// far, in submission order.
-func (p *Platform) AssignmentLog() []Assignment { return p.assignLog }
 
 // NumWorkers returns the size of the recruited pool.
 func (p *Platform) NumWorkers() int { return len(p.workers) }

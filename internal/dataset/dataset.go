@@ -50,16 +50,6 @@ func (r *Record) Text() string {
 	return b.String()
 }
 
-// Field returns the value of the named field, or "" when absent.
-func (r *Record) Field(name string) string {
-	for _, f := range r.Fields {
-		if f.Name == name {
-			return f.Value
-		}
-	}
-	return ""
-}
-
 // Dataset is a collection of records with ground truth.
 type Dataset struct {
 	// Name identifies the dataset ("paper" or "product").

@@ -173,12 +173,6 @@ func TestRecordAccessors(t *testing.T) {
 	if r.Text() != "x y" {
 		t.Errorf("Text = %q, want %q", r.Text(), "x y")
 	}
-	if r.Field("b") != "y" {
-		t.Errorf("Field(b) = %q, want y", r.Field("b"))
-	}
-	if r.Field("missing") != "" {
-		t.Errorf("Field(missing) = %q, want empty", r.Field("missing"))
-	}
 }
 
 func TestSortedHistogram(t *testing.T) {

@@ -5,8 +5,9 @@ import (
 )
 
 // TestFullScaleHeadlines guards the paper-shape properties at the full
-// evaluation scale — the quantities EXPERIMENTS.md reports. Skipped under
-// -short; the whole battery costs a few seconds.
+// evaluation scale. cmd/experiments/testdata/all.golden pins the exact
+// tables these quantities come from. Skipped under -short; the whole
+// battery costs a few seconds.
 func TestFullScaleHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiments skipped in -short mode")

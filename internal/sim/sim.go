@@ -49,17 +49,6 @@ func (e *Engine) Run() {
 	}
 }
 
-// RunUntil fires events with timestamps ≤ t, then advances the clock to t
-// if it is ahead of the last event.
-func (e *Engine) RunUntil(t float64) {
-	for len(e.queue) > 0 && e.queue[0].at <= t {
-		e.Step()
-	}
-	if e.now < t {
-		e.now = t
-	}
-}
-
 type event struct {
 	at  float64
 	seq int64

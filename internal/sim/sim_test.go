@@ -75,26 +75,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var e Engine
-	var fired []float64
-	for _, d := range []float64{1, 2, 3, 4} {
-		d := d
-		e.Schedule(d, func() { fired = append(fired, d) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want events at 1 and 2", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Errorf("now = %v, want 2.5", e.Now())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Errorf("remaining events lost: fired %v", fired)
-	}
-}
-
 // TestQuickTimeMonotonic: under random scheduling, observed fire times are
 // non-decreasing and equal-time events preserve scheduling order.
 func TestQuickTimeMonotonic(t *testing.T) {

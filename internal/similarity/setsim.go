@@ -10,39 +10,6 @@ func Jaccard(a, b []string) float64 {
 	return float64(inter) / float64(union)
 }
 
-// Dice returns 2|A ∩ B| / (|A| + |B|) over distinct elements.
-func Dice(a, b []string) float64 {
-	inter, union := interUnion(a, b)
-	total := union + inter // |A| + |B| counting distinct per side
-	if total == 0 {
-		return 1
-	}
-	return 2 * float64(inter) / float64(total)
-}
-
-// Overlap returns |A ∩ B| / min(|A|, |B|) over distinct elements.
-// If either side is empty it returns 0 unless both are empty (1).
-func Overlap(a, b []string) float64 {
-	sa, sb := distinct(a), distinct(b)
-	if len(sa) == 0 && len(sb) == 0 {
-		return 1
-	}
-	if len(sa) == 0 || len(sb) == 0 {
-		return 0
-	}
-	inter := 0
-	small, large := sa, sb
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	for t := range small {
-		if _, ok := large[t]; ok {
-			inter++
-		}
-	}
-	return float64(inter) / float64(len(small))
-}
-
 func distinct(a []string) map[string]struct{} {
 	s := make(map[string]struct{}, len(a))
 	for _, t := range a {

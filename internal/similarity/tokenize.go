@@ -1,11 +1,10 @@
-// Package similarity implements the string-similarity measures that drive
-// the machine-based half of the hybrid workflow: the likelihood that two
-// records match (Section 4.2 — "the likelihood can be the similarity
-// computed by a given similarity function", citing CrowdER).
-//
-// It provides tokenization, set and bag similarities (Jaccard, Dice,
-// overlap), TF-IDF cosine over a corpus, edit-based measures (Levenshtein,
-// Jaro-Winkler), and field-weighted record similarity.
+// Package similarity is the test reference for the machine half of the
+// hybrid workflow, whose pair likelihood is token Jaccard (Section 4.2 —
+// "the likelihood can be the similarity computed by a given similarity
+// function", citing CrowdER). No binary imports it: internal/candgen
+// computes the likelihoods, and its tests check them against the plain
+// string versions here — Tokenize and TokenSet for candgen's byte tokenizer
+// (FuzzTokenIDsMatchTokenSet), and Jaccard for the Scorer's kernels.
 package similarity
 
 import (
@@ -48,33 +47,6 @@ func TokenSet(s string) []string {
 		}
 		seen[t] = struct{}{}
 		out = append(out, t)
-	}
-	return out
-}
-
-// QGrams returns the q-grams of s (over its raw lowercased runes, padded
-// with q-1 leading and trailing '#'), the decomposition used by approximate
-// string joins. q must be positive.
-func QGrams(s string, q int) []string {
-	if q <= 0 {
-		panic("similarity: QGrams requires q > 0")
-	}
-	lower := strings.ToLower(s)
-	runes := []rune(lower)
-	if len(runes) == 0 {
-		return nil
-	}
-	padded := make([]rune, 0, len(runes)+2*(q-1))
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, '#')
-	}
-	padded = append(padded, runes...)
-	for i := 0; i < q-1; i++ {
-		padded = append(padded, '#')
-	}
-	out := make([]string, 0, len(padded)-q+1)
-	for i := 0; i+q <= len(padded); i++ {
-		out = append(out, string(padded[i:i+q]))
 	}
 	return out
 }

@@ -159,23 +159,9 @@ func (u *UF) Union(x, y int32) (root, absorbed int32, merged bool) {
 	return rx, ry, true
 }
 
-// Clone returns an independent deep copy of the current partition. The
-// clone starts in compressing mode with an empty undo log regardless of
-// the receiver's mode: rollback history does not transfer.
-func (u *UF) Clone() *UF {
-	c := &UF{
-		parent: make([]int32, len(u.parent)),
-		size:   make([]int32, len(u.size)),
-		sets:   u.sets,
-	}
-	copy(c.parent, u.parent)
-	copy(c.size, u.size)
-	return c
-}
-
 // CloneInto copies u's current partition into dst, which must have the
-// same universe size; dst's allocations are reused. Like Clone, it leaves
-// dst in compressing mode with an empty undo log.
+// same universe size; dst's allocations are reused. It leaves dst in
+// compressing mode with an empty undo log.
 func (u *UF) CloneInto(dst *UF) {
 	if len(dst.parent) != len(u.parent) {
 		panic("unionfind: CloneInto size mismatch")

@@ -111,22 +111,6 @@ func TestTransitiveChain(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	u := New(4)
-	u.Union(0, 1)
-	c := u.Clone()
-	c.Union(2, 3)
-	if u.Same(2, 3) {
-		t.Error("mutating clone affected original")
-	}
-	if !c.Same(0, 1) {
-		t.Error("clone lost original union")
-	}
-	if u.Sets() != 3 || c.Sets() != 2 {
-		t.Errorf("Sets: original=%d clone=%d, want 3 and 2", u.Sets(), c.Sets())
-	}
-}
-
 func TestReset(t *testing.T) {
 	u := New(4)
 	u.Union(0, 1)

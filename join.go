@@ -393,6 +393,10 @@ func NewJoin(opts ...JoinOption) (*Join, error) {
 	if !j.havePairs && !j.haveTexts {
 		return nil, errors.New("crowdjoin: no input configured; use WithPairs, WithTexts, or WithTextsAcross")
 	}
+	// Phrased so that NaN, which fails every comparison, fails the check.
+	if j.strategy.kind == strategyBudget && !(j.strategy.guessThreshold >= 0 && j.strategy.guessThreshold <= 1) {
+		return nil, fmt.Errorf("crowdjoin: guess %v outside [0,1]", j.strategy.guessThreshold)
+	}
 	if j.concurrency > 1 && j.strategy.kind == strategyBudget {
 		return nil, errors.New("crowdjoin: WithConcurrency > 1 is incompatible with BudgetStrategy (the budget is a global constraint)")
 	}

@@ -1,9 +1,11 @@
 package crowdjoin_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -59,9 +61,28 @@ func checkPartialConsistency(t *testing.T, res *crowdjoin.JoinResult) {
 	}
 }
 
+// recordingOracle records every pair its inner oracle answered. Sharded
+// sessions call it from several goroutines.
+type recordingOracle struct {
+	inner crowdjoin.Oracle
+	mu    sync.Mutex
+	asked []crowdjoin.Pair
+}
+
+func (o *recordingOracle) Label(p crowdjoin.Pair) crowdjoin.Label {
+	l := o.inner.Label(p)
+	o.mu.Lock()
+	o.asked = append(o.asked, p)
+	o.mu.Unlock()
+	return l
+}
+
 // TestJoinCancellationPartialResults: for every oracle-driven strategy,
 // cancelling mid-join must return ctx.Err() together with a consistent
-// partial result.
+// partial result. The parallel rows, unsharded and at WithConcurrency(4)
+// under each router, also require that no answer the crowd gave is lost:
+// each answered pair is Crowdsourced in the partial result, and a Run
+// resumed from the cancelled Run's journal asks none of them again.
 func TestJoinCancellationPartialResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	numObjects, pairs, entity := randomJoinCase(rng)
@@ -101,6 +122,96 @@ func TestJoinCancellationPartialResults(t *testing.T) {
 			if _, err := res.Clusters(); err != nil {
 				t.Fatalf("%s after %d: partial clusters: %v", tc.name, after, err)
 			}
+		}
+	}
+
+	for _, row := range parallelCancelRows {
+		for _, after := range []int{1, 3, 10} {
+			checkParallelCancelKeepsAnswers(t, row.name, numObjects, pairs, truth, after, row.opts)
+		}
+		for seed := int64(1); seed <= 6; seed++ {
+			n, ps, ent := randomJoinCase(rand.New(rand.NewSource(seed)))
+			checkParallelCancelKeepsAnswers(t, row.name, n, ps, &crowdjoin.TruthOracle{Entity: ent}, 5, row.opts)
+		}
+	}
+}
+
+// parallelCancelRows are the ParallelStrategy configurations whose
+// cancellation must keep every answer the crowd gave.
+var parallelCancelRows = []struct {
+	name string
+	opts []crowdjoin.JoinOption
+}{
+	{"parallel", nil},
+	{"parallel-k4-largest-first", []crowdjoin.JoinOption{crowdjoin.WithConcurrency(4)}},
+}
+
+// checkParallelCancelKeepsAnswers cancels a ParallelStrategy Run after the
+// crowd's after-th answer, with and without a journal, and requires that
+// every pair the crowd answered is Crowdsourced in the partial result and
+// that a Run resumed from the journal asks none of them again.
+func checkParallelCancelKeepsAnswers(t *testing.T, name string, numObjects int, pairs []crowdjoin.Pair, truth crowdjoin.Oracle, after int, extra []crowdjoin.JoinOption) {
+	t.Helper()
+	byKey := make(map[[2]int32]int, len(pairs))
+	for _, p := range pairs {
+		byKey[[2]int32{p.A, p.B}] = p.ID
+	}
+	cancelled := func(journal *bytes.Buffer) []crowdjoin.Pair {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rec := &recordingOracle{inner: truth}
+		opts := []crowdjoin.JoinOption{
+			crowdjoin.WithPairs(numObjects, pairs),
+			crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
+			crowdjoin.WithOracle(cancelAfter(rec, after, cancel)),
+		}
+		if journal != nil {
+			opts = append(opts, crowdjoin.WithJournal(journal))
+		}
+		j, err := crowdjoin.NewJoin(append(opts, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := j.Run(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s after %d: err = %v, want context.Canceled", name, after, err)
+		}
+		checkPartialConsistency(t, res)
+		kept := 0
+		for _, p := range rec.asked {
+			if res.Crowdsourced[byKey[[2]int32{p.A, p.B}]] {
+				kept++
+			}
+		}
+		if kept != len(rec.asked) {
+			t.Fatalf("%s after %d: partial result keeps %d of the %d answers the crowd gave", name, after, kept, len(rec.asked))
+		}
+		return rec.asked
+	}
+	cancelled(nil)
+
+	var journal bytes.Buffer
+	asked := cancelled(&journal)
+	paid := make(map[[2]int32]bool, len(asked))
+	for _, p := range asked {
+		paid[[2]int32{p.A, p.B}] = true
+	}
+	rec := &recordingOracle{inner: truth}
+	j, err := crowdjoin.NewJoin(append([]crowdjoin.JoinOption{
+		crowdjoin.WithPairs(numObjects, pairs),
+		crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
+		crowdjoin.WithOracle(rec),
+		crowdjoin.WithJournal(bytes.NewBuffer(journal.Bytes())),
+	}, extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Run(context.Background()); err != nil {
+		t.Fatalf("%s after %d: resumed Run: %v", name, after, err)
+	}
+	for _, p := range rec.asked {
+		if paid[[2]int32{p.A, p.B}] {
+			t.Fatalf("%s after %d: resumed Run asked %v again", name, after, p)
 		}
 	}
 }

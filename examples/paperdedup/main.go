@@ -7,14 +7,24 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"crowdjoin"
 	"crowdjoin/internal/dataset"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run deduplicates the corpus under four labeling orders and writes the
+// comparison to w.
+func run(w io.Writer) error {
 	cfg := dataset.DefaultCoraConfig()
 	cfg.Records = 400
 	cfg.LargestCluster = 60
@@ -24,59 +34,69 @@ func main() {
 	for i := range d.Records {
 		texts[i] = d.Records[i].Text()
 	}
-	fmt.Printf("deduplicating %d citation records (largest duplicate cluster: %d)\n",
+	fmt.Fprintf(w, "deduplicating %d citation records (largest duplicate cluster: %d)\n",
 		d.Len(), cfg.LargestCluster)
 
 	matcher := crowdjoin.Matcher{Threshold: 0.35}
 	pairs, err := matcher.Candidates(texts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("machine pass kept %d candidates of %d pairs\n", len(pairs), d.NumPairs())
+	fmt.Fprintf(w, "machine pass kept %d candidates of %d pairs\n", len(pairs), d.NumPairs())
 
 	truth := &crowdjoin.TruthOracle{Entity: d.Entities()}
 	// The labeling order is a pluggable session strategy: the same Join
 	// configuration, re-run with four different WithOrder values.
-	run := func(ord crowdjoin.Ordering) *crowdjoin.JoinResult {
+	join := func(ord crowdjoin.Ordering) (*crowdjoin.JoinResult, error) {
 		j, err := crowdjoin.NewJoin(
 			crowdjoin.WithPairs(d.Len(), pairs),
 			crowdjoin.WithOrder(ord),
 			crowdjoin.WithOracle(truth),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		res, err := j.Run(context.Background())
+		return j.Run(context.Background())
+	}
+	orders := []struct {
+		name string
+		ord  crowdjoin.Ordering
+	}{
+		{"optimal (oracle)", func(ps []crowdjoin.Pair) []crowdjoin.Pair {
+			return crowdjoin.OptimalOrder(ps, truth.Matches)
+		}},
+		{"expected (heuristic)", crowdjoin.OrderExpected},
+		{"random", crowdjoin.OrderRandom(rand.New(rand.NewSource(1)))},
+		{"worst (oracle)", func(ps []crowdjoin.Pair) []crowdjoin.Pair {
+			return crowdjoin.WorstOrder(ps, truth.Matches)
+		}},
+	}
+
+	fmt.Fprintln(w, "labeling order comparison (perfect crowd):")
+	asked := make([]int, len(orders))
+	for i, o := range orders {
+		res, err := join(o.ord)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		return res
+		fmt.Fprintf(w, "  %-22s %5d crowdsourced, %5d deduced\n", o.name, res.NumCrowdsourced, res.NumDeduced)
+		asked[i] = res.NumCrowdsourced
 	}
-	count := func(name string, ord crowdjoin.Ordering) int {
-		res := run(ord)
-		fmt.Printf("  %-22s %5d crowdsourced, %5d deduced\n", name, res.NumCrowdsourced, res.NumDeduced)
-		return res.NumCrowdsourced
-	}
+	opt, exp, worst := asked[0], asked[1], asked[3]
 
-	fmt.Println("labeling order comparison (perfect crowd):")
-	opt := count("optimal (oracle)", func(ps []crowdjoin.Pair) []crowdjoin.Pair {
-		return crowdjoin.OptimalOrder(ps, truth.Matches)
-	})
-	exp := count("expected (heuristic)", crowdjoin.OrderExpected)
-	count("random", crowdjoin.OrderRandom(rand.New(rand.NewSource(1))))
-	worst := count("worst (oracle)", func(ps []crowdjoin.Pair) []crowdjoin.Pair {
-		return crowdjoin.WorstOrder(ps, truth.Matches)
-	})
-
-	fmt.Printf("\nthe heuristic needs %.1f%% more questions than the optimal order;\n",
+	fmt.Fprintf(w, "\nthe heuristic needs %.1f%% more questions than the optimal order;\n",
 		100*(float64(exp)/float64(opt)-1))
-	fmt.Printf("the worst order needs %.1fx the optimal — ordering matters.\n",
+	fmt.Fprintf(w, "the worst order needs %.1fx the optimal — ordering matters.\n",
 		float64(worst)/float64(opt))
 
 	// Final entities from the expected-order run.
-	clusters, err := run(crowdjoin.OrderExpected).Clusters()
+	res, err := join(crowdjoin.OrderExpected)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	clusters, err := res.Clusters()
+	if err != nil {
+		return err
 	}
 	big := 0
 	for _, c := range clusters {
@@ -84,5 +104,6 @@ func main() {
 			big++
 		}
 	}
-	fmt.Printf("resolved into %d entities (%d clusters with ≥10 duplicate records)\n", len(clusters), big)
+	fmt.Fprintf(w, "resolved into %d entities (%d clusters with ≥10 duplicate records)\n", len(clusters), big)
+	return nil
 }

@@ -7,13 +7,23 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"crowdjoin"
 	"crowdjoin/internal/dataset"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run compares the publication strategies on the simulators and writes the
+// report to w.
+func run(w io.Writer) error {
 	cfg := dataset.DefaultCoraConfig()
 	cfg.Records = 300
 	cfg.LargestCluster = 50
@@ -26,7 +36,7 @@ func main() {
 	matcher := crowdjoin.Matcher{Threshold: 0.35}
 	pairs, err := matcher.Candidates(texts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	truth := &crowdjoin.TruthOracle{Entity: d.Entities()}
 
@@ -35,7 +45,7 @@ func main() {
 
 	// runOn drives one join session against pf (the default ordering is
 	// the likelihood-descending expected order).
-	runOn := func(pf crowdjoin.Platform, instant bool) *crowdjoin.JoinResult {
+	runOn := func(pf crowdjoin.Platform, instant bool) (*crowdjoin.JoinResult, error) {
 		j, err := crowdjoin.NewJoin(
 			crowdjoin.WithPairs(d.Len(), pairs),
 			crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
@@ -43,33 +53,32 @@ func main() {
 			crowdjoin.WithInstantDecisions(instant),
 		)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
-		res, err := j.Run(context.Background())
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+		return j.Run(context.Background())
 	}
 
 	// Parallel(ID): publish every pair that has become mandatory the moment
 	// an answer arrives; HITs fill as pairs accumulate.
 	platform, err := crowdjoin.NewAMTSimulator(truth.Matches, amt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	res := runOn(platform, true)
-	fmt.Printf("candidates: %d; crowdsourced %d, deduced %d\n",
+	res, err := runOn(platform, true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "candidates: %d; crowdsourced %d, deduced %d\n",
 		len(pairs), res.NumCrowdsourced, res.NumDeduced)
-	fmt.Printf("Parallel(ID): %d HITs, %d assignments, %d cents, %.1f simulated hours\n",
+	fmt.Fprintf(w, "Parallel(ID): %d HITs, %d assignments, %d cents, %.1f simulated hours\n",
 		platform.HITs(), platform.AssignmentsDone(), platform.CostCents(), platform.Now())
 
 	// Non-parallel baseline: identical HITs, published one at a time.
 	seqHours, err := crowdjoin.ReplayHITsSequentially(platform.HITLog(), truth.Matches, amt)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Non-Parallel:  same %d HITs published one at a time take %.1f hours (%.1fx slower)\n",
+	fmt.Fprintf(w, "Non-Parallel:  same %d HITs published one at a time take %.1f hours (%.1fx slower)\n",
 		platform.HITs(), seqHours, seqHours/platform.Now())
 
 	// Availability dynamics: why instant decision matters. With plain
@@ -77,9 +86,12 @@ func main() {
 	// decision work keeps flowing.
 	for _, instant := range []bool{false, true} {
 		pf := crowdjoin.NewSimulatedCrowd(truth, crowdjoin.SelectAscendingLikelihood, nil)
-		run := runOn(pf, instant)
+		res, err := runOn(pf, instant)
+		if err != nil {
+			return err
+		}
 		starved := 0
-		for _, a := range run.Availability[:len(run.Availability)-1] {
+		for _, a := range res.Availability[:len(res.Availability)-1] {
 			if a == 0 {
 				starved++
 			}
@@ -88,7 +100,8 @@ func main() {
 		if instant {
 			name = "instant decision"
 		}
-		fmt.Printf("%-17s %3d publish events, platform starved %d times mid-run\n",
-			name, len(run.PublishSizes), starved)
+		fmt.Fprintf(w, "%-17s %3d publish events, platform starved %d times mid-run\n",
+			name, len(res.PublishSizes), starved)
 	}
+	return nil
 }

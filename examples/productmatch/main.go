@@ -7,13 +7,22 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"crowdjoin"
 	"crowdjoin/internal/dataset"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run joins the two catalogs and writes the cost and quality report to w.
+func run(w io.Writer) error {
 	// Two catalogs of the same product universe with divergent naming.
 	// (The generator ships with the library as a test substrate; your own
 	// application brings real catalogs.)
@@ -31,7 +40,7 @@ func main() {
 		buy = append(buy, d.Records[id].Text())
 		buyIDs = append(buyIDs, id)
 	}
-	fmt.Printf("joining %d x %d product listings (%d possible pairs)\n",
+	fmt.Fprintf(w, "joining %d x %d product listings (%d possible pairs)\n",
 		len(abt), len(buy), len(abt)*len(buy))
 
 	// The facade numbers objects 0..len(abt)+len(buy)-1; map back to the
@@ -65,15 +74,15 @@ func main() {
 		crowdjoin.WithBatchOracle(batch),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := j.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pairs := res.Order
-	fmt.Printf("machine pass kept %d candidates\n", len(pairs))
-	fmt.Printf("parallel labeler: %d pairs crowdsourced in %d iterations (round sizes %v), %d deduced\n",
+	fmt.Fprintf(w, "machine pass kept %d candidates\n", len(pairs))
+	fmt.Fprintf(w, "parallel labeler: %d pairs crowdsourced in %d iterations (round sizes %v), %d deduced\n",
 		res.NumCrowdsourced, len(res.RoundSizes), res.RoundSizes, res.NumDeduced)
 
 	// Quality against ground truth.
@@ -94,8 +103,9 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("matches found: %d correct, %d wrong, recall %.1f%% of %d true matches\n",
+	fmt.Fprintf(w, "matches found: %d correct, %d wrong, recall %.1f%% of %d true matches\n",
 		tp, fp, 100*float64(tp)/float64(trueMatches), trueMatches)
-	fmt.Printf("crowd questions saved by transitivity: %d of %d (%.1f%%)\n",
+	fmt.Fprintf(w, "crowd questions saved by transitivity: %d of %d (%.1f%%)\n",
 		len(pairs)-asked, len(pairs), 100*float64(len(pairs)-asked)/float64(len(pairs)))
+	return nil
 }

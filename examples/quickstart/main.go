@@ -7,12 +7,21 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"crowdjoin"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run resolves the listings and writes the walkthrough to w.
+func run(w io.Writer) error {
 	// Six listings: three describe one tablet, two describe one TV, and one
 	// is a loner.
 	texts := []string{
@@ -43,39 +52,40 @@ func main() {
 		crowdjoin.WithOracle(crowd),
 		crowdjoin.WithProgress(func(e crowdjoin.Event) {
 			if e.Kind == crowdjoin.EventPairCrowdsourced {
-				fmt.Printf("  crowd asked: %q vs %q\n", texts[e.Pair.A], texts[e.Pair.B])
+				fmt.Fprintf(w, "  crowd asked: %q vs %q\n", texts[e.Pair.A], texts[e.Pair.B])
 			}
 		}),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := j.Run(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("machine pass kept %d candidate pairs of %d possible\n",
+	fmt.Fprintf(w, "machine pass kept %d candidate pairs of %d possible\n",
 		len(res.Order), len(texts)*(len(texts)-1)/2)
-	fmt.Printf("crowdsourced %d pairs, deduced %d via transitive relations\n",
+	fmt.Fprintf(w, "crowdsourced %d pairs, deduced %d via transitive relations\n",
 		res.NumCrowdsourced, res.NumDeduced)
 
 	clusters, err := res.Clusters()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("entities found:")
+	fmt.Fprintln(w, "entities found:")
 	for _, c := range clusters {
 		if len(c) == 1 {
 			continue
 		}
-		fmt.Printf("  cluster: ")
+		fmt.Fprintf(w, "  cluster: ")
 		for i, o := range c {
 			if i > 0 {
-				fmt.Print(" == ")
+				fmt.Fprint(w, " == ")
 			}
-			fmt.Printf("%q", texts[o])
+			fmt.Fprintf(w, "%q", texts[o])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
+	return nil
 }

@@ -9,12 +9,22 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"crowdjoin"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run streams the batches through one session and writes each round's
+// outcome to w.
+func run(w io.Writer) error {
 	// The catalog starts with four listings; two more batches arrive later.
 	initial := []string{
 		"apple ipad 2nd gen tablet 16gb black",
@@ -52,49 +62,55 @@ func main() {
 		crowdjoin.WithProgress(func(e crowdjoin.Event) {
 			switch e.Kind {
 			case crowdjoin.EventRecordAppended:
-				fmt.Printf("  [event] append %d integrated %d records\n", e.Round, e.Size)
+				fmt.Fprintf(w, "  [event] append %d integrated %d records\n", e.Round, e.Size)
 			case crowdjoin.EventComponentsMerged:
-				fmt.Printf("  [event] component %d absorbed component %d\n", e.Component, e.Absorbed)
+				fmt.Fprintf(w, "  [event] component %d absorbed component %d\n", e.Component, e.Absorbed)
 			}
 		}),
 	)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	texts := append([]string{}, initial...)
-	runRound := func(title string) {
+	runRound := func(title string) error {
 		res, err := j.Run(context.Background())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s: crowdsourced %d, deduced %d, replayed %d (crowd asked %d total)\n",
+		fmt.Fprintf(w, "%s: crowdsourced %d, deduced %d, replayed %d (crowd asked %d total)\n",
 			title, res.NumCrowdsourced, res.NumDeduced, res.Replayed, asked)
 		clusters, err := res.Clusters()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for _, c := range clusters {
 			if len(c) < 2 {
 				continue
 			}
-			fmt.Print("  cluster:")
+			fmt.Fprint(w, "  cluster:")
 			for _, o := range c {
-				fmt.Printf(" %q", texts[o])
+				fmt.Fprintf(w, " %q", texts[o])
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
+		return nil
 	}
 
-	runRound("initial corpus")
+	if err := runRound("initial corpus"); err != nil {
+		return err
+	}
 	for _, batch := range arrivals {
 		ar, err := j.Append(batch...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		texts = append(texts, batch...)
-		fmt.Printf("appended %d records: %d new candidate pairs, %d merges\n",
+		fmt.Fprintf(w, "appended %d records: %d new candidate pairs, %d merges\n",
 			ar.NumRecords, len(ar.NewPairs), len(ar.Merges))
-		runRound("after append")
+		if err := runRound("after append"); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -376,6 +376,9 @@ func BenchmarkSequentialLabeling(b *testing.B) {
 	b.ReportMetric(float64(len(pairs)), "pairs")
 }
 
+// BenchmarkParallelLabeling times what a k=1 ParallelStrategy Run labels
+// on Paper@0.3: the one-shard partition, the round adapter and the round
+// driver.
 func BenchmarkParallelLabeling(b *testing.B) {
 	e := benchEnv(b)
 	pairs := e.Paper.Candidates(0.3)
@@ -383,7 +386,11 @@ func BenchmarkParallelLabeling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelParallelRun(e.Paper.Dataset.Len(), order, core.Batched(e.Paper.Truth), core.RunOpts{}); err != nil {
+		pt, err := core.SinglePartition(e.Paper.Dataset.Len(), order)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := labelRounds(pt, core.Batched(e.Paper.Truth), 1, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -411,10 +418,11 @@ func (o latencyBatchOracle) LabelBatch(ps []core.Pair) []core.Label {
 // labeler against a simulated-latency crowd on the Paper dataset at
 // threshold 0.4, where the candidate graph is genuinely multi-component
 // (137 components, largest ~49% of the pairs — at 0.3 one giant component
-// holds 94% and sharding has nothing to parallelize). k=1 is the exact
-// unsharded driver (the WithConcurrency(1) path); k=4 runs four connected
-// components' rounds concurrently. Labels are identical; the wall-clock
-// difference is the cross-component round barrier the sharding removes.
+// holds 94% and sharding has nothing to parallelize). k=1 is the unsharded
+// WithConcurrency(1) path, one shard with one round in flight; k=4 keeps
+// up to four components' rounds in flight. Labels are identical; the
+// wall-clock difference is the cross-component round barrier the sharding
+// removes.
 func BenchmarkShardedParallelLabeling(b *testing.B) {
 	e := benchEnv(b)
 	pairs := e.Paper.Candidates(0.4)
@@ -429,24 +437,24 @@ func BenchmarkShardedParallelLabeling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	single, err := core.SinglePartition(e.Paper.Dataset.Len(), order)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, k := range []int{1, 4} {
 		b.Run(benchName("k", k), func(b *testing.B) {
 			b.ReportAllocs()
+			run := pt
+			if k == 1 {
+				run = single
+			}
 			var crowdsourced int
 			for i := 0; i < b.N; i++ {
-				if k == 1 {
-					r, err := core.LabelParallelRun(e.Paper.Dataset.Len(), order, oracle, core.RunOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					crowdsourced = r.NumCrowdsourced
-				} else {
-					r, err := core.LabelPartitionedParallelRun(pt, oracle, k, core.RunOpts{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					crowdsourced = r.NumCrowdsourced
+				r, err := labelRounds(run, oracle, k, false)
+				if err != nil {
+					b.Fatal(err)
 				}
+				crowdsourced = r.NumCrowdsourced
 			}
 			b.ReportMetric(float64(len(pt.Shards)), "components")
 			b.ReportMetric(float64(crowdsourced), "crowdsourced")
@@ -456,13 +464,14 @@ func BenchmarkShardedParallelLabeling(b *testing.B) {
 
 // BenchmarkGiantComponent measures the balance-aware question router on the
 // workload that motivates it: Paper@0.3, where one connected component holds
-// ~94% of the candidate pairs, so component-granular scheduling
-// (LabelPartitionedParallelRun's largest-first workers) pins one worker on the
-// giant component and k buys almost nothing over k=1. The routed run keeps
-// the identical per-component round structure but splits every published
-// round into single questions spread across k modeled crowd workers
-// (stride-weighted by remaining unlabeled pairs), so the giant component's
-// big rounds actually use the whole crowd. Labels and crowd cost are
+// ~94% of the candidate pairs, so round-granular scheduling (the round
+// adapter's largest-first mode, whole rounds with up to k in flight) keeps
+// one crowd call busy with the giant component's rounds and k buys almost
+// nothing over k=1. The routed run keeps the identical per-component round
+// structure but splits every published round into single questions spread
+// across k modeled crowd workers (stride-weighted by pairs the crowd has
+// not answered), so the giant component's big rounds actually use the
+// whole crowd. Labels and crowd cost are
 // identical across all three variants (pinned by the root-package router
 // differential tests); only wall-clock moves. Tracked in BENCH_core.json
 // and gated by benchjson --compare.
@@ -486,20 +495,18 @@ func BenchmarkGiantComponent(b *testing.B) {
 			giant = n
 		}
 	}
+	single, err := core.SinglePartition(numObjects, order)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const k = 4
 	variants := []struct {
 		name string
-		run  func() (*core.ParallelResult, error)
+		run  func() (*core.TraceResult, error)
 	}{
-		{"k=1", func() (*core.ParallelResult, error) {
-			return core.LabelParallelRun(numObjects, order, oracle, core.RunOpts{})
-		}},
-		{"k=4-largest-first", func() (*core.ParallelResult, error) {
-			return core.LabelPartitionedParallelRun(pt, oracle, k, core.RunOpts{})
-		}},
-		{"k=4-balanced", func() (*core.ParallelResult, error) {
-			return core.LabelRoutedParallelRun(pt, oracle, k, core.RunOpts{})
-		}},
+		{"k=1", func() (*core.TraceResult, error) { return labelRounds(single, oracle, 1, false) }},
+		{"k=4-largest-first", func() (*core.TraceResult, error) { return labelRounds(pt, oracle, k, false) }},
+		{"k=4-balanced", func() (*core.TraceResult, error) { return labelRounds(pt, oracle, k, true) }},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {

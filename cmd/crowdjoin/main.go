@@ -114,29 +114,17 @@ func main() {
 		oracle = synchronizedOracle(oracle)
 	}
 
-	matcher := crowdjoin.Matcher{Threshold: *threshold, UseIDF: *idf}
-	var opts []crowdjoin.JoinOption
-	if *stream {
-		// Streaming sessions keep the matcher attached: Join.Append extends
-		// the candidate index incrementally instead of labeling a
-		// precomputed pair set.
-		fmt.Fprintf(os.Stderr, "%d initial records; appending batches from stdin\n", len(a))
-		opts = append(opts, crowdjoin.WithTexts(a), crowdjoin.WithMatcher(matcher))
+	// The session generates the candidates itself, after NewJoin has
+	// validated the whole configuration; streaming sessions then extend
+	// them incrementally with Join.Append.
+	opts := []crowdjoin.JoinOption{crowdjoin.WithMatcher(crowdjoin.Matcher{Threshold: *threshold, UseIDF: *idf})}
+	if b == nil {
+		opts = append(opts, crowdjoin.WithTexts(a))
 	} else {
-		// Generate candidates up front so the user sees how much work lies
-		// ahead before the first question; the session then labels the
-		// precomputed set (in the default likelihood-descending order).
-		var pairs []crowdjoin.Pair
-		if b == nil {
-			pairs, err = matcher.Candidates(a)
-		} else {
-			pairs, err = matcher.CandidatesAcross(a, b)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%d records, %d candidate pairs above %.2f\n", len(texts), len(pairs), *threshold)
-		opts = append(opts, crowdjoin.WithPairs(len(texts), pairs))
+		opts = append(opts, crowdjoin.WithTextsAcross(a, b))
+	}
+	if *stream {
+		fmt.Fprintf(os.Stderr, "%d initial records; appending batches from stdin\n", len(a))
 	}
 	opts = append(opts,
 		crowdjoin.WithOracle(oracle),
@@ -218,6 +206,7 @@ func main() {
 	} else if err != nil {
 		fatal(err)
 	}
+	fmt.Fprintf(os.Stderr, "%d records, %d candidate pairs above %.2f\n", len(texts), len(res.Order), *threshold)
 	if res.Components > 0 {
 		fmt.Fprintf(os.Stderr, "candidate graph split into %d components (up to %d crowdsourced concurrently)\n", res.Components, *concurrency)
 	}
@@ -417,7 +406,13 @@ func readLines(path string) ([]string, error) {
 	return lines, sc.Err()
 }
 
+// fatal prints err with one "crowdjoin: " prefix (library errors carry it
+// already) and exits 1.
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crowdjoin:", err)
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "crowdjoin: ") {
+		msg = "crowdjoin: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -118,12 +118,12 @@ type Graph struct {
 	words int // words per bitset row: (n+63)/64
 	edges int // number of distinct non-matching cluster edges
 	// dirty lists, once each, every set id whose edge set became
-	// non-empty since the last Reset or CloneInto (listed[s] marks the
-	// members), so Reset and CloneInto touch only populated sets instead of
-	// walking the whole universe. A set emptied by Rollback stays listed.
+	// non-empty since the last Reset (listed[s] marks the members), so
+	// Reset touches only populated sets instead of walking the whole
+	// universe. A set emptied by Rollback stays listed.
 	dirty  []int32
 	listed []bool
-	// rowPool recycles bitset rows shed by CloneInto and Reset.
+	// rowPool recycles bitset rows shed by Reset.
 	rowPool [][]uint64
 
 	// journaling is enabled by the first Snapshot and cleared by Reset;
@@ -272,13 +272,15 @@ func (g *Graph) addHalf(s, v int32) {
 }
 
 // delHalf removes v from s's edge set (swap-delete; sets are unsorted).
+// The search runs from the end: Rollback removes edges in reverse order of
+// their addition, so the edge it undoes is usually the last one.
 func (g *Graph) delHalf(s, v int32) {
 	if row := g.bits[s]; row != nil {
 		row[uint32(v)>>6] &^= 1 << (uint32(v) & 63)
 	} else {
 		a := g.adj[s]
-		for i, x := range a {
-			if x == v {
+		for i := len(a) - 1; i >= 0; i-- {
+			if a[i] == v {
 				a[i] = a[len(a)-1]
 				g.adj[s] = a[:len(a)-1]
 				g.deg[s]--
@@ -466,7 +468,7 @@ func (g *Graph) Assume(a, b int32) Verdict {
 // Mark identifies a graph state for Rollback. Marks are only valid on the
 // graph that issued them, and only until a Rollback to an earlier mark or a
 // Reset.
-type Mark int
+type Mark int32
 
 // Snapshot records the current state and returns a mark Rollback can
 // restore. The first Snapshot switches the graph (and its union-find) into
@@ -507,45 +509,6 @@ func (g *Graph) ClusterSize(a int32) int32 { return g.uf.SizeOf(a) }
 // Clusters returns the current clusters; see unionfind.UF.Clusters for
 // ordering guarantees. Intended for reporting and tests.
 func (g *Graph) Clusters() [][]int32 { return g.uf.Clusters() }
-
-// CloneInto copies g's current state into dst, which must cover the same
-// universe; dst's allocations are reused where possible and its rollback
-// history, if any, is discarded. It returns dst. Only the populated edge
-// sets of the two graphs (their dirty lists) are touched, so the cost is
-// O(n) array copies plus O(live edges), independent of how many sets were
-// ever populated before.
-func (g *Graph) CloneInto(dst *Graph) *Graph {
-	if dst.Len() != g.Len() {
-		panic("clustergraph: CloneInto size mismatch")
-	}
-	g.uf.CloneInto(dst.uf)
-	copy(dst.eset, g.eset)
-	copy(dst.deg, g.deg)
-	for _, sid := range dst.dirty {
-		dst.adj[sid] = dst.adj[sid][:0]
-		dst.listed[sid] = false
-		if row := dst.bits[sid]; row != nil {
-			clear(row)
-			dst.rowPool = append(dst.rowPool, row)
-			dst.bits[sid] = nil
-		}
-	}
-	dst.dirty = append(dst.dirty[:0], g.dirty...)
-	for _, sid := range g.dirty {
-		dst.listed[sid] = true
-		dst.adj[sid] = append(dst.adj[sid][:0], g.adj[sid]...)
-		if row := g.bits[sid]; row != nil {
-			if dst.bits[sid] == nil {
-				dst.bits[sid] = dst.newRow()
-			}
-			copy(dst.bits[sid], row)
-		}
-	}
-	dst.edges = g.edges
-	dst.journaling = false
-	dst.journal = dst.journal[:0]
-	return dst
-}
 
 // Reset restores the graph to n singleton clusters with no edges, retaining
 // allocated capacity (slices, pooled bitset rows) so a warm graph resets

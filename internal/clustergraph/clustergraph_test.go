@@ -347,40 +347,6 @@ func BenchmarkInsertMatching(b *testing.B) {
 	}
 }
 
-func TestCloneInto(t *testing.T) {
-	g := New(5)
-	mustInsert(t, g, 0, 1, true)
-	mustInsert(t, g, 2, 3, false)
-	dst := New(5)
-	mustInsert(t, dst, 3, 4, true) // stale state must vanish
-	g.CloneInto(dst)
-	if dst.NumClusters() != g.NumClusters() || dst.NumEdges() != g.NumEdges() {
-		t.Fatalf("clusters/edges: dst=%d/%d src=%d/%d",
-			dst.NumClusters(), dst.NumEdges(), g.NumClusters(), g.NumEdges())
-	}
-	for a := int32(0); a < 5; a++ {
-		for b := a + 1; b < 5; b++ {
-			if dst.Deduce(a, b) != g.Deduce(a, b) {
-				t.Fatalf("Deduce(%d,%d) differs after CloneInto", a, b)
-			}
-		}
-	}
-	// Independence.
-	dst.ForceInsert(0, 4, true)
-	if g.SameCluster(0, 4) {
-		t.Error("CloneInto aliases adjacency state")
-	}
-}
-
-func TestCloneIntoSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CloneInto with mismatched sizes did not panic")
-		}
-	}()
-	New(3).CloneInto(New(5))
-}
-
 func TestRootStability(t *testing.T) {
 	g := New(4)
 	mustInsert(t, g, 0, 1, true)
@@ -395,7 +361,7 @@ func TestRootStability(t *testing.T) {
 // TestRollbackKeepsDirtyListBounded: an edge set emptied by Rollback stays
 // on the dirty list, so repopulating it must not list it again — long
 // snapshot/insert/rollback sessions would otherwise grow the list by two
-// entries per cycle. Reset and CloneInto must start the list afresh.
+// entries per cycle. Reset must start the list afresh.
 func TestRollbackKeepsDirtyListBounded(t *testing.T) {
 	const n = 8
 	g := New(n)
@@ -416,25 +382,21 @@ func TestRollbackKeepsDirtyListBounded(t *testing.T) {
 		t.Fatalf("dirty list holds %d entries for %d objects", len(g.dirty), n)
 	}
 	mustInsert(t, g, 2, 3, false)
-	dst := New(n)
-	g.CloneInto(dst)
 	g.Reset()
-	for _, h := range []*Graph{g, dst} {
-		h.Snapshot()
-		for k := 0; k < 3; k++ {
-			m := h.Snapshot()
-			mustInsert(t, h, 4, 5, false)
-			h.Rollback(m)
+	g.Snapshot()
+	for k := 0; k < 3; k++ {
+		m := g.Snapshot()
+		mustInsert(t, g, 4, 5, false)
+		g.Rollback(m)
+	}
+	if len(g.dirty) > n {
+		t.Fatalf("dirty list holds %d entries for %d objects after Reset", len(g.dirty), n)
+	}
+	seen := make(map[int32]bool)
+	for _, s := range g.dirty {
+		if seen[s] {
+			t.Fatalf("set %d listed twice: %v", s, g.dirty)
 		}
-		if len(h.dirty) > n {
-			t.Fatalf("dirty list holds %d entries for %d objects after Reset/CloneInto", len(h.dirty), n)
-		}
-		seen := make(map[int32]bool)
-		for _, s := range h.dirty {
-			if seen[s] {
-				t.Fatalf("set %d listed twice: %v", s, h.dirty)
-			}
-			seen[s] = true
-		}
+		seen[s] = true
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,13 +12,20 @@ import (
 
 // TestResumableScanMatchesScratch: driven the way the platform driver
 // drives it — labels only ever added and each one reported, every returned
-// pair immediately marked published — the resumable scan returns exactly
+// pair published — the resumable scan returns exactly
 // what a from-scratch Algorithm 3 scan returns minus the published pairs,
 // at every step. Answers come in random order from a perfect or a flaky
 // crowd, so both dirty rules (a non-matching answer where the scan assumed
 // a match, a matching one where it deduced non-matching) fire.
+//
+// Instant mode deduces after every answer, outside the scan. In the
+// drained-round mode the crowd answers every outstanding pair before the
+// next scan, and the scan itself deduces from the crowd-label graph, as
+// plain mode runs it: it must deduce exactly the labels a full sweep
+// would, report exactly those positions, and then select what a
+// from-scratch scan selects.
 func TestResumableScanMatchesScratch(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, drained bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 14, 40)
 		order := ExpectedOrder(pairs)
@@ -28,17 +36,45 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 		if seed%2 == 0 {
 			oracle = flakyOracle{truth}
 		}
-		scan := newResumableScan(n, order)
+		scan := newResumableScan(n, order, order)
 		labels := make([]Label, len(order))
 		published := make([]bool, len(order))
 		labeled := clustergraph.New(n)
 		var outstanding []Pair
-		setLabel := func(pos int, l Label) {
-			labels[pos] = l
-			scan.note(pos, l)
+		// sweep deduces every unlabeled, unpublished pair from the crowd
+		// labels into into, reporting each label to the scan when note is
+		// set, and returns the deduced positions.
+		sweep := func(into []Label, note bool) []int32 {
+			var deduced []int32
+			for _, q := range order {
+				if into[q.ID] != Unlabeled || published[q.ID] {
+					continue
+				}
+				switch labeled.Deduce(q.A, q.B) {
+				case clustergraph.DeducedMatching:
+					into[q.ID] = Matching
+				case clustergraph.DeducedNonMatching:
+					into[q.ID] = NonMatching
+				default:
+					continue
+				}
+				deduced = append(deduced, int32(q.ID))
+				if note {
+					scan.note(q.ID, into[q.ID])
+				}
+			}
+			return deduced
 		}
 		for step := 0; step < 200; step++ {
-			want, err := CrowdsourceablePairs(n, order, labels)
+			var crowd *clustergraph.Graph
+			wantLabels := labels
+			var wantDeduced []int32
+			if drained {
+				crowd = labeled
+				wantLabels = append([]Label(nil), labels...)
+				wantDeduced = sweep(wantLabels, false)
+			}
+			want, err := CrowdsourceablePairs(n, order, wantLabels)
 			if err != nil {
 				t.Error(err)
 				return false
@@ -49,7 +85,12 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 					wantUnpublished = append(wantUnpublished, p)
 				}
 			}
-			got := scan.scan(labels, published)
+			got, deduced := scan.scan(labels, published, crowd)
+			if drained && (!reflect.DeepEqual(labels, wantLabels) || len(deduced) != len(wantDeduced) ||
+				len(deduced) > 0 && !reflect.DeepEqual(deduced, wantDeduced)) {
+				t.Errorf("seed %d step %d: scan deduced %v, want %v", seed, step, deduced, wantDeduced)
+				return false
+			}
 			if len(got) != len(wantUnpublished) {
 				t.Errorf("seed %d step %d: scan returned %v, want %v", seed, step, got, wantUnpublished)
 				return false
@@ -61,46 +102,48 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 				}
 			}
 			for _, p := range got {
-				published[p.ID] = true
+				if !published[p.ID] {
+					t.Errorf("seed %d step %d: scan returned %v without marking it published", seed, step, p)
+					return false
+				}
 			}
 			outstanding = append(outstanding, got...)
 			if len(outstanding) == 0 {
 				break // everything labeled or deduced
 			}
-			// Answer a random outstanding pair; first knowledge wins on a
+			// Answer a random outstanding pair, or in drained-round mode
+			// all of them in random order; first knowledge wins on a
 			// conflicting answer, as in the driver.
-			i := rng.Intn(len(outstanding))
-			p := outstanding[i]
-			outstanding = append(outstanding[:i], outstanding[i+1:]...)
-			l := oracle.Label(p)
-			if err := labeled.Insert(p.A, p.B, l == Matching); err != nil {
-				if !errors.Is(err, clustergraph.ErrConflict) {
-					t.Error(err)
-					return false
-				}
-				if labeled.Deduce(p.A, p.B) == clustergraph.DeducedMatching {
-					l = Matching
-				} else {
-					l = NonMatching
-				}
+			answers := 1
+			if drained {
+				answers = len(outstanding)
 			}
-			setLabel(p.ID, l)
-			// Deduce from crowd labels, sparing published pairs.
-			for _, q := range order {
-				if labels[q.ID] != Unlabeled || published[q.ID] {
-					continue
+			for ; answers > 0; answers-- {
+				i := rng.Intn(len(outstanding))
+				p := outstanding[i]
+				outstanding = append(outstanding[:i], outstanding[i+1:]...)
+				l := oracle.Label(p)
+				if err := labeled.Insert(p.A, p.B, l == Matching); err != nil {
+					if !errors.Is(err, clustergraph.ErrConflict) {
+						t.Error(err)
+						return false
+					}
+					if labeled.Deduce(p.A, p.B) == clustergraph.DeducedMatching {
+						l = Matching
+					} else {
+						l = NonMatching
+					}
 				}
-				switch labeled.Deduce(q.A, q.B) {
-				case clustergraph.DeducedMatching:
-					setLabel(q.ID, Matching)
-				case clustergraph.DeducedNonMatching:
-					setLabel(q.ID, NonMatching)
-				}
+				labels[p.ID] = l
+				scan.note(p.ID, l)
+			}
+			if !drained {
+				sweep(labels, true) // instant mode: deduce after the answer, sparing published pairs
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
 }

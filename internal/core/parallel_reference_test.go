@@ -9,15 +9,46 @@ import (
 	"crowdjoin/internal/clustergraph"
 )
 
-// referenceParallel is the from-scratch formulation of LabelParallelRun —
-// Algorithm 2 with a full deduction sweep per round and Algorithm 3
-// rebuilt from scratch per round — kept here as the correctness reference
-// for the checkpointing scanner.
-func referenceParallel(numObjects int, order []Pair, oracle BatchOracle) (*ParallelResult, error) {
+// labelParallel runs the parallel labeler as a k = 1 Join does: one
+// SinglePartition shard, the round adapter over oracle, and the round
+// driver in plain mode.
+func labelParallel(numObjects int, order []Pair, oracle BatchOracle, ro RunOpts) (*TraceResult, error) {
+	pt, err := SinglePartition(numObjects, order)
+	if err != nil {
+		return nil, err
+	}
+	return labelRounds(pt, oracle, 1, false, ro)
+}
+
+// labelRounds runs the parallel labeler on pt through the round adapter
+// with crowd concurrency k, under the balance-aware router when balanced is
+// set, and reports the adapter's error over the driver's.
+func labelRounds(pt *Partition, oracle BatchOracle, k int, balanced bool, ro RunOpts) (*TraceResult, error) {
+	rp := NewRoundPlatform(pt, oracle, k, balanced, ro)
+	res, err := LabelPartitionedOnPlatformRun(pt, rp, false, ro)
+	if cerr := rp.Close(); cerr != nil && err != nil {
+		return nil, cerr
+	}
+	return res, err
+}
+
+// sameParallel reports whether two parallel runs agree on everything
+// Algorithm 2 defines: labels, crowd flags, counters, round sizes and
+// conflicts.
+func sameParallel(a, b *TraceResult) bool {
+	return reflect.DeepEqual(a.Result, b.Result) && reflect.DeepEqual(a.RoundSizes, b.RoundSizes) && a.Conflicts == b.Conflicts
+}
+
+// referenceParallel is the from-scratch formulation of the parallel
+// labeler — Algorithm 2 with a full deduction sweep per round and
+// Algorithm 3 rebuilt from scratch per round — kept here as the
+// correctness reference for the round driver's resumable scan with its
+// drain-time deduction.
+func referenceParallel(numObjects int, order []Pair, oracle BatchOracle) (*TraceResult, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
 		return nil, err
 	}
-	res := &ParallelResult{Result: *newResult(len(order))}
+	res := &TraceResult{Result: *newResult(len(order))}
 	labeled := clustergraph.New(numObjects)
 	scratch := clustergraph.New(numObjects)
 	unlabeled := len(order)
@@ -71,11 +102,11 @@ func referenceParallel(numObjects int, order []Pair, oracle BatchOracle) (*Paral
 	return res, nil
 }
 
-// TestLabelParallelMatchesFromScratch pins the incremental scanner behind
-// LabelParallelRun to the from-scratch formulation: batches, deduced labels,
-// round sizes, and conflict handling must be identical on randomized
-// workloads, with both perfect and flaky (order-independent) crowds and
-// across likelihood orders.
+// TestLabelParallelMatchesFromScratch pins the round adapter plus the
+// round driver to the from-scratch formulation: deduced labels, crowd
+// flags, round sizes, and conflict handling must be identical on
+// randomized workloads, with both perfect and flaky (order-independent)
+// crowds and across likelihood orders.
 func TestLabelParallelMatchesFromScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 120; trial++ {
@@ -91,12 +122,12 @@ func TestLabelParallelMatchesFromScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := LabelParallelRun(numObjects, order, Batched(oracle), RunOpts{})
+		got, err := labelParallel(numObjects, order, Batched(oracle), RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("trial %d: checkpoint scanner diverged from from-scratch:\n got %+v\nwant %+v", trial, got, want)
+		if !sameParallel(want, got) {
+			t.Fatalf("trial %d: round driver diverged from from-scratch:\n got %+v\nwant %+v", trial, got, want)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestExample5Figure9(t *testing.T) {
 	}
 
 	// Full run.
-	res, err := LabelParallelRun(runningExampleObjects, pairs, Batched(truth), RunOpts{})
+	res, err := labelParallel(runningExampleObjects, pairs, Batched(truth), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestSection51ChainAllParallel(t *testing.T) {
 		{ID: 2, A: 2, B: 3, Likelihood: 0.7},
 	}
 	truth := &TruthOracle{Entity: []int32{0, 0, 1, 1}}
-	res, err := LabelParallelRun(4, pairs, Batched(truth), RunOpts{})
+	res, err := labelParallel(4, pairs, Batched(truth), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestParallelMatchesSequentialOnExpectedOrder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := LabelParallelRun(n, ord, Batched(truth), RunOpts{})
+		par, err := labelParallel(n, ord, Batched(truth), RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -134,7 +134,7 @@ func TestParallelNearSequentialOnArbitraryOrders(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		par, err := LabelParallelRun(n, ord, Batched(oracle), RunOpts{})
+		par, err := labelParallel(n, ord, Batched(oracle), RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -215,13 +215,13 @@ func TestCrowdsourceableSkipExcludesButStillAssumes(t *testing.T) {
 func TestLabelParallelRejectsShortBatch(t *testing.T) {
 	pairs := triangle(0.9, 0.5, 0.1)
 	bad := BatchOracleFunc(func(ps []Pair) []Label { return make([]Label, 0) })
-	if _, err := LabelParallelRun(3, pairs, bad, RunOpts{}); err == nil {
+	if _, err := labelParallel(3, pairs, bad, RunOpts{}); err == nil {
 		t.Fatal("short batch answer was accepted")
 	}
 }
 
 func TestLabelParallelEmpty(t *testing.T) {
-	res, err := LabelParallelRun(0, nil, Batched(triangleTruth()), RunOpts{})
+	res, err := labelParallel(0, nil, Batched(triangleTruth()), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

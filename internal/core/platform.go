@@ -25,10 +25,25 @@ type Platform interface {
 	Available() int
 }
 
-// TraceResult extends Result with the series needed for Figure 15 and the
-// publish bookkeeping needed for HIT accounting.
+// Holder is implemented by platforms that can hold answers the crowd has
+// already given, such as RoundPlatform. Held reports how many answers
+// NextLabel serves without asking the crowd for more; it may wait for
+// crowd calls already under way to return. A cancelled driver takes those
+// answers before its sweep, so an answer that was paid for is labeled (and
+// journaled) rather than dropped. Platform wrappers forward it.
+type Holder interface {
+	Held() int
+}
+
+// TraceResult extends Result with the series needed for Figures 13–15 and
+// the publish bookkeeping needed for HIT accounting.
 type TraceResult struct {
 	Result
+	// RoundSizes[i] is the number of pairs published in every shard's i-th
+	// round, summed over the shards — Algorithm 2's iteration sizes in
+	// plain mode, because a global Algorithm-3 round is the union of the
+	// per-component rounds.
+	RoundSizes []int
 	// PublishSizes[i] is the number of pairs made available by the i-th
 	// publish event (the initial publish is event 0).
 	PublishSizes []int
@@ -49,11 +64,13 @@ type TraceResult struct {
 // publish bookkeeping, all in the shard's local coordinates, where a pair's
 // ID is its order position.
 type platformShard struct {
-	s         *Shard
-	ro        RunOpts
-	res       Result
-	labeled   *clustergraph.Graph
-	scan      *resumableScan
+	s       *Shard
+	ro      RunOpts
+	res     Result
+	labeled *clustergraph.Graph
+	scan    *resumableScan
+	// ded indexes pairs by object for the per-answer deduction of instant
+	// mode; plain mode deduces in the scan when a round drains.
 	ded       *incrementalDeducer
 	affected  []int32
 	published []bool
@@ -62,21 +79,26 @@ type platformShard struct {
 	// plain (non-instant) mode a shard refills the moment its own round
 	// drains, instead of waiting for the whole platform to drain.
 	outstanding int
+	rounds      int
 	conflicts   int
 }
 
 // LabelPartitionedOnPlatformRun drives the parallel labeling algorithm
 // through a Platform, over a candidate set split into components (see
-// BuildPartition; SinglePartition runs it unsharded).
+// BuildPartition; SinglePartition runs it unsharded). It is the one round
+// driver: ParallelStrategy runs it on a RoundPlatform, PlatformStrategy on
+// the configured platform.
 //
-// With instant=false it behaves like plain Parallel: a component's next
-// round is published only after its previous round drained. With
-// instant=true it applies the instant-decision optimization: after every
-// labeled pair it immediately publishes every pair of that component that
-// has become mandatory. Per the paper's observation under
-// non-matching-first, only a non-matching answer can make new pairs
-// mandatory — a matching answer confirms what Algorithm 3 already assumed
-// — so the recomputation is skipped on matching answers.
+// With instant=false it is Algorithm 2: a component's next round is
+// published only after its previous round drained, and the rescan that
+// selects it (Algorithm 3) first deduces every pair the component's crowd
+// answers now imply. With instant=true it applies the instant-decision
+// optimization: after every labeled pair it deduces what the answer
+// implies and immediately publishes every pair of that component that has
+// become mandatory. Per the paper's observation under non-matching-first,
+// only a non-matching answer can make new pairs mandatory — a matching
+// answer confirms what Algorithm 3 already assumed — so the recomputation
+// is skipped on matching answers.
 //
 // Every component runs its own resumable Algorithm-3 scan, deduction
 // graph, and publish rounds, while sharing the one Platform. Publishes
@@ -94,8 +116,9 @@ type platformShard struct {
 //
 // The session options add context cancellation (partial result + ctx
 // error, see RunOpts.Ctx) and progress events. On cancellation the driver
-// stops consuming answers; pairs whose published HITs were still in flight
-// are deduced where the collected answers allow and stay Unlabeled
+// stops consuming fresh answers: it takes the answers a Holder platform
+// already holds, then sweeps, so pairs whose published HITs were still in
+// flight are deduced where the collected answers allow and stay Unlabeled
 // otherwise. An answer for a pair outside the candidate set, for a pair the
 // driver never published, or for one already labeled is an error; the
 // driver labels its own copy of the answered pair, never the platform's.
@@ -106,45 +129,150 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 	shards := make([]*platformShard, len(pt.Shards))
 	for i := range pt.Shards {
 		s := &pt.Shards[i]
-		labeled := clustergraph.New(s.NumObjects)
-		shards[i] = &platformShard{
+		sh := &platformShard{
 			s:         s,
 			ro:        s.shardRunOpts(ro.Ctx, ro.Progress, &progressMu),
 			res:       *newResult(len(s.Order)),
-			labeled:   labeled,
-			scan:      newResumableScan(s.NumObjects, s.Order),
-			ded:       newIncrementalDeducer(s.NumObjects, s.Order, labeled),
+			labeled:   clustergraph.New(s.NumObjects),
+			scan:      newResumableScan(s.NumObjects, s.Order, s.Global),
 			published: make([]bool, len(s.Order)),
 			unlabeled: len(s.Order),
 		}
+		if instant {
+			sh.ded = newIncrementalDeducer(s.NumObjects, s.Order, sh.labeled)
+		}
+		shards[i] = sh
 	}
 	unlabeled := numPairs
 
-	// publish sends one shard's newly mandatory pairs to the platform,
-	// translated to global coordinates. One publish event per shard per
-	// round keeps traces attributable to components.
+	// deduced labels the pair at pos of sh as implied by its crowd answers.
+	deduced := func(sh *platformShard, pos int, l Label) {
+		sh.res.NumDeduced++
+		sh.unlabeled--
+		unlabeled--
+		sh.ro.emitPair(EventPairDeduced, sh.s.Order[pos], l)
+	}
+
+	// publish sends one shard's newly mandatory pairs to the platform, in
+	// global coordinates; in plain mode its scan first deduces what the
+	// drained round implies. One publish event per shard per round keeps
+	// traces attributable to components.
 	publish := func(sh *platformShard) {
-		batch := sh.scan.scan(sh.res.Labels, sh.published)
+		var crowd *clustergraph.Graph
+		if !instant && sh.res.NumCrowdsourced > 0 {
+			crowd = sh.labeled // nothing to deduce before the first answer
+		}
+		batch, dd := sh.scan.scan(sh.res.Labels, sh.published, crowd)
+		for _, pos := range dd {
+			deduced(sh, int(pos), sh.res.Labels[pos])
+		}
 		if len(batch) == 0 {
 			return
 		}
-		global := make([]Pair, len(batch))
-		for i, p := range batch {
-			sh.published[p.ID] = true
-			global[i] = sh.s.Global[p.ID]
+		sh.outstanding += len(batch)
+		pf.Publish(batch)
+		sh.ro.emitRound(len(res.PublishSizes), len(batch))
+		res.PublishSizes = append(res.PublishSizes, len(batch))
+		if sh.rounds == len(res.RoundSizes) {
+			res.RoundSizes = append(res.RoundSizes, 0)
 		}
-		sh.outstanding += len(global)
-		pf.Publish(global)
-		sh.ro.emitRound(len(res.PublishSizes), len(global))
-		res.PublishSizes = append(res.PublishSizes, len(global))
+		res.RoundSizes[sh.rounds] += len(batch)
+		sh.rounds++
+	}
+
+	// take labels one crowd answer in its shard and returns the shard and
+	// the label applied.
+	take := func(p Pair, l Label) (*platformShard, Label, error) {
+		if err := checkAnswer(p, l); err != nil {
+			return nil, l, err
+		}
+		if p.ID < 0 || p.ID >= numPairs {
+			return nil, l, fmt.Errorf("core: platform returned unknown pair %v", p)
+		}
+		si, li := pt.Locate(p.ID)
+		sh := shards[si]
+		if !sh.published[li] {
+			return nil, l, fmt.Errorf("core: platform answered unpublished pair %v", p)
+		}
+		if sh.res.Labels[li] != Unlabeled {
+			return nil, l, fmt.Errorf("core: platform relabeled pair %v", p)
+		}
+		lp := sh.s.Order[li]
+		var err error
+		if instant {
+			sh.affected, err = sh.ded.insert(lp.A, lp.B, l == Matching, sh.affected[:0])
+		} else {
+			err = sh.labeled.Insert(lp.A, lp.B, l == Matching)
+		}
+		if err != nil {
+			if !errors.Is(err, clustergraph.ErrConflict) {
+				return nil, l, fmt.Errorf("core: platform labeling: %w", err)
+			}
+			// A noisy crowd answered against the transitive closure of
+			// earlier answers. This can only happen when the pair was
+			// published before later answers made it deducible (in-flight
+			// HITs). First knowledge wins: keep the implied label. The pair
+			// still counts as crowdsourced — it was published and paid for.
+			sh.conflicts++
+			if sh.labeled.Deduce(lp.A, lp.B) == clustergraph.DeducedMatching {
+				l = Matching
+			} else {
+				l = NonMatching
+			}
+			sh.ro.emitPair(EventConflictOverridden, lp, l)
+		}
+		sh.res.Labels[li] = l
+		sh.scan.note(li, l)
+		sh.res.Crowdsourced[li] = true
+		sh.res.NumCrowdsourced++
+		sh.ro.emitPair(EventPairCrowdsourced, lp, l)
+		sh.outstanding--
+		sh.unlabeled--
+		unlabeled--
+		// Instant mode deduces everything that now follows from the crowd
+		// labels; only pairs touching the clusters the answer changed can
+		// have become deducible. Published pairs are excluded: they are
+		// already paid for and their crowd answer is on its way, so the
+		// crowd label wins. (With an inconsistent crowd a published pair
+		// can become deducible before its HIT completes; deducing it would
+		// double-label it.)
+		for _, pos := range sh.affected {
+			q := sh.s.Order[pos]
+			if sh.res.Labels[q.ID] != Unlabeled || sh.published[q.ID] {
+				continue
+			}
+			var dl Label
+			switch sh.labeled.Deduce(q.A, q.B) {
+			case clustergraph.DeducedMatching:
+				dl = Matching
+			case clustergraph.DeducedNonMatching:
+				dl = NonMatching
+			default:
+				continue
+			}
+			sh.res.Labels[q.ID] = dl
+			sh.scan.note(q.ID, dl)
+			deduced(sh, q.ID, dl)
+		}
+		return sh, l, nil
 	}
 
 	// finish merges the per-shard results; PublishSizes and Availability
-	// were recorded globally as they happened. A cancelled run first sweeps
-	// every shard's deductions, published-but-unanswered pairs included: no
-	// answer is coming for them anymore, so the deduced label is the best
-	// (and only) information available.
+	// were recorded globally as they happened. A cancelled run first takes
+	// the answers the platform already holds, then sweeps every shard's
+	// deductions, published-but-unanswered pairs included: no answer is
+	// coming for them anymore, so the deduced label is the best (and only)
+	// information available.
 	finish := func(err error) (*TraceResult, error) {
+		if h, ok := pf.(Holder); ok && err != nil {
+			for h.Held() > 0 {
+				p, l, ok := pf.NextLabel()
+				if !ok {
+					break
+				}
+				take(p, l) // a bad answer is dropped; the run is cancelled anyway
+			}
+		}
 		for _, sh := range shards {
 			if err != nil {
 				deduceRemaining(sh.labeled, sh.s.Order, &sh.res, sh.ro)
@@ -168,6 +296,9 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 		}
 		if drained != nil {
 			publish(drained)
+			if unlabeled == 0 {
+				break // the refill's scan deduced the rest
+			}
 		}
 		if pf.Available() == 0 {
 			// Safety net: refills and instant republishes keep every live
@@ -199,78 +330,12 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 			}
 			return nil, fmt.Errorf("core: platform returned no label with %d pairs available", pf.Available())
 		}
-		if err := checkAnswer(p, l); err != nil {
+		sh, l, err := take(p, l)
+		if err != nil {
 			if cerr := ro.err(); cerr != nil {
 				return finish(cerr)
 			}
 			return nil, err
-		}
-		if p.ID < 0 || p.ID >= numPairs {
-			return nil, fmt.Errorf("core: platform returned unknown pair %v", p)
-		}
-		si, li := pt.Locate(p.ID)
-		sh := shards[si]
-		if !sh.published[li] {
-			return nil, fmt.Errorf("core: platform answered unpublished pair %v", p)
-		}
-		if sh.res.Labels[li] != Unlabeled {
-			return nil, fmt.Errorf("core: platform relabeled pair %v", p)
-		}
-		lp := sh.s.Order[li]
-		var err error
-		sh.affected, err = sh.ded.insert(lp.A, lp.B, l == Matching, sh.affected[:0])
-		if err != nil {
-			if !errors.Is(err, clustergraph.ErrConflict) {
-				return nil, fmt.Errorf("core: platform labeling: %w", err)
-			}
-			// A noisy crowd answered against the transitive closure of
-			// earlier answers. This can only happen when the pair was
-			// published before later answers made it deducible (in-flight
-			// HITs). First knowledge wins: keep the implied label. The pair
-			// still counts as crowdsourced — it was published and paid for.
-			sh.conflicts++
-			if sh.labeled.Deduce(lp.A, lp.B) == clustergraph.DeducedMatching {
-				l = Matching
-			} else {
-				l = NonMatching
-			}
-			sh.ro.emitPair(EventConflictOverridden, lp, l)
-		}
-		sh.res.Labels[li] = l
-		sh.scan.note(li, l)
-		sh.res.Crowdsourced[li] = true
-		sh.res.NumCrowdsourced++
-		sh.ro.emitPair(EventPairCrowdsourced, lp, l)
-		sh.outstanding--
-		sh.unlabeled--
-		unlabeled--
-		// Deduce everything that now follows from the crowd labels; only
-		// pairs touching the clusters the answer changed can have become
-		// deducible. Published pairs are excluded: they are already paid
-		// for and their crowd answer is on its way, so the crowd label
-		// wins. (With an inconsistent crowd a published pair can become
-		// deducible before its HIT completes; deducing it would
-		// double-label it.)
-		for _, pos := range sh.affected {
-			q := sh.s.Order[pos]
-			if sh.res.Labels[q.ID] != Unlabeled || sh.published[q.ID] {
-				continue
-			}
-			var dl Label
-			switch sh.labeled.Deduce(q.A, q.B) {
-			case clustergraph.DeducedMatching:
-				dl = Matching
-			case clustergraph.DeducedNonMatching:
-				dl = NonMatching
-			default:
-				continue
-			}
-			sh.res.Labels[q.ID] = dl
-			sh.scan.note(q.ID, dl)
-			sh.res.NumDeduced++
-			sh.unlabeled--
-			unlabeled--
-			sh.ro.emitPair(EventPairDeduced, q, dl)
 		}
 		switch {
 		case instant:

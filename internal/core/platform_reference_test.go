@@ -40,6 +40,7 @@ func referencePlatform(numObjects int, order []Pair, pf Platform, instant bool) 
 		}
 		pf.Publish(batch)
 		res.PublishSizes = append(res.PublishSizes, len(batch))
+		res.RoundSizes = append(res.RoundSizes, len(batch))
 	}
 
 	publish()
@@ -309,7 +310,10 @@ func denseWorkload(rng *rand.Rand) (numObjects int, order []Pair, truth *TruthOr
 // instant decisions on or off. On one shard the driver must reproduce
 // referencePlatform's whole trace and every Publish batch, pairs in order;
 // on the component partition it must reproduce every per-pair outcome,
-// counter and conflict.
+// counter and conflict. The batch-oracle arm runs the same crowd through
+// the round adapter: on one shard it must reproduce referenceParallel's
+// labels, crowd flags, round sizes and conflicts, and so must the
+// component partition at a drawn k under a drawn router.
 //
 // mode's bits: 1 random order, 2 flaky crowd, 4 instant decisions, 8 and
 // 16 the worker policy (their value mod 3), 32 a dense workload.
@@ -386,6 +390,28 @@ func FuzzPlatformMatchesReference(f *testing.F) {
 			t.Fatalf("%d-component run diverged: crowdsourced %d vs %d, deduced %d vs %d, conflicts %d vs %d",
 				len(comps.Shards), sharded.NumCrowdsourced, want.NumCrowdsourced,
 				sharded.NumDeduced, want.NumDeduced, sharded.Conflicts, want.Conflicts)
+		}
+
+		wantPar, err := referenceParallel(numObjects, order, Batched(oracle))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotPar, err := labelRounds(single, Batched(oracle), 1, false, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameParallel(wantPar, gotPar) {
+			t.Fatalf("round adapter diverged from the parallel reference:\n got %+v\nwant %+v", gotPar, wantPar)
+		}
+		k, balanced := 1+rng.Intn(3), rng.Intn(2) == 1
+		shardedPar, err := labelRounds(comps, Batched(oracle), k, balanced, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameParallel(wantPar, shardedPar) {
+			t.Fatalf("round adapter on %d components (k=%d, balanced=%v) diverged: crowdsourced %d vs %d, rounds %v vs %v, conflicts %d vs %d",
+				len(comps.Shards), k, balanced, shardedPar.NumCrowdsourced, wantPar.NumCrowdsourced,
+				shardedPar.RoundSizes, wantPar.RoundSizes, shardedPar.Conflicts, wantPar.Conflicts)
 		}
 	})
 }

@@ -1,273 +1,114 @@
 package core
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
+	"fmt"
+	"slices"
 )
 
-// Balance-aware crowd routing. The largest-first scheduling of runShards
-// assigns whole components to k workers, so one giant component (Paper@0.3
-// is 94% of the pairs in a single component) pins a worker for the whole
-// join and k buys almost nothing. LabelRoutedParallelRun keeps the
-// per-component round structure — every shard still runs the unmodified
-// LabelParallelRun, so labels, crowd cost, and per-shard round sizes are
-// byte-identical for order-independent crowds — but models the crowd as k
-// concurrent workers answering one question at a time: every shard's
-// published round is split into individual questions and dispatched by
-// stride scheduling, each shard's share weighted by its remaining-unlabeled
-// pairs. The giant component's big rounds spread across all k crowd
-// workers, and a small component's one-pair round starts at stride pass 0,
-// so its instant decisions overlap the giant component's crowd latency
-// instead of queueing behind it.
+// Crowd routing inside the round adapter. Every published shard round
+// joins one queue, and each crowd call claims work from it: under the
+// default largest-first router a call takes a whole round, the largest
+// shard's first, with at most k calls in flight — so one giant component
+// (Paper@0.3 is 94% of the pairs in a single component) keeps one call
+// busy with its big rounds and k buys almost nothing. BalancedRouter keeps
+// the same per-component round structure — the driver publishes the same
+// rounds, so labels, crowd cost, and per-shard round sizes are identical
+// for order-independent crowds — but models the crowd as k concurrent
+// workers answering one question at a time: each call claims a single
+// question, by stride scheduling across the shards, each shard's share
+// weighted by its pairs the crowd has not answered yet. The giant
+// component's big rounds spread across all k crowd workers, and a small
+// component's one-pair round starts at stride pass 0, so it overlaps the
+// giant component's crowd latency instead of queueing behind it.
 
-// routedRound is one shard round in flight through the router.
-type routedRound struct {
+// round is one published shard round in the adapter.
+type round struct {
 	shard   int
 	pairs   []Pair // global coordinates
 	answers []Label
-	next    int // questions dispatched to workers
-	done    int // answers received
-	// short marks a round an inner-oracle misanswer or a shutdown cut off;
-	// the submitting driver gets nil answers and applies its cancellation
-	// contract. settled guards the one-time close of ready.
-	short   bool
-	settled bool
-	ready   chan struct{}
+	next    int // questions claimed by crowd calls
+	done    int // questions whose call has returned
 }
 
-// questionRouter is the shared dispatcher: shard drivers enqueue rounds,
-// k crowd workers pull single questions off them.
-type questionRouter struct {
-	inner BatchOracle
-
-	mu   sync.Mutex
-	cond *sync.Cond
-	// queue holds rounds with undispatched questions; live holds every
-	// incomplete round in submission order (shutdown must release their
-	// waiters, and does so in that order — a map here once randomized it).
-	queue  []*routedRound // guarded by mu
-	live   []*routedRound // guarded by mu
-	pass   []float64      // guarded by mu; per-shard stride pass: pick min, advance by 1/weight
-	closed bool           // guarded by mu
-	// onSettle, when non-nil, observes each settled round in settle order.
-	// Test seam for pinning shutdown's settle order; nil in production.
-	onSettle func(*routedRound)
-	// remaining is the per-shard unlabeled-pair count, the stride weight.
-	// Shard goroutines decrement it from their progress hooks; workers read
-	// it without the router lock.
-	remaining []atomic.Int64
-}
-
-func newQuestionRouter(inner BatchOracle, shards int) *questionRouter {
-	r := &questionRouter{
-		inner:     inner,
-		pass:      make([]float64, shards),
-		remaining: make([]atomic.Int64, shards),
+// workLocked claims the next crowd call from the queue and makes it,
+// releasing rp.mu for the call itself. It reports false, making no call,
+// when nothing is claimable or the adapter is cancelled or stopped.
+// Callers hold rp.mu.
+func (rp *RoundPlatform) workLocked() bool {
+	if len(rp.queue) == 0 || rp.stopped || rp.ctx.Err() != nil {
+		return false
 	}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+	best := 0
+	for i, rd := range rp.queue {
+		if rp.balanced && rp.pass[rd.shard] < rp.pass[rp.queue[best].shard] ||
+			!rp.balanced && len(rp.pt.Shards[rd.shard].Order) > len(rp.pt.Shards[rp.queue[best].shard].Order) {
+			best = i
+		}
+	}
+	rd := rp.queue[best]
+	lo, hi := rd.next, len(rd.pairs)
+	if rp.balanced {
+		hi = lo + 1
+		rp.pass[rd.shard] += 1 / float64(max(rp.remaining[rd.shard], 1))
+	}
+	rd.next = hi
+	if hi == len(rd.pairs) {
+		rp.queue = slices.Delete(rp.queue, best, best+1)
+	}
+	rp.running++
+	rp.mu.Unlock()
+	ans := rp.inner.LabelBatch(rd.pairs[lo:hi])
+	rp.mu.Lock()
+	rp.running--
+	if len(ans) == hi-lo {
+		copy(rd.answers[lo:hi], ans)
+	} else if rp.err == nil && rp.ctx.Err() == nil {
+		// A reply of the wrong length cannot be matched to its questions:
+		// the oracle's error, or dropped once the run is cancelled.
+		rp.err = fmt.Errorf("core: batch oracle returned %d answers for %d pairs", len(ans), hi-lo)
+	}
+	rp.remaining[rd.shard] -= hi - lo
+	// Once the run is cancelled, stop settles what is left, in publish
+	// order.
+	if rd.done += hi - lo; rd.done == len(rd.pairs) && rp.ctx.Err() == nil {
+		rp.settleLocked(rd, false)
+	}
+	rp.wake.Broadcast()
+	return true
 }
 
-// settleLocked completes a round exactly once. Callers hold r.mu.
-func (r *questionRouter) settleLocked(rd *routedRound) {
-	if rd.settled {
+// worker is one of the k > 1 crowd workers: it makes crowd calls until
+// the adapter stops.
+func (rp *RoundPlatform) worker() {
+	defer rp.workers.Done()
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	for !rp.stopped {
+		if !rp.workLocked() {
+			rp.wake.Wait()
+		}
+	}
+}
+
+// settleLocked queues a round's answers for NextLabel and drops it from
+// the live list, keeping the rest in publish order; a settled round is not
+// settled again. With answeredOnly — a round the stop cut short — only
+// the questions that got an answer are queued. Callers hold rp.mu.
+func (rp *RoundPlatform) settleLocked(rd *round, answeredOnly bool) {
+	i := slices.Index(rp.live, rd)
+	if i < 0 {
 		return
 	}
-	rd.settled = true
-	for i, l := range r.live {
-		if l == rd {
-			r.live = append(r.live[:i], r.live[i+1:]...)
-			break
+	rp.live = slices.Delete(rp.live, i, i+1)
+	if len(rp.ready) == 0 && !answeredOnly {
+		// Nothing else queued: serve the round's own slices.
+		rp.ready, rp.answers = slices.Clip(rd.pairs), rd.answers
+		return
+	}
+	for j, l := range rd.answers {
+		if !answeredOnly || l != Unlabeled {
+			rp.ready = append(rp.ready, rd.pairs[j])
+			rp.answers = append(rp.answers, l)
 		}
 	}
-	if r.onSettle != nil {
-		r.onSettle(rd)
-	}
-	close(rd.ready)
-}
-
-// submit enqueues a round and blocks until every question is answered (or
-// the router shuts down). Returns nil on shutdown or a misbehaving inner
-// oracle; the parallel driver maps that onto its cancellation contract.
-func (r *questionRouter) submit(rd *routedRound) []Label {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
-	r.live = append(r.live, rd)
-	r.queue = append(r.queue, rd)
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	<-rd.ready
-	if rd.short {
-		return nil
-	}
-	return rd.answers
-}
-
-// worker is one modeled crowd worker: repeatedly claim the single question
-// whose shard has the lowest stride pass, answer it through the inner
-// oracle, deliver, until shutdown.
-func (r *questionRouter) worker() {
-	for {
-		r.mu.Lock()
-		for !r.closed && len(r.queue) == 0 {
-			r.cond.Wait()
-		}
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		best := 0
-		for i := 1; i < len(r.queue); i++ {
-			if r.pass[r.queue[i].shard] < r.pass[r.queue[best].shard] {
-				best = i
-			}
-		}
-		rd := r.queue[best]
-		idx := rd.next
-		rd.next++
-		if rd.next == len(rd.pairs) {
-			r.queue[best] = r.queue[len(r.queue)-1]
-			r.queue = r.queue[:len(r.queue)-1]
-		}
-		w := float64(r.remaining[rd.shard].Load())
-		if w < 1 {
-			w = 1
-		}
-		r.pass[rd.shard] += 1 / w
-		r.mu.Unlock()
-
-		ans := r.inner.LabelBatch(rd.pairs[idx : idx+1])
-
-		r.mu.Lock()
-		if len(ans) == 1 {
-			rd.answers[idx] = ans[0]
-		} else {
-			rd.short = true
-		}
-		rd.done++
-		if rd.done == len(rd.pairs) {
-			r.settleLocked(rd)
-		}
-		r.mu.Unlock()
-	}
-}
-
-// shutdown stops the workers and releases every waiting round with short
-// answers. Idempotent; called on session cancellation and again after the
-// shard drivers drain.
-func (r *questionRouter) shutdown() {
-	r.mu.Lock()
-	r.closed = true
-	r.queue = nil
-	// Settle in submission order: settleLocked removes from r.live, so walk
-	// a snapshot. Deterministic release order keeps waiter wakeups (and any
-	// onSettle observer) reproducible run to run.
-	for _, rd := range append([]*routedRound(nil), r.live...) {
-		rd.short = true
-		r.settleLocked(rd)
-	}
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// routedShardOracle is a shard's view of the router: rounds go out in
-// global coordinates and come back assembled, exactly like
-// shardBatchOracle over a direct crowd.
-type routedShardOracle struct {
-	r *questionRouter
-	s *Shard
-}
-
-func (o routedShardOracle) LabelBatch(ps []Pair) []Label {
-	rd := &routedRound{
-		shard:   o.s.Component,
-		pairs:   make([]Pair, len(ps)),
-		answers: make([]Label, len(ps)),
-		ready:   make(chan struct{}),
-	}
-	for i, p := range ps {
-		rd.pairs[i] = o.s.Global[p.ID]
-	}
-	return o.r.submit(rd)
-}
-
-// LabelRoutedParallelRun runs the parallel labeler on every component of pt
-// concurrently, with crowd-side concurrency k supplied by the balance-aware
-// question router described above (rather than runShards' k whole-component
-// workers). The batch oracle must be safe for concurrent use; it sees
-// one-pair batches, one per modeled crowd worker turn. Labels, crowdsourced
-// counts, and per-round sizes match LabelPartitionedParallelRun for crowds
-// whose answer to a pair does not depend on question order or batching.
-func LabelRoutedParallelRun(pt *Partition, oracle BatchOracle, k int, ro RunOpts) (*ParallelResult, error) {
-	if k < 1 {
-		k = 1
-	}
-	ctx, cancel := context.WithCancel(ro.context())
-	defer cancel()
-
-	r := newQuestionRouter(oracle, len(pt.Shards))
-	for i := range pt.Shards {
-		r.remaining[i].Store(int64(len(pt.Shards[i].Order)))
-	}
-	stop := context.AfterFunc(ctx, r.shutdown)
-	defer stop()
-	var workerWG sync.WaitGroup
-	for w := 0; w < k; w++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			r.worker()
-		}()
-	}
-
-	res := &ParallelResult{Result: *newResult(pt.NumPairs())}
-	var mergeMu, progressMu sync.Mutex
-	errs := make([]error, len(pt.Shards))
-	var wg sync.WaitGroup
-	for i := range pt.Shards {
-		wg.Add(1)
-		go func(s *Shard) {
-			defer wg.Done()
-			sro := s.shardRunOpts(ctx, ro.Progress, &progressMu)
-			inner := sro.Progress
-			sro.Progress = func(e Event) {
-				switch e.Kind {
-				case EventPairCrowdsourced, EventPairDeduced:
-					r.remaining[s.Component].Add(-1)
-				}
-				if inner != nil {
-					inner(e)
-				}
-			}
-			rr, err := LabelParallelRun(s.NumObjects, s.Order, routedShardOracle{r, s}, sro)
-			if rr != nil {
-				mergeMu.Lock()
-				mergeShardResult(&res.Result, s, &rr.Result)
-				res.RoundSizes = addRoundSizes(res.RoundSizes, rr.RoundSizes)
-				res.Conflicts += rr.Conflicts
-				mergeMu.Unlock()
-			}
-			if err != nil {
-				errs[s.Component] = err
-				cancel() // hard failure or cancellation: stop sibling shards
-			}
-		}(&pt.Shards[i])
-	}
-	wg.Wait()
-	r.shutdown()
-	workerWG.Wait()
-
-	// Same reporting contract as runShards: the lowest-numbered hard
-	// failure wins; pure cancellation returns the merged partial result
-	// with the caller's context error.
-	for _, err := range errs {
-		if err != nil && err != ctx.Err() {
-			return nil, err
-		}
-	}
-	return res, ro.err()
 }

@@ -1,120 +1,106 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
-// blockingBatchOracle never answers: rounds submitted against it stay live
-// until shutdown cuts them off.
-type blockingBatchOracle struct {
-	stop chan struct{}
+// chainShards builds n components of two pairs each, (3i, 3i+1) and
+// (3i+1, 3i+2), so every component's first round holds both pairs.
+func chainShards(t *testing.T, n int) *Partition {
+	t.Helper()
+	var order []Pair
+	for i := int32(0); i < int32(n); i++ {
+		order = append(order,
+			Pair{ID: len(order), A: 3 * i, B: 3*i + 1},
+			Pair{ID: len(order) + 1, A: 3*i + 1, B: 3*i + 2})
+	}
+	pt, err := BuildPartition(3*n, order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
 }
 
-func (o *blockingBatchOracle) LabelBatch(ps []Pair) []Label {
-	<-o.stop
-	return nil
-}
-
-// TestRouterShutdownSettleOrder pins the determinism fix for the router's
-// live set: shutdown must release waiting rounds in submission order. The
-// live set was once a map, so this order was randomized per run; the
-// onSettle seam observes the exact sequence settleLocked walks.
+// TestRouterShutdownSettleOrder pins the determinism of a cancelled
+// routed run: the balanced router's workers answer the first question of
+// every round, the second never comes, and the cancelled adapter must
+// serve the answered questions round by round in publish order. (The
+// router's live set was once a map, so this order was randomized per run.)
 func TestRouterShutdownSettleOrder(t *testing.T) {
 	const n = 8
-	oracle := &blockingBatchOracle{stop: make(chan struct{})}
-	defer close(oracle.stop)
-	r := newQuestionRouter(oracle, n)
-
-	var settleMu sync.Mutex
-	var settled []int
-	r.onSettle = func(rd *routedRound) {
-		settleMu.Lock()
-		settled = append(settled, rd.shard)
-		settleMu.Unlock()
+	pt := chainShards(t, n)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var firsts sync.WaitGroup
+	firsts.Add(n)
+	oracle := BatchOracleFunc(func(ps []Pair) []Label {
+		if ps[0].A%3 == 0 {
+			firsts.Done()
+			return []Label{Matching}
+		}
+		<-ctx.Done() // the second question of a round is never answered
+		return nil
+	})
+	// 2n workers: every question is claimed at once, so the order in which
+	// rounds were cut short is up to the scheduler.
+	rp := NewRoundPlatform(pt, oracle, 2*n, true, RunOpts{Ctx: ctx})
+	defer rp.Close()
+	for i := range pt.Shards {
+		rp.Publish(pt.Shards[i].Global)
 	}
-
-	// Submit n one-pair rounds in a fixed order, each from its own
-	// goroutine (submit blocks until settled). No workers run, so every
-	// round stays queued and live.
-	var wg sync.WaitGroup
+	firsts.Wait()
+	cancel()
+	if held := rp.Held(); held != n {
+		t.Fatalf("cancelled adapter holds %d answers, want %d", held, n)
+	}
 	for i := 0; i < n; i++ {
-		rd := &routedRound{
-			shard:   i,
-			pairs:   []Pair{{ID: 0, A: 0, B: 1}},
-			answers: make([]Label, 1),
-			ready:   make(chan struct{}),
-		}
-		r.mu.Lock()
-		wasLive := len(r.live)
-		r.mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := r.submit(rd); got != nil {
-				t.Errorf("shard %d: submit returned %v after shutdown, want nil", rd.shard, got)
-			}
-		}()
-		// Wait for this round to register before submitting the next, so
-		// the submission order is exactly 0..n-1.
-		for {
-			r.mu.Lock()
-			nowLive := len(r.live)
-			r.mu.Unlock()
-			if nowLive > wasLive {
-				break
-			}
-			time.Sleep(time.Millisecond)
+		p, l, ok := rp.NextLabel()
+		if want := pt.Shards[i].Global[0]; !ok || p != want || l != Matching {
+			t.Fatalf("answer %d is (%v, %v, %v), want (%v, matching) of round %d", i, p, l, ok, want, i)
 		}
 	}
-
-	// The live list itself must be in submission order.
-	r.mu.Lock()
-	for i, rd := range r.live {
-		if rd.shard != i {
-			t.Errorf("live[%d] is shard %d, want %d", i, rd.shard, i)
-		}
-	}
-	r.mu.Unlock()
-
-	r.shutdown()
-	wg.Wait()
-
-	if len(settled) != n {
-		t.Fatalf("settled %d rounds, want %d", len(settled), n)
-	}
-	for i, shard := range settled {
-		if shard != i {
-			t.Fatalf("settle order %v: position %d is shard %d, want %d (shutdown must settle in submission order)", settled, i, shard, i)
-		}
+	if _, _, ok := rp.NextLabel(); ok {
+		t.Fatal("cancelled adapter served more than it held")
 	}
 }
 
-// TestRouterSettleRemovesInOrder checks that worker-side settles (rounds
-// completing out of submission order) keep the remaining live list in
-// submission order.
+// TestRouterSettleRemovesInOrder checks that rounds settling out of
+// publish order keep the remaining live list in publish order, that a
+// settled round's answers are queued whole, and that settling a round
+// twice is a no-op.
 func TestRouterSettleRemovesInOrder(t *testing.T) {
-	r := newQuestionRouter(nil, 4)
-	rounds := make([]*routedRound, 4)
+	pt := chainShards(t, 4)
+	rp := NewRoundPlatform(pt, nil, 1, false, RunOpts{})
+	defer rp.Close()
+	rounds := make([]*round, 4)
 	for i := range rounds {
-		rounds[i] = &routedRound{shard: i, ready: make(chan struct{})}
-		r.live = append(r.live, rounds[i])
+		rounds[i] = &round{shard: i, pairs: pt.Shards[i].Global, answers: []Label{Matching, NonMatching}}
+		rp.live = append(rp.live, rounds[i])
 	}
-	r.mu.Lock()
-	r.settleLocked(rounds[2])
-	r.mu.Unlock()
-	want := []int{0, 1, 3}
-	if len(r.live) != len(want) {
-		t.Fatalf("live has %d rounds, want %d", len(r.live), len(want))
+	rp.mu.Lock()
+	rp.settleLocked(rounds[2], false)
+	rp.mu.Unlock()
+	if want := []*round{rounds[0], rounds[1], rounds[3]}; !reflect.DeepEqual(rp.live, want) {
+		t.Fatalf("live holds shards %v, want 0, 1, 3", shardsOf(rp.live))
 	}
-	for i, rd := range r.live {
-		if rd.shard != want[i] {
-			t.Fatalf("live[%d] is shard %d, want %d", i, rd.shard, want[i])
-		}
+	if !reflect.DeepEqual(rp.ready, pt.Shards[2].Global) || !reflect.DeepEqual(rp.answers, []Label{Matching, NonMatching}) {
+		t.Fatalf("settled answers %v %v, want round 2's", rp.ready, rp.answers)
 	}
-	// Settling twice is a no-op (ready closes once).
-	r.mu.Lock()
-	r.settleLocked(rounds[2])
-	r.mu.Unlock()
+	rp.mu.Lock()
+	rp.settleLocked(rounds[2], false)
+	rp.mu.Unlock()
+	if len(rp.ready) != 2 || len(rp.live) != 3 {
+		t.Fatalf("second settle changed the adapter: %d answers, %d live rounds", len(rp.ready), len(rp.live))
+	}
+}
+
+func shardsOf(rounds []*round) []int {
+	out := make([]int, len(rounds))
+	for i, rd := range rounds {
+		out[i] = rd.shard
+	}
+	return out
 }

@@ -21,7 +21,7 @@ const (
 	// non-matching because one endpoint was already matched.
 	EventPairConstraintDeduced
 	// EventRoundPublished: a batch of pairs was sent to the crowd (one event
-	// per parallel round or platform publish; Round and Size are set).
+	// per shard round or platform publish; Round and Size are set).
 	EventRoundPublished
 	// EventConflictOverridden: a crowd answer contradicted the transitive
 	// closure of earlier answers and the implied label was kept instead.
@@ -81,10 +81,10 @@ type Event struct {
 	Round int
 	Size  int
 	// Component identifies the connected component of the candidate graph
-	// the event's shard owns, on events from the LabelPartitioned* and
-	// LabelRoutedParallelRun drivers. Unsharded runs leave it 0 (the
-	// kernels, and the platform driver on a SinglePartition), so it is only
-	// meaningful when the caller asked for sharded execution. On
+	// the event's shard owns, on events from the LabelPartitioned* drivers
+	// (the round driver included). Unsharded runs leave it 0 (the kernels,
+	// and the round driver on a SinglePartition), so it is only meaningful
+	// when the caller asked for sharded execution. On
 	// EventComponentsMerged it carries the surviving stable component id
 	// instead (the IncrementalPartitioner's numbering, not the per-run
 	// shard numbering).

@@ -12,13 +12,16 @@ import (
 // component. The partitioner below makes that structure explicit — it
 // splits a candidate set into its connected components — and the
 // LabelPartitioned* drivers exploit it: each component ("shard") owns its
-// own ClusterGraph and its own slice of the labeling order, so K shards
-// can consult the crowd concurrently while preserving the paper's
-// single-order semantics inside every component. The merged result is
-// deterministic: labels are scattered back by global pair ID, counters are
-// summed, and parallel round sizes are summed per round index (a global
-// Algorithm-3 round is exactly the union of the per-component rounds,
-// because the optimistic scan's decisions are component-local).
+// own ClusterGraph and its own slice of the labeling order, preserving the
+// paper's single-order semantics inside every component. The sequential
+// and one-to-one drivers run k shards on concurrent goroutines; the round
+// driver (LabelPartitionedOnPlatformRun) stays on one goroutine and
+// publishes every shard's rounds to one platform, whose crowd — a
+// RoundPlatform at ParallelStrategy — answers up to k of them at once. The
+// merged result is deterministic: labels are scattered back by global pair
+// ID, counters are summed, and round sizes are summed per round index (a
+// global Algorithm-3 round is exactly the union of the per-component
+// rounds, because the optimistic scan's decisions are component-local).
 
 // Shard is one connected component of the candidate graph, re-encoded as a
 // self-contained labeling problem: local object ids are dense in
@@ -32,7 +35,8 @@ type Shard struct {
 	Order []Pair
 	// Global[i] is the original global pair behind Order[i].
 	Global []Pair
-	// Objects maps local object ids back to global ones.
+	// Objects maps local object ids back to global ones; nil when the
+	// shard keeps the global ids (SinglePartition).
 	Objects []int32
 	// NumObjects is the size of the shard's local object universe.
 	NumObjects int
@@ -47,18 +51,30 @@ type Partition struct {
 	// Shards holds one entry per component, indexed by component id.
 	Shards []Shard
 	// shardOf and localID route a global pair ID to its shard and its
-	// position there.
+	// position there. A SinglePartition has no shardOf, and no localID
+	// either when the order's IDs are its positions.
 	shardOf []int32
 	localID []int32
 }
 
 // Locate returns the shard index and local pair ID of a global pair ID.
 func (p *Partition) Locate(globalID int) (shard, local int) {
+	switch {
+	case p.localID == nil:
+		return 0, globalID
+	case p.shardOf == nil:
+		return 0, int(p.localID[globalID])
+	}
 	return int(p.shardOf[globalID]), int(p.localID[globalID])
 }
 
 // NumPairs returns the total number of pairs across all shards.
-func (p *Partition) NumPairs() int { return len(p.shardOf) }
+func (p *Partition) NumPairs() int {
+	if p.shardOf == nil {
+		return len(p.Shards[0].Order)
+	}
+	return len(p.shardOf)
+}
 
 // BuildPartition validates the candidate set and splits it into connected
 // components with a union-find over the pairs' endpoints.
@@ -88,14 +104,29 @@ func BuildPartition(numObjects int, order []Pair) (*Partition, error) {
 }
 
 // SinglePartition validates the candidate set and wraps it whole as one
-// shard, the unsharded input of a partition-native driver. The shard's
-// Order keeps the given order, and its objects are renumbered by first
-// appearance.
+// shard, the unsharded input of a partition-native driver. The shard keeps
+// the global object ids and the given order; when the order's IDs are
+// already its positions (the default order on Matcher output), its Order
+// aliases the given slice instead of copying it.
 func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
 		return nil, err
 	}
-	return buildShardsFrom(numObjects, order, func(int32) int32 { return 0 }), nil
+	pt := &Partition{Shards: []Shard{{Order: order, Global: order, NumObjects: numObjects}}}
+	for pos, p := range order {
+		if p.ID != pos {
+			pt.localID = make([]int32, len(order))
+			local := make([]Pair, len(order))
+			for pos, p := range order {
+				pt.localID[p.ID] = int32(pos)
+				p.ID = pos
+				local[pos] = p
+			}
+			pt.Shards[0].Order = local
+			break
+		}
+	}
+	return pt, nil
 }
 
 // buildShardsFrom re-encodes order as per-component shards, given a find
@@ -191,20 +222,6 @@ type shardOracle struct {
 
 func (o shardOracle) Label(p Pair) Label { return o.inner.Label(o.s.Global[p.ID]) }
 
-// shardBatchOracle is shardOracle for whole rounds.
-type shardBatchOracle struct {
-	inner BatchOracle
-	s     *Shard
-}
-
-func (o shardBatchOracle) LabelBatch(ps []Pair) []Label {
-	global := make([]Pair, len(ps))
-	for i, p := range ps {
-		global[i] = o.s.Global[p.ID]
-	}
-	return o.inner.LabelBatch(global)
-}
-
 // runShards executes fn(shard) for every shard on min(k, len(shards))
 // worker goroutines. Larger shards are scheduled first to shorten the
 // makespan; scheduling order never affects results (each shard is an
@@ -277,19 +294,6 @@ func mergeShardResult(dst *Result, s *Shard, r *Result) {
 	dst.NumDeduced += r.NumDeduced
 }
 
-// addRoundSizes accumulates a shard's per-round batch sizes into the
-// global series, index-aligned: the global Algorithm-3 round i is the
-// union of every shard's round i.
-func addRoundSizes(agg []int, rounds []int) []int {
-	for i, sz := range rounds {
-		if i == len(agg) {
-			agg = append(agg, 0)
-		}
-		agg[i] += sz
-	}
-	return agg
-}
-
 // LabelPartitionedSequentialRun runs the sequential labeler independently
 // on every component of pt, k components at a time. The oracle must be
 // safe for concurrent use when k > 1. The merged result is identical to
@@ -313,33 +317,6 @@ func LabelPartitionedSequentialRun(pt *Partition, oracle Oracle, k int, ro RunOp
 	})
 	if err != nil && err != ro.err() {
 		return nil, err // hard failure, matching the unsharded driver
-	}
-	return res, err
-}
-
-// LabelPartitionedParallelRun runs the parallel labeler (Algorithms 2–3)
-// independently on every component of pt, k components at a time. The
-// batch oracle must be safe for concurrent use when k > 1; each shard's
-// rounds are its own, so a shard never waits on another shard's answers —
-// the cross-component round barrier of the global driver disappears.
-// RoundSizes are merged per round index, reproducing LabelParallelRun's
-// series for order-insensitive oracles.
-func LabelPartitionedParallelRun(pt *Partition, oracle BatchOracle, k int, ro RunOpts) (*ParallelResult, error) {
-	res := &ParallelResult{Result: *newResult(pt.NumPairs())}
-	var mu sync.Mutex
-	err := runShards(pt, k, ro, func(s *Shard, sro RunOpts) error {
-		r, err := LabelParallelRun(s.NumObjects, s.Order, shardBatchOracle{oracle, s}, sro)
-		if r != nil {
-			mu.Lock()
-			mergeShardResult(&res.Result, s, &r.Result)
-			res.RoundSizes = addRoundSizes(res.RoundSizes, r.RoundSizes)
-			res.Conflicts += r.Conflicts
-			mu.Unlock()
-		}
-		return err
-	})
-	if err != nil && err != ro.err() {
-		return nil, err
 	}
 	return res, err
 }

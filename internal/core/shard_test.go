@@ -158,19 +158,21 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 				t.Fatalf("trial %d k=%d: sharded sequential diverged:\n%+v\nvs\n%+v", trial, k, sseq, seq)
 			}
 
-			par, err := LabelParallelRun(numObjects, order, Batched(oracle), RunOpts{})
+			par, err := labelParallel(numObjects, order, Batched(oracle), RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			spar, err := LabelPartitionedParallelRun(pt, Batched(oracle), k, RunOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(par.Result, spar.Result) || par.Conflicts != spar.Conflicts {
-				t.Fatalf("trial %d k=%d: sharded parallel result diverged", trial, k)
-			}
-			if !equalIntSlices(par.RoundSizes, spar.RoundSizes) {
-				t.Fatalf("trial %d k=%d: round sizes %v, want %v", trial, k, spar.RoundSizes, par.RoundSizes)
+			for _, balanced := range []bool{false, true} {
+				spar, err := labelRounds(pt, Batched(oracle), k, balanced, RunOpts{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(par.Result, spar.Result) || par.Conflicts != spar.Conflicts {
+					t.Fatalf("trial %d k=%d balanced=%v: sharded parallel result diverged", trial, k, balanced)
+				}
+				if !equalIntSlices(par.RoundSizes, spar.RoundSizes) {
+					t.Fatalf("trial %d k=%d balanced=%v: round sizes %v, want %v", trial, k, balanced, spar.RoundSizes, par.RoundSizes)
+				}
 			}
 
 			oto, err := LabelSequentialOneToOneRun(numObjects, order, oracle, RunOpts{})
@@ -215,7 +217,7 @@ func TestShardedProgressEventsCarryComponents(t *testing.T) {
 	}
 	var events []Event
 	ro := RunOpts{Progress: func(e Event) { events = append(events, e) }}
-	res, err := LabelPartitionedParallelRun(pt, Batched(truth), 4, ro)
+	res, err := labelRounds(pt, Batched(truth), 4, false, ro)
 	if err != nil {
 		t.Fatal(err)
 	}

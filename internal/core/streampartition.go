@@ -53,9 +53,6 @@ func NewIncrementalPartitioner(numObjects int) *IncrementalPartitioner {
 	return ip
 }
 
-// NumObjects returns the current size of the object universe.
-func (ip *IncrementalPartitioner) NumObjects() int { return ip.uf.Len() }
-
 // Grow extends the object universe to numObjects, the new objects as
 // pairless singletons; a no-op when the universe is already that large.
 func (ip *IncrementalPartitioner) Grow(numObjects int) {
@@ -117,8 +114,9 @@ func (ip *IncrementalPartitioner) AddPairs(pairs []Pair) ([]ComponentMerge, erro
 // persistent forest. Every pair in order must already have been added (its
 // endpoints connected); a pair the partitioner has never seen is an error,
 // because silently unioning it here would skip its merge events. The
-// returned Partition is identical to BuildPartition(NumObjects(), order) —
-// shards are numbered by first appearance in order, not by stable id.
+// returned Partition is identical to BuildPartition's over the current
+// universe — shards are numbered by first appearance in order, not by
+// stable id.
 func (ip *IncrementalPartitioner) BuildShards(order []Pair) (*Partition, error) {
 	if err := ValidatePairs(ip.uf.Len(), order); err != nil {
 		return nil, err

@@ -49,7 +49,13 @@ func (e *Env) parallelRuns(figure string, threshold float64) (*Fig13Result, erro
 	for _, wl := range e.Workloads() {
 		pairs := wl.W.Candidates(threshold)
 		order := core.ExpectedOrder(pairs)
-		par, err := core.LabelParallelRun(wl.W.Dataset.Len(), order, core.Batched(wl.W.Truth), core.RunOpts{})
+		pt, err := core.SinglePartition(wl.W.Dataset.Len(), order)
+		if err != nil {
+			return nil, fmt.Errorf("fig%s %s: %w", figure, wl.Name, err)
+		}
+		rounds := core.NewRoundPlatform(pt, core.Batched(wl.W.Truth), 1, false, core.RunOpts{})
+		par, err := core.LabelPartitionedOnPlatformRun(pt, rounds, false, core.RunOpts{})
+		rounds.Close()
 		if err != nil {
 			return nil, fmt.Errorf("fig%s %s: %w", figure, wl.Name, err)
 		}

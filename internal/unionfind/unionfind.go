@@ -159,20 +159,6 @@ func (u *UF) Union(x, y int32) (root, absorbed int32, merged bool) {
 	return rx, ry, true
 }
 
-// CloneInto copies u's current partition into dst, which must have the
-// same universe size; dst's allocations are reused. It leaves dst in
-// compressing mode with an empty undo log.
-func (u *UF) CloneInto(dst *UF) {
-	if len(dst.parent) != len(u.parent) {
-		panic("unionfind: CloneInto size mismatch")
-	}
-	copy(dst.parent, u.parent)
-	copy(dst.size, u.size)
-	dst.sets = u.sets
-	dst.undoable = false
-	dst.undo = dst.undo[:0]
-}
-
 // Reset restores the forest to n singleton sets without reallocating,
 // returning it to compressing mode and discarding the undo log.
 func (u *UF) Reset() {

@@ -250,39 +250,6 @@ func BenchmarkUnionFind(b *testing.B) {
 	}
 }
 
-func TestCloneInto(t *testing.T) {
-	u := New(5)
-	u.Union(0, 1)
-	u.Union(2, 3)
-	dst := New(5)
-	dst.Union(0, 4) // pre-existing state must be overwritten
-	u.CloneInto(dst)
-	if dst.Sets() != u.Sets() {
-		t.Fatalf("Sets: dst=%d src=%d", dst.Sets(), u.Sets())
-	}
-	for a := int32(0); a < 5; a++ {
-		for b := int32(0); b < 5; b++ {
-			if dst.Same(a, b) != u.Same(a, b) {
-				t.Fatalf("Same(%d,%d) differs after CloneInto", a, b)
-			}
-		}
-	}
-	// Mutating dst must not affect src.
-	dst.Union(0, 2)
-	if u.Same(0, 2) {
-		t.Error("CloneInto aliases source state")
-	}
-}
-
-func TestCloneIntoSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CloneInto with mismatched sizes did not panic")
-		}
-	}()
-	New(3).CloneInto(New(4))
-}
-
 func TestGrow(t *testing.T) {
 	u := New(2)
 	u.Union(0, 1)

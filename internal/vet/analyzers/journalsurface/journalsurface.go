@@ -1,18 +1,17 @@
 // Package journalsurface machine-checks the journal's write-surface
 // invariant (PR 5/PR 9 contract).
 //
-// Every label that reaches the journal must come through one of the three
+// Every label that reaches the journal must come through one of the two
 // crowd-surface wrappers on the root facade:
 //
 //	(journalOracle).Label
-//	(journalBatchOracle).LabelBatch
 //	(journalPlatform).NextLabel
 //
 // so that exactly the answers bought from the crowd are made durable —
 // nothing deduced, nothing machine-labeled. Concretely:
 //
 //  1. journalState.record (the group-commit append) may be called only
-//     from those three wrappers. Any other call site is a path that could
+//     from those two wrappers. Any other call site is a path that could
 //     write a non-crowd label into the journal and corrupt resume.
 //
 //  2. Triage code (files named triage*.go) must not reference journalState
@@ -36,16 +35,15 @@ import (
 // Analyzer is the journalsurface check.
 var Analyzer = &analysis.Analyzer{
 	Name: "journalsurface",
-	Doc:  "restrict journalState.record to the three crowd-surface wrappers and ban journalState from triage files",
+	Doc:  "restrict journalState.record to the two crowd-surface wrappers and ban journalState from triage files",
 	Run:  run,
 }
 
 // allowedCallers maps wrapper receiver type name -> method name allowed to
 // call journalState.record.
 var allowedCallers = map[string]string{
-	"journalOracle":      "Label",
-	"journalBatchOracle": "LabelBatch",
-	"journalPlatform":    "NextLabel",
+	"journalOracle":   "Label",
+	"journalPlatform": "NextLabel",
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -76,7 +74,7 @@ func run(pass *analysis.Pass) (any, error) {
 					return true
 				}
 				if !allowed {
-					pass.Reportf(call.Pos(), "journalState.record called outside the crowd-surface wrappers (journalOracle.Label, journalBatchOracle.LabelBatch, journalPlatform.NextLabel): only crowd answers may be journaled")
+					pass.Reportf(call.Pos(), "journalState.record called outside the crowd-surface wrappers (journalOracle.Label, journalPlatform.NextLabel): only crowd answers may be journaled")
 				}
 				return true
 			})
@@ -85,7 +83,7 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// isAllowedWrapper reports whether fd is one of the three crowd-surface
+// isAllowedWrapper reports whether fd is one of the two crowd-surface
 // wrapper methods.
 func isAllowedWrapper(pass *analysis.Pass, fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || len(fd.Recv.List) == 0 {

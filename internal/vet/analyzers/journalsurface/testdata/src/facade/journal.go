@@ -1,5 +1,5 @@
 // Package facade impersonates the root crowdjoin package, where
-// journalState and its three crowd-surface wrappers live.
+// journalState and its two crowd-surface wrappers live.
 package facade
 
 import "sync"
@@ -25,18 +25,6 @@ func (o journalOracle) Label(p pair) label {
 	l := label(1)
 	o.j.record(p, l)
 	return l
-}
-
-type journalBatchOracle struct{ j *journalState }
-
-// LabelBatch is a sanctioned wrapper, including inside its loop.
-func (o journalBatchOracle) LabelBatch(ps []pair) []label {
-	out := make([]label, len(ps))
-	for i, p := range ps {
-		out[i] = label(1)
-		o.j.record(p, out[i])
-	}
-	return out
 }
 
 // flush has a sanctioned receiver type but is not the sanctioned method.

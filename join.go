@@ -447,15 +447,6 @@ func singleOracleFrom(oracle Oracle, batch BatchOracle) Oracle {
 	})
 }
 
-// batchOracleFrom resolves the whole-round crowd, lifting a per-pair
-// oracle when only that was configured.
-func batchOracleFrom(oracle Oracle, batch BatchOracle) BatchOracle {
-	if batch != nil {
-		return batch
-	}
-	return core.Batched(oracle)
-}
-
 // JoinResult is the consolidated outcome of Join.Run. All per-pair slices
 // are indexed by Pair.ID. Fields beyond the core set are populated only by
 // the strategies that produce them.
@@ -543,8 +534,8 @@ func (r *JoinResult) fill(c *core.Result) {
 // partitioner's persistent forest; IDF sessions rescore pairs at Run, so
 // their partition is derived from scratch like a batch session's. Both
 // routes produce identical partitions for the same order. An unsharded
-// PlatformStrategy session gets a one-shard partition: the platform driver
-// is partition-native.
+// parallel or platform session gets a one-shard partition: the round
+// driver is partition-native.
 func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]Pair, *core.Partition, error) {
 	order := j.ordering(pairs)
 	if len(order) != len(pairs) {
@@ -556,7 +547,7 @@ func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]P
 		order = triageOrder(order, j.triage)
 	}
 	if j.concurrency <= 1 {
-		if j.strategy.kind == strategyPlatform {
+		if j.strategy.kind == strategyParallel || j.strategy.kind == strategyPlatform {
 			pt, err := core.SinglePartition(numObjects, order)
 			return order, pt, err
 		}
@@ -728,37 +719,49 @@ func (c journaledContext) Err() error {
 // runOnce drives the configured strategy over one ordered (and possibly
 // sharded) candidate set: it wraps the crowd backend in the journal layer,
 // then — outermost, so machine answers are never journaled — the triage
-// layer, runs the strategy, and consolidates the result. Run calls it once;
+// layer, runs the strategy, and consolidates the result. ParallelStrategy
+// runs on the round driver like PlatformStrategy, its batch oracle turned
+// into a platform by the round adapter, so both wrap one platform; the
+// sequential family wraps its per-pair oracle. Run calls it once;
 // runCascade calls it per stage with a shared journal.
 func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt *core.Partition, jrn *journalState) (*JoinResult, error) {
-	oracle, batch, platform := j.oracle, j.batch, j.platform
-	if jrn != nil {
-		if oracle != nil {
-			oracle = &journalOracle{inner: oracle, jrn: jrn}
-		}
-		if batch != nil {
-			batch = &journalBatchOracle{inner: batch, jrn: jrn}
-		}
-		if platform != nil {
-			platform = &journalPlatform{inner: platform, jrn: jrn}
-		}
-	}
 	progress := j.progress
 	var tri *triageState
 	if j.triage.Enabled() {
 		tri = newTriageState(j.triage, len(order))
-		if oracle != nil {
-			oracle = &triageOracle{inner: oracle, tri: tri}
-		}
-		if batch != nil {
-			batch = &triageBatchOracle{inner: batch, tri: tri}
-		}
-		if platform != nil {
-			platform = &triagePlatform{inner: platform, tri: tri}
-		}
 		progress = tri.progressFilter(progress)
 	}
 	ro := core.RunOpts{Ctx: runCtx, Progress: progress}
+	var oracle Oracle
+	var platform Platform
+	var rounds *core.RoundPlatform
+	switch j.strategy.kind {
+	case strategyParallel:
+		batch := j.batch
+		if batch == nil {
+			batch = core.Batched(j.oracle) // pairs of a round asked one by one
+		}
+		rounds = core.NewRoundPlatform(pt, batch, j.concurrency, j.router == BalancedRouter, ro)
+		platform = rounds
+	case strategyPlatform:
+		platform = j.platform
+	default:
+		oracle = singleOracleFrom(j.oracle, j.batch)
+	}
+	if jrn != nil {
+		if oracle != nil {
+			oracle = &journalOracle{inner: oracle, jrn: jrn}
+		} else {
+			platform = newJournalPlatform(platform, jrn)
+		}
+	}
+	if tri != nil {
+		if oracle != nil {
+			oracle = &triageOracle{inner: oracle, tri: tri}
+		} else {
+			platform = &shortcutPlatform{inner: platform, known: tri.answer}
+		}
+	}
 	res := &JoinResult{NumObjects: numObjects, Order: order}
 	sharded := j.concurrency > 1
 	if sharded {
@@ -770,47 +773,42 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 		var r *core.Result
 		var err error
 		if sharded {
-			r, err = core.LabelPartitionedSequentialRun(pt, singleOracleFrom(oracle, batch), j.concurrency, ro)
+			r, err = core.LabelPartitionedSequentialRun(pt, oracle, j.concurrency, ro)
 		} else {
-			r, err = core.LabelSequentialRun(numObjects, order, singleOracleFrom(oracle, batch), ro)
+			r, err = core.LabelSequentialRun(numObjects, order, oracle, ro)
 		}
 		runErr = err
 		if r != nil {
 			res.fill(r)
 		}
-	case strategyParallel:
-		var r *core.ParallelResult
-		var err error
-		switch {
-		case sharded && j.router == BalancedRouter:
-			r, err = core.LabelRoutedParallelRun(pt, batchOracleFrom(oracle, batch), j.concurrency, ro)
-		case sharded:
-			r, err = core.LabelPartitionedParallelRun(pt, batchOracleFrom(oracle, batch), j.concurrency, ro)
-		default:
-			r, err = core.LabelParallelRun(numObjects, order, batchOracleFrom(oracle, batch), ro)
+	case strategyParallel, strategyPlatform:
+		instant := j.instant && rounds == nil
+		r, err := core.LabelPartitionedOnPlatformRun(pt, platform, instant, ro)
+		if rounds != nil {
+			// A batch oracle that answered a round with the wrong number of
+			// labels stops the driver; the adapter knows why.
+			if cerr := rounds.Close(); cerr != nil && err != nil {
+				err = cerr
+			}
 		}
 		runErr = err
 		if r != nil {
 			res.fill(&r.Result)
-			res.RoundSizes = r.RoundSizes
 			res.Conflicts = r.Conflicts
-		}
-	case strategyPlatform:
-		r, err := core.LabelPartitionedOnPlatformRun(pt, platform, j.instant, ro)
-		runErr = err
-		if r != nil {
-			res.fill(&r.Result)
-			res.PublishSizes = r.PublishSizes
-			res.Availability = r.Availability
-			res.Conflicts = r.Conflicts
+			if rounds != nil {
+				res.RoundSizes = r.RoundSizes
+			} else {
+				res.PublishSizes = r.PublishSizes
+				res.Availability = r.Availability
+			}
 		}
 	case strategyOneToOne:
 		var r *core.OneToOneResult
 		var err error
 		if sharded {
-			r, err = core.LabelPartitionedOneToOneRun(pt, singleOracleFrom(oracle, batch), j.concurrency, ro)
+			r, err = core.LabelPartitionedOneToOneRun(pt, oracle, j.concurrency, ro)
 		} else {
-			r, err = core.LabelSequentialOneToOneRun(numObjects, order, singleOracleFrom(oracle, batch), ro)
+			r, err = core.LabelSequentialOneToOneRun(numObjects, order, oracle, ro)
 		}
 		runErr = err
 		if r != nil {
@@ -818,7 +816,7 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 			res.NumConstraintDeduced = r.NumConstraintDeduced
 		}
 	case strategyBudget:
-		r, err := core.LabelWithBudgetRun(numObjects, order, singleOracleFrom(oracle, batch), j.strategy.budget, j.strategy.guessThreshold, ro)
+		r, err := core.LabelWithBudgetRun(numObjects, order, oracle, j.strategy.budget, j.strategy.guessThreshold, ro)
 		runErr = err
 		if r != nil {
 			res.fill(&r.Result)

@@ -144,6 +144,7 @@ var parallelCancelRows = []struct {
 }{
 	{"parallel", nil},
 	{"parallel-k4-largest-first", []crowdjoin.JoinOption{crowdjoin.WithConcurrency(4)}},
+	{"parallel-k4-balanced", []crowdjoin.JoinOption{crowdjoin.WithConcurrency(4), crowdjoin.WithRouter(crowdjoin.BalancedRouter)}},
 }
 
 // checkParallelCancelKeepsAnswers cancels a ParallelStrategy Run after the

@@ -69,12 +69,25 @@ func flakyOracle() crowdjoin.Oracle {
 	})
 }
 
+// labelRounds runs the parallel labeler as ParallelStrategy does: the
+// round adapter over oracle, with crowd concurrency k (under the
+// balance-aware router when balanced is set), and the round driver on pt.
+func labelRounds(pt *core.Partition, oracle core.BatchOracle, k int, balanced bool) (*core.TraceResult, error) {
+	rounds := core.NewRoundPlatform(pt, oracle, k, balanced, core.RunOpts{})
+	r, err := core.LabelPartitionedOnPlatformRun(pt, rounds, false, core.RunOpts{})
+	if cerr := rounds.Close(); cerr != nil && err != nil {
+		return nil, cerr
+	}
+	return r, err
+}
+
 // TestJoinMatchesCoreDrivers: Join.Run must reproduce, byte for byte, what
 // the internal/core labeling kernels produce for the sequential, parallel,
 // one-to-one, and budget strategies, on randomized datasets — the
-// differential acceptance test for the session redesign. PlatformStrategy
-// makes one call into the platform driver, which internal/core pins to its
-// from-scratch reference (platform_reference_test.go).
+// differential acceptance test for the session redesign. The parallel
+// reference is the round adapter on the round driver, which internal/core
+// pins to its from-scratch reference (parallel_reference_test.go), as it
+// pins the driver's PlatformStrategy path (platform_reference_test.go).
 func TestJoinMatchesCoreDrivers(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -125,7 +138,11 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 			name string
 			o    crowdjoin.Oracle
 		}{{"parallel", oracle}, {"parallel-flaky", flakyOracle()}} {
-			par, err := core.LabelParallelRun(numObjects, order, core.Batched(tc.o), core.RunOpts{})
+			single, err := core.SinglePartition(numObjects, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			par, err := labelRounds(single, core.Batched(tc.o), 1, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"crowdjoin/internal/core"
 )
 
 // The label journal is the session checkpoint layer: an append-only,
@@ -429,111 +431,99 @@ func (o *journalOracle) Label(p Pair) Label {
 	return l
 }
 
-// journalBatchOracle replays the journaled part of each round and asks the
-// crowd only for the rest.
-type journalBatchOracle struct {
-	inner BatchOracle
-	jrn   *journalState
-}
-
-// LabelBatch implements BatchOracle.
-func (o *journalBatchOracle) LabelBatch(ps []Pair) []Label {
-	out := make([]Label, len(ps))
-	var miss []Pair
-	var missIdx []int
-	for i, p := range ps {
-		if l, ok := o.jrn.lookup(p.A, p.B); ok {
-			out[i] = l
-			o.jrn.countReplay()
-		} else {
-			miss = append(miss, p)
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(miss) == 0 {
-		return out
-	}
-	ans := o.inner.LabelBatch(miss)
-	if len(ans) != len(miss) {
-		// Surface the inner oracle's wrong-length answer to the driver's
-		// length check with its real count — except when that bogus count
-		// equals the full batch size, which would pass the check with
-		// misaligned answers; collapse that case to an empty reply.
-		if len(ans) == len(ps) {
-			return nil
-		}
-		return ans
-	}
-	for k, i := range missIdx {
-		out[i] = ans[k]
-		o.jrn.record(miss[k], ans[k])
-	}
-	return out
-}
-
-// journalPlatform short-circuits published pairs whose answers are already
-// journaled — they are served from an internal FIFO without ever reaching
-// the real platform — and records every answer the platform produces.
-type journalPlatform struct {
+// shortcutPlatform is the platform wrapper of the journal and triage
+// layers: published pairs whose answer known already has — journaled, or
+// machine-triaged — are served from an internal FIFO, in publish order and
+// before the inner platform's answers, without ever reaching it.
+type shortcutPlatform struct {
 	inner Platform
-	jrn   *journalState
-	// ready holds journaled answers for published pairs; head indexes the
+	known func(Pair) (Label, bool)
+	// ready holds the known answers for published pairs; head indexes the
 	// next one to serve.
 	ready       []Pair
 	readyLabels []Label
 	head        int
 }
 
-// Publish implements Platform. The replay FIFO is compacted in place
-// before appending (instead of letting head crawl forward forever), so a
-// long session never pins the served prefix of the backing arrays — the
-// same fix the crowd platform's batching buffer got.
-func (jp *journalPlatform) Publish(ps []Pair) {
-	if jp.head > 0 {
-		n := copy(jp.ready, jp.ready[jp.head:])
-		jp.ready = jp.ready[:n]
-		copy(jp.readyLabels, jp.readyLabels[jp.head:])
-		jp.readyLabels = jp.readyLabels[:n]
-		jp.head = 0
+// Publish implements Platform. The FIFO is compacted in place before
+// appending (instead of letting head crawl forward forever), so a long
+// session never pins the served prefix of the backing arrays — the same
+// fix the crowd platform's batching buffer got.
+func (sp *shortcutPlatform) Publish(ps []Pair) {
+	if sp.head > 0 {
+		n := copy(sp.ready, sp.ready[sp.head:])
+		sp.ready = sp.ready[:n]
+		copy(sp.readyLabels, sp.readyLabels[sp.head:])
+		sp.readyLabels = sp.readyLabels[:n]
+		sp.head = 0
 	}
 	var fwd []Pair
 	for _, p := range ps {
-		if l, ok := jp.jrn.lookup(p.A, p.B); ok {
-			jp.ready = append(jp.ready, p)
-			jp.readyLabels = append(jp.readyLabels, l)
+		if l, ok := sp.known(p); ok {
+			sp.ready = append(sp.ready, p)
+			sp.readyLabels = append(sp.readyLabels, l)
 		} else {
 			fwd = append(fwd, p)
 		}
 	}
 	if len(fwd) > 0 {
-		jp.inner.Publish(fwd)
+		sp.inner.Publish(fwd)
 	}
 }
 
-// NextLabel implements Platform: journaled answers drain first, in publish
-// order, then the real platform is consulted.
+// NextLabel implements Platform: known answers drain first, in publish
+// order, then the inner platform is consulted.
+func (sp *shortcutPlatform) NextLabel() (Pair, Label, bool) {
+	if sp.head == len(sp.ready) {
+		return sp.inner.NextLabel()
+	}
+	p, l := sp.ready[sp.head], sp.readyLabels[sp.head]
+	sp.head++
+	if sp.head == len(sp.ready) {
+		// Fully drained: release the served entries now rather than
+		// waiting for the next Publish to compact them away.
+		sp.ready, sp.readyLabels, sp.head = sp.ready[:0], sp.readyLabels[:0], 0
+	}
+	return p, l, true
+}
+
+// Available implements Platform.
+func (sp *shortcutPlatform) Available() int {
+	return len(sp.ready) - sp.head + sp.inner.Available()
+}
+
+// Held implements core.Holder: the known answers, then what the inner
+// platform holds.
+func (sp *shortcutPlatform) Held() int {
+	n := len(sp.ready) - sp.head
+	if h, ok := sp.inner.(core.Holder); ok {
+		n += h.Held()
+	}
+	return n
+}
+
+// journalPlatform short-circuits published pairs whose answers are already
+// journaled and records every answer the real platform produces.
+type journalPlatform struct {
+	shortcutPlatform
+	jrn *journalState
+}
+
+func newJournalPlatform(inner Platform, jrn *journalState) *journalPlatform {
+	known := func(p Pair) (Label, bool) { return jrn.lookup(p.A, p.B) }
+	return &journalPlatform{shortcutPlatform{inner: inner, known: known}, jrn}
+}
+
+// NextLabel implements Platform: a journaled answer counts as a replay,
+// and a fresh one is recorded.
 func (jp *journalPlatform) NextLabel() (Pair, Label, bool) {
 	if jp.head < len(jp.ready) {
-		p, l := jp.ready[jp.head], jp.readyLabels[jp.head]
-		jp.head++
-		if jp.head == len(jp.ready) {
-			// Fully drained: release the served entries now rather than
-			// waiting for the next Publish to compact them away.
-			jp.ready = jp.ready[:0]
-			jp.readyLabels = jp.readyLabels[:0]
-			jp.head = 0
-		}
 		jp.jrn.countReplay()
-		return p, l, true
+		return jp.shortcutPlatform.NextLabel()
 	}
 	p, l, ok := jp.inner.NextLabel()
 	if ok {
 		jp.jrn.record(p, l)
 	}
 	return p, l, ok
-}
-
-// Available implements Platform.
-func (jp *journalPlatform) Available() int {
-	return len(jp.ready) - jp.head + jp.inner.Available()
 }

@@ -52,7 +52,7 @@ func TestJournalPlatformCompactsOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp := &journalPlatform{inner: &stubPlatform{t: t}, jrn: jrn}
+	jp := newJournalPlatform(&stubPlatform{t: t}, jrn)
 	for r, round := range published {
 		jp.Publish(round)
 		if jp.head != 0 {

@@ -219,103 +219,6 @@ func (o *triageOracle) Label(p Pair) Label {
 	return o.inner.Label(p)
 }
 
-// triageBatchOracle answers the banded part of each round from the machine
-// and asks the inner crowd only for the uncertain rest.
-type triageBatchOracle struct {
-	inner BatchOracle
-	tri   *triageState
-}
-
-// LabelBatch implements BatchOracle.
-func (o *triageBatchOracle) LabelBatch(ps []Pair) []Label {
-	out := make([]Label, len(ps))
-	var miss []Pair
-	var missIdx []int
-	for i, p := range ps {
-		if l, ok := o.tri.answer(p); ok {
-			out[i] = l
-		} else {
-			miss = append(miss, p)
-			missIdx = append(missIdx, i)
-		}
-	}
-	if len(miss) == 0 {
-		return out
-	}
-	ans := o.inner.LabelBatch(miss)
-	if len(ans) != len(miss) {
-		// Same collapse rule as the journal wrapper: surface the inner
-		// oracle's wrong-length answer with its real count, except when that
-		// count happens to equal the full batch size — which would pass the
-		// driver's length check misaligned — where it collapses to empty.
-		if len(ans) == len(ps) {
-			return nil
-		}
-		return ans
-	}
-	for k, i := range missIdx {
-		out[i] = ans[k]
-	}
-	return out
-}
-
-// triagePlatform serves banded published pairs from an internal FIFO
-// without them ever reaching the real platform.
-type triagePlatform struct {
-	inner Platform
-	tri   *triageState
-	// ready holds machine answers for published pairs; head indexes the
-	// next one to serve.
-	ready       []Pair
-	readyLabels []Label
-	head        int
-}
-
-// Publish implements Platform. The FIFO is compacted in place before
-// appending, like the journal platform's replay FIFO.
-func (tp *triagePlatform) Publish(ps []Pair) {
-	if tp.head > 0 {
-		n := copy(tp.ready, tp.ready[tp.head:])
-		tp.ready = tp.ready[:n]
-		copy(tp.readyLabels, tp.readyLabels[tp.head:])
-		tp.readyLabels = tp.readyLabels[:n]
-		tp.head = 0
-	}
-	var fwd []Pair
-	for _, p := range ps {
-		if l, ok := tp.tri.answer(p); ok {
-			tp.ready = append(tp.ready, p)
-			tp.readyLabels = append(tp.readyLabels, l)
-		} else {
-			fwd = append(fwd, p)
-		}
-	}
-	if len(fwd) > 0 {
-		tp.inner.Publish(fwd)
-	}
-}
-
-// NextLabel implements Platform: machine answers drain first, in publish
-// order, then the real platform is consulted.
-func (tp *triagePlatform) NextLabel() (Pair, Label, bool) {
-	if tp.head < len(tp.ready) {
-		p, l := tp.ready[tp.head], tp.readyLabels[tp.head]
-		tp.head++
-		if tp.head == len(tp.ready) {
-			tp.ready = tp.ready[:0]
-			tp.readyLabels = tp.readyLabels[:0]
-			tp.head = 0
-		}
-		return p, l, true
-	}
-	return tp.inner.NextLabel()
-}
-
-// Available implements Platform.
-func (tp *triagePlatform) Available() int {
-	return len(tp.ready) - tp.head + tp.inner.Available()
-}
-
 // triageOrder reorders a labeling order for an enabled triage: machine-
 // accepted pairs first, then machine-rejected, then the uncertain band,
 // each sub-band keeping the configured ordering's relative order. The free

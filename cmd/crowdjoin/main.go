@@ -193,35 +193,20 @@ func main() {
 	context.AfterFunc(ctx, stop)
 
 	if *stream {
-		streamLoop(ctx, j, &texts, keys, *resume)
+		from := *resume
+		if from == "" {
+			from = "earlier rounds"
+		}
+		streamLoop(ctx, j, &texts, keys, from)
 		return
 	}
 
-	res, err := j.Run(ctx)
-	if res == nil {
-		fatal(err)
-	}
-	if res.Partial {
-		fmt.Fprintf(os.Stderr, "interrupted (%v): printing the partial join\n", err)
-	} else if err != nil {
-		fatal(err)
-	}
+	res := outcome(j.Run(ctx))
 	fmt.Fprintf(os.Stderr, "%d records, %d candidate pairs above %.2f\n", len(texts), len(res.Order), *threshold)
 	if res.Components > 0 {
 		fmt.Fprintf(os.Stderr, "candidate graph split into %d components (up to %d crowdsourced concurrently)\n", res.Components, *concurrency)
 	}
-	fmt.Fprintf(os.Stderr, "crowdsourced %d pairs, deduced %d via transitive relations", res.NumCrowdsourced, res.NumDeduced)
-	if res.Replayed > 0 {
-		fmt.Fprintf(os.Stderr, " (%d answers replayed from %s)", res.Replayed, *resume)
-	}
-	if n := res.TriageAccepted + res.TriageRejected; n > 0 {
-		fmt.Fprintf(os.Stderr, ", triaged %d from the similarity bands (%d accepted, %d rejected)",
-			n, res.TriageAccepted, res.TriageRejected)
-	}
-	if res.NumGuessed > 0 {
-		fmt.Fprintf(os.Stderr, ", guessed %d from the machine likelihood", res.NumGuessed)
-	}
-	fmt.Fprintln(os.Stderr)
+	summarize(res, *resume)
 
 	clusters, cerr := res.Clusters()
 	if cerr != nil {
@@ -242,31 +227,12 @@ func main() {
 // append record batches from stdin (blank line or EOF ends a batch, lines
 // are "entitykey<TAB>record text") and re-run after each, printing the
 // clusters that contain a new record. Answers already bought are replayed
-// from the session's memory (or the -resume journal), never re-asked.
-func streamLoop(ctx context.Context, j *crowdjoin.Join, texts *[]string, keys *[]string, resume string) {
+// from replayedFrom — the session's memory or the -resume journal — never
+// re-asked.
+func streamLoop(ctx context.Context, j *crowdjoin.Join, texts *[]string, keys *[]string, replayedFrom string) {
 	round := func(batch, newFrom int) bool {
-		res, err := j.Run(ctx)
-		if res == nil {
-			fatal(err)
-		}
-		if res.Partial {
-			fmt.Fprintf(os.Stderr, "interrupted (%v): printing the partial join\n", err)
-		} else if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "crowdsourced %d pairs, deduced %d via transitive relations", res.NumCrowdsourced, res.NumDeduced)
-		if res.Replayed > 0 {
-			src := "earlier rounds"
-			if resume != "" {
-				src = resume
-			}
-			fmt.Fprintf(os.Stderr, " (%d answers replayed from %s)", res.Replayed, src)
-		}
-		if n := res.TriageAccepted + res.TriageRejected; n > 0 {
-			fmt.Fprintf(os.Stderr, ", triaged %d from the similarity bands (%d accepted, %d rejected)",
-				n, res.TriageAccepted, res.TriageRejected)
-		}
-		fmt.Fprintln(os.Stderr)
+		res := outcome(j.Run(ctx))
+		summarize(res, replayedFrom)
 		clusters, cerr := res.Clusters()
 		if cerr != nil {
 			fatal(cerr)
@@ -328,6 +294,37 @@ func streamLoop(ctx context.Context, j *crowdjoin.Join, texts *[]string, keys *[
 			return
 		}
 	}
+}
+
+// outcome returns a Run's result, announcing a partial (interrupted) one;
+// any other error is fatal.
+func outcome(res *crowdjoin.JoinResult, err error) *crowdjoin.JoinResult {
+	if res == nil {
+		fatal(err)
+	}
+	if res.Partial {
+		fmt.Fprintf(os.Stderr, "interrupted (%v): printing the partial join\n", err)
+	} else if err != nil {
+		fatal(err)
+	}
+	return res
+}
+
+// summarize prints how res's labels were obtained; replayed answers came
+// from replayedFrom.
+func summarize(res *crowdjoin.JoinResult, replayedFrom string) {
+	fmt.Fprintf(os.Stderr, "crowdsourced %d pairs, deduced %d via transitive relations", res.NumCrowdsourced, res.NumDeduced)
+	if res.Replayed > 0 {
+		fmt.Fprintf(os.Stderr, " (%d answers replayed from %s)", res.Replayed, replayedFrom)
+	}
+	if n := res.TriageAccepted + res.TriageRejected; n > 0 {
+		fmt.Fprintf(os.Stderr, ", triaged %d from the similarity bands (%d accepted, %d rejected)",
+			n, res.TriageAccepted, res.TriageRejected)
+	}
+	if res.NumGuessed > 0 {
+		fmt.Fprintf(os.Stderr, ", guessed %d from the machine likelihood", res.NumGuessed)
+	}
+	fmt.Fprintln(os.Stderr)
 }
 
 // buildOracle returns the crowd backend and, for -crowd auto, a pointer to

@@ -42,8 +42,6 @@ type RoundPlatform struct {
 	// has not answered, the stride weight (BalancedRouter).
 	pass      []float64
 	remaining []int
-	// running counts the crowd calls under way.
-	running int
 	// ready and answers hold the settled answers; head indexes the next
 	// one to serve.
 	ready   []Pair
@@ -109,7 +107,7 @@ func (rp *RoundPlatform) NextLabel() (Pair, Label, bool) {
 		if rp.k == 1 && rp.workLocked() {
 			continue
 		}
-		if rp.stopped || rp.ctx.Err() != nil || rp.running == 0 && len(rp.queue) == 0 {
+		if rp.stopped || rp.ctx.Err() != nil || len(rp.live) == 0 {
 			break
 		}
 		rp.wake.Wait()

@@ -55,11 +55,9 @@ func (rp *RoundPlatform) workLocked() bool {
 	if hi == len(rd.pairs) {
 		rp.queue = slices.Delete(rp.queue, best, best+1)
 	}
-	rp.running++
 	rp.mu.Unlock()
 	ans := rp.inner.LabelBatch(rd.pairs[lo:hi])
 	rp.mu.Lock()
-	rp.running--
 	if len(ans) == hi-lo {
 		copy(rd.answers[lo:hi], ans)
 	} else if rp.err == nil && rp.ctx.Err() == nil {

@@ -51,29 +51,26 @@ type Partition struct {
 	// Shards holds one entry per component, indexed by component id.
 	Shards []Shard
 	// shardOf and localID route a global pair ID to its shard and its
-	// position there. A SinglePartition has no shardOf, and no localID
-	// either when the order's IDs are its positions.
+	// position there; a SinglePartition whose order's IDs are its
+	// positions needs neither.
 	shardOf []int32
 	localID []int32
 }
 
 // Locate returns the shard index and local pair ID of a global pair ID.
 func (p *Partition) Locate(globalID int) (shard, local int) {
-	switch {
-	case p.localID == nil:
+	if p.localID == nil {
 		return 0, globalID
-	case p.shardOf == nil:
-		return 0, int(p.localID[globalID])
 	}
 	return int(p.shardOf[globalID]), int(p.localID[globalID])
 }
 
 // NumPairs returns the total number of pairs across all shards.
 func (p *Partition) NumPairs() int {
-	if p.shardOf == nil {
+	if p.localID == nil {
 		return len(p.Shards[0].Order)
 	}
-	return len(p.shardOf)
+	return len(p.localID)
 }
 
 // BuildPartition validates the candidate set and splits it into connected
@@ -115,7 +112,7 @@ func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
 	pt := &Partition{Shards: []Shard{{Order: order, Global: order, NumObjects: numObjects}}}
 	for pos, p := range order {
 		if p.ID != pos {
-			pt.localID = make([]int32, len(order))
+			pt.shardOf, pt.localID = make([]int32, len(order)), make([]int32, len(order))
 			local := make([]Pair, len(order))
 			for pos, p := range order {
 				pt.localID[p.ID] = int32(pos)

@@ -320,20 +320,24 @@ func WithIncrementalPlatform(scan, deduce bool) JoinOption {
 // component can run the paper's single-order algorithm independently while
 // k components consult the crowd at once.
 //
-// k = 1 (the default) runs unsharded: the sequential, parallel, and
-// one-to-one strategies run their labeling kernel over the whole order,
-// and PlatformStrategy runs its one driver over a single shard. With k > 1:
+// k = 1 (the default) runs unsharded: the sequential and one-to-one
+// strategies run their labeling kernel over the whole order, and the
+// parallel and platform strategies run the round driver over a single
+// shard. With k > 1:
 //
-//   - Sequential, parallel, and one-to-one strategies run k component
-//     subproblems on concurrent goroutines; the configured Oracle or
-//     BatchOracle must be safe for concurrent use. A component never waits
-//     on another component's crowd answers, so a slow round in one cluster
-//     of the data no longer gates the rest.
-//   - PlatformStrategy interleaves per-component publish rounds on the one
-//     platform (the driver itself stays single-threaded; the parallelism
-//     is in the crowd, which sees every component's mandatory pairs
-//     without cross-component round barriers). PublishSizes counts one
-//     publish event per component round.
+//   - Sequential and one-to-one strategies run k component subproblems on
+//     concurrent goroutines; the configured Oracle or BatchOracle must be
+//     safe for concurrent use. A component never waits on another
+//     component's crowd answers, so a slow round in one cluster of the
+//     data no longer gates the rest.
+//   - Parallel and platform strategies interleave per-component rounds on
+//     the one round driver (single-threaded; the parallelism is in the
+//     crowd, which sees every component's mandatory pairs without
+//     cross-component round barriers). ParallelStrategy's crowd answers up
+//     to k rounds at once — k single questions under BalancedRouter — so
+//     its BatchOracle or Oracle must be safe for concurrent use.
+//     PublishSizes counts one publish event per component round, and
+//     EventRoundPublished.Round is the global publish index.
 //   - Labels, crowdsourced flags, and counters are merged
 //     deterministically by pair; for crowds whose answer to a pair does
 //     not depend on question order, results are identical to k = 1.
@@ -429,22 +433,6 @@ func NewJoin(opts ...JoinOption) (*Join, error) {
 		}
 	}
 	return j, nil
-}
-
-// singleOracleFrom resolves the per-pair crowd, adapting a batch oracle
-// when only that was configured (NewJoin guarantees one of the two
-// exists).
-func singleOracleFrom(oracle Oracle, batch BatchOracle) Oracle {
-	if oracle != nil {
-		return oracle
-	}
-	return OracleFunc(func(p Pair) Label {
-		ans := batch.LabelBatch([]Pair{p})
-		if len(ans) == 0 {
-			return Unlabeled // rejected by the driver's answer check
-		}
-		return ans[0]
-	})
 }
 
 // JoinResult is the consolidated outcome of Join.Run. All per-pair slices
@@ -746,7 +734,15 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 	case strategyPlatform:
 		platform = j.platform
 	default:
-		oracle = singleOracleFrom(j.oracle, j.batch)
+		oracle = j.oracle
+		if oracle == nil { // NewJoin guarantees one of the two
+			oracle = OracleFunc(func(p Pair) Label {
+				if ans := j.batch.LabelBatch([]Pair{p}); len(ans) > 0 {
+					return ans[0]
+				}
+				return Unlabeled // rejected by the driver's answer check
+			})
+		}
 	}
 	if jrn != nil {
 		if oracle != nil {

@@ -51,15 +51,15 @@ func WithTriage(acceptAbove, rejectBelow float64) JoinOption {
 type Router uint8
 
 const (
-	// LargestFirstRouter is the default: k whole-component workers, largest
-	// components first. Exactly the scheduling every release so far used.
+	// LargestFirstRouter is the default: the crowd answers whole shard
+	// rounds, up to k at a time, the largest component's first.
 	LargestFirstRouter Router = iota
 	// BalancedRouter models the crowd as k concurrent workers answering one
 	// question at a time and stride-schedules every shard's published rounds
-	// across them, weighting each shard's share by its remaining-unlabeled
-	// pairs. A giant component's big rounds spread over all k workers while
-	// small components' instant decisions overlap its crowd latency instead
-	// of queueing behind it. Labels and crowd cost are identical to
+	// across them, weighting each shard's share by its pairs the crowd has
+	// not answered yet. A giant component's big rounds spread over all k
+	// workers while small components' rounds overlap its crowd latency
+	// instead of queueing behind it. Labels and crowd cost are identical to
 	// LargestFirstRouter for order-independent crowds.
 	BalancedRouter
 )

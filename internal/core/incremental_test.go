@@ -18,17 +18,27 @@ import (
 // crowd, so both dirty rules (a non-matching answer where the scan assumed
 // a match, a matching one where it deduced non-matching) fire.
 //
-// Instant mode deduces after every answer, outside the scan. In the
-// drained-round mode the crowd answers every outstanding pair before the
-// next scan, and the scan itself deduces from the crowd-label graph, as
-// plain mode runs it: it must deduce exactly the labels a full sweep
-// would, report exactly those positions, and then select what a
-// from-scratch scan selects.
+// Instant mode (mode 0) deduces after every answer, outside the scan. In
+// the drained-round mode (1) the crowd answers every outstanding pair
+// before the next scan, and the scan itself deduces from the crowd-label
+// graph, as plain mode runs it: it must deduce exactly the labels a full
+// sweep would, report exactly those positions, and then select what a
+// from-scratch scan selects. Mode 2 has the scan deduce after every
+// single answer, while other pairs are still out: on dense workloads a
+// deduction before the dirty position then flips what the scan did there
+// (at a drain it cannot). Workloads are dense ones whose likelihoods
+// ignore the truth in mode 2, and half the time in the others; sparse
+// random instances otherwise.
 func TestResumableScanMatchesScratch(t *testing.T) {
-	f := func(seed int64, drained bool) bool {
+	f := func(seed int64, mode uint8) bool {
+		fused, drained := mode%3 != 0, mode%3 == 1
 		rng := rand.New(rand.NewSource(seed))
-		n, pairs, truth := randomInstance(rng, 14, 40)
-		order := ExpectedOrder(pairs)
+		n, order, truth := denseWorkload(rng)
+		if mode%3 != 2 && mode&8 == 0 {
+			var pairs []Pair
+			n, pairs, truth = randomInstance(rng, 14, 40)
+			order = ExpectedOrder(pairs)
+		}
 		for pos := range order {
 			order[pos].ID = pos // shard coordinates: IDs are positions
 		}
@@ -69,7 +79,7 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 			var crowd *clustergraph.Graph
 			wantLabels := labels
 			var wantDeduced []int32
-			if drained {
+			if fused {
 				crowd = labeled
 				wantLabels = append([]Label(nil), labels...)
 				wantDeduced = sweep(wantLabels, false)
@@ -86,7 +96,7 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 				}
 			}
 			got, deduced := scan.scan(labels, published, crowd)
-			if drained && (!reflect.DeepEqual(labels, wantLabels) || len(deduced) != len(wantDeduced) ||
+			if fused && (!reflect.DeepEqual(labels, wantLabels) || len(deduced) != len(wantDeduced) ||
 				len(deduced) > 0 && !reflect.DeepEqual(deduced, wantDeduced)) {
 				t.Errorf("seed %d step %d: scan deduced %v, want %v", seed, step, deduced, wantDeduced)
 				return false
@@ -137,13 +147,13 @@ func TestResumableScanMatchesScratch(t *testing.T) {
 				labels[p.ID] = l
 				scan.note(p.ID, l)
 			}
-			if !drained {
+			if !fused {
 				sweep(labels, true) // instant mode: deduce after the answer, sparing published pairs
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -145,7 +145,8 @@ func LabelPartitionedOnPlatformRun(pt *Partition, pf Platform, instant bool, ro 
 	}
 	unlabeled := numPairs
 
-	// deduced labels the pair at pos of sh as implied by its crowd answers.
+	// deduced accounts for the label l that deduction gave the pair at pos
+	// of sh.
 	deduced := func(sh *platformShard, pos int, l Label) {
 		sh.res.NumDeduced++
 		sh.unlabeled--

@@ -36,19 +36,19 @@ type RoundPlatform struct {
 	wake *sync.Cond
 	// queue holds the rounds with questions no call has claimed, live
 	// every round not settled yet, both in publish order.
-	queue []*round
-	live  []*round
+	queue []*round // guarded by mu
+	live  []*round // guarded by mu
 	// pass is each shard's stride pass and remaining its pairs the crowd
 	// has not answered, the stride weight (BalancedRouter).
-	pass      []float64
-	remaining []int
+	pass      []float64 // guarded by mu
+	remaining []int     // guarded by mu
 	// ready and answers hold the settled answers; head indexes the next
 	// one to serve.
-	ready   []Pair
-	answers []Label
-	head    int
-	err     error
-	stopped bool
+	ready   []Pair  // guarded by mu
+	answers []Label // guarded by mu
+	head    int     // guarded by mu
+	err     error   // guarded by mu
+	stopped bool    // guarded by mu
 }
 
 // NewRoundPlatform returns the round adapter for rounds of pt answered by

@@ -369,7 +369,7 @@ func BenchmarkSequentialLabeling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.LabelSequentialRun(e.Paper.Dataset.Len(), order, e.Paper.Truth, core.RunOpts{}); err != nil {
+		if _, err := core.LabelSequentialRun(e.Paper.Dataset.Len(), order, e.Paper.Truth, core.Rules{}, core.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +433,7 @@ func BenchmarkShardedParallelLabeling(b *testing.B) {
 	// component per round, so tiny per-call costs would swamp the modeled
 	// crowd time.
 	oracle := latencyBatchOracle{truth: e.Paper.Truth, perPair: 500 * time.Microsecond}
-	pt, err := core.BuildPartition(e.Paper.Dataset.Len(), order)
+	pt, err := core.BuildPartition(e.Paper.Dataset.Len(), order, core.TriageBands{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func BenchmarkGiantComponent(b *testing.B) {
 	// own sleep call, and at 500µs the OS timer overhead (~0.5ms/call on
 	// this class of box) would rival the modeled crowd time itself.
 	oracle := latencyBatchOracle{truth: e.Paper.Truth, perPair: 2 * time.Millisecond}
-	pt, err := core.BuildPartition(numObjects, order)
+	pt, err := core.BuildPartition(numObjects, order, core.TriageBands{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,7 +41,7 @@
 // PlatformStrategy streams against a Platform (your crowdsourcing
 // backend) and with WithInstantDecisions republishes the moment an answer
 // makes new pairs mandatory; OneToOneStrategy and BudgetStrategy are the
-// constraint and budget extensions. NewSimulatedCrowd and NewAMTSimulator
+// sequential labeler with the constraint and budget extensions. NewSimulatedCrowd and NewAMTSimulator
 // provide in-memory platforms for testing and simulation.
 //
 // Real crowd jobs run for hours, so the session is built to be interrupted:

@@ -133,12 +133,14 @@ func expectedCost(scratch *clustergraph.Graph, order []Pair, worlds []World, bou
 	return e, nil
 }
 
-// countCrowdsourcedInto is the counting kernel of the sequential labeler
-// (LabelSequentialRun): it walks the order through scratch — which must be
-// empty or Reset and sized to the object universe — and returns how many
-// pairs the oracle had to answer. Unlike LabelSequentialRun it records no
-// per-pair results and performs no input validation, so replay-heavy
-// callers (expected-cost, brute-force order search) stay allocation-free.
+// countCrowdsourcedInto is the counting kernel of the Section 3.2
+// sequential labeler (LabelSequentialRun under the zero Rules, with no
+// one-to-one constraint and no budget): it walks the order through
+// scratch — which must be empty or Reset and sized to the object universe
+// — and returns how many pairs the oracle had to answer. Unlike
+// LabelSequentialRun it records no per-pair results, emits no events and
+// performs no input validation, so replay-heavy callers (expected-cost,
+// brute-force order search) stay allocation-free.
 func countCrowdsourcedInto(scratch *clustergraph.Graph, order []Pair, oracle Oracle) (int, error) {
 	count := 0
 	for _, p := range order {

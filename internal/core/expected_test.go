@@ -195,7 +195,7 @@ func TestQuickExpectedCostBracketsRealizedCost(t *testing.T) {
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, w := range worlds {
-			res, err := LabelSequentialRun(n, pairs, &WorldOracle{Labels: w.Labels}, RunOpts{})
+			res, err := LabelSequentialRun(n, pairs, &WorldOracle{Labels: w.Labels}, Rules{}, RunOpts{})
 			if err != nil {
 				return false
 			}

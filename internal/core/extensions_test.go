@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,11 +58,11 @@ func TestOneToOneSavesOnBipartiteJoins(t *testing.T) {
 		matched := rng.Intn(n + 1)
 		numObjects, pairs, truth := oneToOneInstance(rng, n, matched, 3*n)
 		order := ExpectedOrder(pairs)
-		plain, err := LabelSequentialRun(numObjects, order, truth, RunOpts{})
+		plain, err := LabelSequentialRun(numObjects, order, truth, Rules{}, RunOpts{})
 		if err != nil {
 			return false
 		}
-		oto, err := LabelSequentialOneToOneRun(numObjects, order, truth, RunOpts{})
+		oto, err := LabelSequentialRun(numObjects, order, truth, Rules{OneToOne: true}, RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -95,11 +97,11 @@ func TestOneToOneStrictlySavesWhenConstraintBites(t *testing.T) {
 		{ID: 2, A: 2, B: 3, Likelihood: 0.4}, // a2-b0
 	}
 	truth := &TruthOracle{Entity: []int32{0, 1, 2, 0}}
-	plain, err := LabelSequentialRun(4, pairs, truth, RunOpts{})
+	plain, err := LabelSequentialRun(4, pairs, truth, Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	oto, err := LabelSequentialOneToOneRun(4, pairs, truth, RunOpts{})
+	oto, err := LabelSequentialRun(4, pairs, truth, Rules{OneToOne: true}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestOneToOneConstraintFeedsTransitivity(t *testing.T) {
 		{ID: 4, A: 2, B: 3, Likelihood: 0.5}, // b0-b1: b0~a0… a1~b1, a1≠b0 → N deducible
 	}
 	truth := &TruthOracle{Entity: []int32{0, 1, 0, 1}}
-	oto, err := LabelSequentialOneToOneRun(4, pairs, truth, RunOpts{})
+	oto, err := LabelSequentialRun(4, pairs, truth, Rules{OneToOne: true}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestOneToOneCanErrOnDuplicateData(t *testing.T) {
 		{ID: 1, A: 0, B: 2, Likelihood: 0.8}, // a0-b1 truly M, constraint says N
 	}
 	truth := &TruthOracle{Entity: []int32{0, 0, 0}}
-	oto, err := LabelSequentialOneToOneRun(3, pairs, truth, RunOpts{})
+	oto, err := LabelSequentialRun(3, pairs, truth, Rules{OneToOne: true}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +168,11 @@ func TestLabelWithBudgetUnlimitedEqualsSequential(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		order := ExpectedOrder(pairs)
-		seq, err := LabelSequentialRun(n, order, truth, RunOpts{})
+		seq, err := LabelSequentialRun(n, order, truth, Rules{}, RunOpts{})
 		if err != nil {
 			return false
 		}
-		bud, err := LabelWithBudgetRun(n, order, truth, len(pairs), 0.5, RunOpts{})
+		bud, err := LabelSequentialRun(n, order, truth, budgetRules(len(pairs)), RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -193,7 +195,7 @@ func TestLabelWithBudgetZeroGuessesEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n, pairs, truth := randomInstance(rng, 12, 30)
 	order := ExpectedOrder(pairs)
-	bud, err := LabelWithBudgetRun(n, order, truth, 0, 0.5, RunOpts{})
+	bud, err := LabelSequentialRun(n, order, truth, budgetRules(0), RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +244,7 @@ func TestLabelWithBudgetQualityGrowsWithBudget(t *testing.T) {
 		}
 	}
 	quality := func(budget int) float64 {
-		bud, err := LabelWithBudgetRun(n, order, truth, budget, 0.5, RunOpts{})
+		bud, err := LabelSequentialRun(n, order, truth, budgetRules(budget), RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +282,49 @@ func TestLabelWithBudgetQualityGrowsWithBudget(t *testing.T) {
 }
 
 func TestLabelWithBudgetRejectsNegative(t *testing.T) {
-	if _, err := LabelWithBudgetRun(3, triangle(0.9, 0.5, 0.1), triangleTruth(), -1, 0.5, RunOpts{}); err == nil {
+	if _, err := LabelSequentialRun(3, triangle(0.9, 0.5, 0.1), triangleTruth(), budgetRules(-1), RunOpts{}); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+}
+
+// TestLabelWithBudgetCancelledNeverGuesses: a run cancelled after its
+// budget is spent sweeps only the deductions its answers imply. Unreached
+// pairs stay Unlabeled instead of guessed, so the partial result cannot be
+// mistaken for a completed budget run.
+func TestLabelWithBudgetCancelledNeverGuesses(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	n, pairs, truth := randomInstance(rng, 12, 30)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	oracle := OracleFunc(func(p Pair) Label {
+		cancel()
+		return truth.Label(p)
+	})
+	bud, err := LabelSequentialRun(n, ExpectedOrder(pairs), oracle, budgetRules(1), RunOpts{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if bud.NumCrowdsourced != 1 || bud.NumGuessed != 0 {
+		t.Fatalf("crowdsourced %d, guessed %d; want 1 and 0", bud.NumCrowdsourced, bud.NumGuessed)
+	}
+	if bud.NumCrowdsourced+bud.NumDeduced == len(pairs) {
+		t.Fatal("one answer labeled every pair; the sweep had nothing to guess")
+	}
+}
+
+// budgetRules is a budget of limit crowd questions with the 0.5 guess
+// threshold every budget test here uses.
+func budgetRules(limit int) Rules {
+	return Rules{Budget: &Budget{Limit: limit, GuessThreshold: 0.5}}
+}
+
+// TestSequentialRulesRefuseOneToOneUnderBudget: the one-to-one constraint
+// and a budget are two different sessions; asking for both is an error,
+// not a silent pick.
+func TestSequentialRulesRefuseOneToOneUnderBudget(t *testing.T) {
+	rules := budgetRules(1)
+	rules.OneToOne = true
+	if _, err := LabelSequentialRun(3, triangle(0.9, 0.5, 0.1), triangleTruth(), rules, RunOpts{}); err == nil {
+		t.Fatal("one-to-one under a budget accepted")
 	}
 }

@@ -87,7 +87,7 @@ func TestParallelMatchesSequentialOnExpectedOrder(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		ord := ExpectedOrder(pairs)
-		seq, err := LabelSequentialRun(n, ord, truth, RunOpts{})
+		seq, err := LabelSequentialRun(n, ord, truth, Rules{}, RunOpts{})
 		if err != nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func TestParallelNearSequentialOnArbitraryOrders(t *testing.T) {
 			})
 		}
 		ord := RandomOrder(pairs, rng)
-		seq, err := LabelSequentialRun(n, ord, oracle, RunOpts{})
+		seq, err := LabelSequentialRun(n, ord, oracle, Rules{}, RunOpts{})
 		if err != nil {
 			return false
 		}

@@ -235,7 +235,7 @@ func TestShardedPlatformMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, flaky := range []bool{false, true} {
 		for trial, c := range referenceCases(rng, 20, flaky) {
-			comps, err := BuildPartition(c.numObjects, c.order)
+			comps, err := BuildPartition(c.numObjects, c.order, TriageBands{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +378,7 @@ func FuzzPlatformMatchesReference(f *testing.F) {
 			t.Fatalf("one-shard publishes diverged from the reference:\n got %v\nwant %v", gotPf.batches, wantPf.batches)
 		}
 
-		comps, err := BuildPartition(numObjects, order)
+		comps, err := BuildPartition(numObjects, order, TriageBands{})
 		if err != nil {
 			t.Fatal(err)
 		}

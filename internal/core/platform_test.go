@@ -43,7 +43,7 @@ func TestInstantNeverExceedsSequentialCount(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		ord := ExpectedOrder(pairs)
-		seq, err := LabelSequentialRun(n, ord, truth, RunOpts{})
+		seq, err := LabelSequentialRun(n, ord, truth, Rules{}, RunOpts{})
 		if err != nil {
 			return false
 		}

@@ -17,7 +17,7 @@ func chainShards(t *testing.T, n int) *Partition {
 			Pair{ID: len(order), A: 3 * i, B: 3*i + 1},
 			Pair{ID: len(order) + 1, A: 3*i + 1, B: 3*i + 2})
 	}
-	pt, err := BuildPartition(3*n, order)
+	pt, err := BuildPartition(3*n, order, TriageBands{})
 	if err != nil {
 		t.Fatal(err)
 	}

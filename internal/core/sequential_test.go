@@ -14,7 +14,7 @@ func TestSection31OrderEffect(t *testing.T) {
 	truth := triangleTruth()
 
 	omega := []Pair{pairs[0], pairs[1], pairs[2]}
-	res, err := LabelSequentialRun(3, omega, truth, RunOpts{})
+	res, err := LabelSequentialRun(3, omega, truth, Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestSection31OrderEffect(t *testing.T) {
 	}
 
 	omegaPrime := []Pair{pairs[1], pairs[2], pairs[0]}
-	res, err = LabelSequentialRun(3, omegaPrime, truth, RunOpts{})
+	res, err = LabelSequentialRun(3, omegaPrime, truth, Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestExample2Optimum(t *testing.T) {
 	truth := runningExampleTruth()
 
 	opt := OptimalOrder(pairs, truth.Matches)
-	res, err := LabelSequentialRun(runningExampleObjects, opt, truth, RunOpts{})
+	res, err := LabelSequentialRun(runningExampleObjects, opt, truth, Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestExpectedOrderOnRunningExample(t *testing.T) {
 			t.Fatalf("expected order position %d has pair ID %d, want %d", i, p.ID, i)
 		}
 	}
-	res, err := LabelSequentialRun(runningExampleObjects, ord, truth, RunOpts{})
+	res, err := LabelSequentialRun(runningExampleObjects, ord, truth, Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestLabelSequentialValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := LabelSequentialRun(tc.n, tc.pairs, truth, RunOpts{})
+			_, err := LabelSequentialRun(tc.n, tc.pairs, truth, Rules{}, RunOpts{})
 			if err == nil || !strings.Contains(err.Error(), tc.frag) {
 				t.Fatalf("err = %v, want containing %q", err, tc.frag)
 			}
@@ -162,13 +162,13 @@ func TestLabelSequentialValidation(t *testing.T) {
 func TestLabelSequentialRejectsBadOracle(t *testing.T) {
 	pairs := triangle(0.9, 0.5, 0.1)
 	bad := OracleFunc(func(Pair) Label { return Unlabeled })
-	if _, err := LabelSequentialRun(3, pairs, bad, RunOpts{}); err == nil {
+	if _, err := LabelSequentialRun(3, pairs, bad, Rules{}, RunOpts{}); err == nil {
 		t.Fatal("oracle returning Unlabeled was accepted")
 	}
 }
 
 func TestLabelSequentialEmpty(t *testing.T) {
-	res, err := LabelSequentialRun(0, nil, triangleTruth(), RunOpts{})
+	res, err := LabelSequentialRun(0, nil, triangleTruth(), Rules{}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestSequentialLabelsAlwaysComplete(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		n, pairs, truth := randomInstance(rng, 12, 30)
 		ord := RandomOrder(pairs, rng)
-		res, err := LabelSequentialRun(n, ord, truth, RunOpts{})
+		res, err := LabelSequentialRun(n, ord, truth, Rules{}, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestSequentialDeducedLabelsCorrectWithPerfectOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 50; trial++ {
 		n, pairs, truth := randomInstance(rng, 10, 40)
-		res, err := LabelSequentialRun(n, RandomOrder(pairs, rng), truth, RunOpts{})
+		res, err := LabelSequentialRun(n, RandomOrder(pairs, rng), truth, Rules{}, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -10,18 +12,20 @@ import (
 // Transitive deduction never crosses connected components of the candidate
 // graph: a path of labeled pairs between two objects stays inside their
 // component. The partitioner below makes that structure explicit — it
-// splits a candidate set into its connected components — and the
-// LabelPartitioned* drivers exploit it: each component ("shard") owns its
-// own ClusterGraph and its own slice of the labeling order, preserving the
-// paper's single-order semantics inside every component. The sequential
-// and one-to-one drivers run k shards on concurrent goroutines; the round
-// driver (LabelPartitionedOnPlatformRun) stays on one goroutine and
-// publishes every shard's rounds to one platform, whose crowd — a
-// RoundPlatform at ParallelStrategy — answers up to k of them at once. The
-// merged result is deterministic: labels are scattered back by global pair
-// ID, counters are summed, and round sizes are summed per round index (a
-// global Algorithm-3 round is exactly the union of the per-component
-// rounds, because the optimistic scan's decisions are component-local).
+// splits a candidate set into its connected components — and both labeling
+// drivers run on it, an unsharded run on the one shard of a
+// SinglePartition: each component ("shard") owns its own ClusterGraph and
+// its own slice of the labeling order, preserving the paper's single-order
+// semantics inside every component. The sequential driver
+// (LabelPartitionedSequentialRun) runs k shards at once, one on the
+// calling goroutine; the round driver (LabelPartitionedOnPlatformRun)
+// stays on one goroutine and publishes every shard's rounds to one
+// platform, whose crowd — a RoundPlatform at ParallelStrategy — answers up
+// to k of them at once. The merged result is deterministic: labels are
+// scattered back by global pair ID, counters are summed, and round sizes
+// are summed per round index (a global Algorithm-3 round is exactly the
+// union of the per-component rounds, because the optimistic scan's
+// decisions are component-local).
 
 // Shard is one connected component of the candidate graph, re-encoded as a
 // self-contained labeling problem: local object ids are dense in
@@ -35,21 +39,17 @@ type Shard struct {
 	Order []Pair
 	// Global[i] is the original global pair behind Order[i].
 	Global []Pair
-	// Objects maps local object ids back to global ones; nil when the
-	// shard keeps the global ids (SinglePartition).
-	Objects []int32
 	// NumObjects is the size of the shard's local object universe.
 	NumObjects int
 }
-
-// GlobalPair translates a local pair (by local ID) back to its global
-// original.
-func (s *Shard) GlobalPair(localID int) Pair { return s.Global[localID] }
 
 // Partition is a candidate set split into connected components.
 type Partition struct {
 	// Shards holds one entry per component, indexed by component id.
 	Shards []Shard
+	// single marks a SinglePartition: its one shard keeps the global
+	// object ids, and its Global is the caller's order.
+	single bool
 	// shardOf and localID route a global pair ID to its shard and its
 	// position there; a SinglePartition whose order's IDs are its
 	// positions needs neither.
@@ -73,10 +73,27 @@ func (p *Partition) NumPairs() int {
 	return len(p.localID)
 }
 
-// BuildPartition validates the candidate set and splits it into connected
-// components with a union-find over the pairs' endpoints.
-func BuildPartition(numObjects int, order []Pair) (*Partition, error) {
+// BuildPartition validates the candidate set and splits it into the
+// connected components of its graph, with a union-find over the pairs'
+// endpoints. Zero bands give the components of the whole graph.
+//
+// Enabled triage bands split it by the *thinned* graph, where only
+// non-rejected pairs (uncertain + accepted) connect objects. Machine-rejected
+// edges cannot carry useful evidence across thinned components: deducing a
+// pair needs a matching path into both endpoints' clusters, and matching
+// labels only land on non-rejected pairs. A rejected pair inside a thinned
+// component stays with it (it may help deduce uncertain pairs there); every
+// rejected pair bridging two goes to one residue shard, which is all
+// machine-answered, deduces nothing and asks the crowd nothing. Labels and
+// crowd cost match the unthinned partition for any k. Only the attribution
+// of residue pairs can shift: an unsharded run may deduce one from an
+// earlier residue answer, or rule it out by the one-to-one constraint,
+// where the residue shard answers each directly — NonMatching either way.
+func BuildPartition(numObjects int, order []Pair, bands TriageBands) (*Partition, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
+		return nil, err
+	}
+	if err := bands.Validate(); err != nil {
 		return nil, err
 	}
 	parent := make([]int32, numObjects)
@@ -92,6 +109,9 @@ func BuildPartition(numObjects int, order []Pair) (*Partition, error) {
 		return x
 	}
 	for _, p := range order {
+		if bands.Classify(p.Likelihood) == NonMatching {
+			continue // a rejected edge connects nothing
+		}
 		ra, rb := find(p.A), find(p.B)
 		if ra != rb {
 			parent[rb] = ra
@@ -101,15 +121,15 @@ func BuildPartition(numObjects int, order []Pair) (*Partition, error) {
 }
 
 // SinglePartition validates the candidate set and wraps it whole as one
-// shard, the unsharded input of a partition-native driver. The shard keeps
-// the global object ids and the given order; when the order's IDs are
-// already its positions (the default order on Matcher output), its Order
-// aliases the given slice instead of copying it.
+// shard, the unsharded input of the labeling drivers. The shard keeps the
+// global object ids and the given order; when the order's IDs are already
+// its positions (the default order on Matcher output), its Order aliases
+// the given slice instead of copying it.
 func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
 	if err := ValidatePairs(numObjects, order); err != nil {
 		return nil, err
 	}
-	pt := &Partition{Shards: []Shard{{Order: order, Global: order, NumObjects: numObjects}}}
+	pt := &Partition{Shards: []Shard{{Order: order, Global: order, NumObjects: numObjects}}, single: true}
 	for pos, p := range order {
 		if p.ID != pos {
 			pt.shardOf, pt.localID = make([]int32, len(order)), make([]int32, len(order))
@@ -127,32 +147,34 @@ func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
 }
 
 // buildShardsFrom re-encodes order as per-component shards, given a find
-// function under which both endpoints of every pair share a root. The find
-// may come from BuildPartition's throwaway forest or from a persistent
+// function over the components' forest. The find may come from
+// BuildPartition's throwaway forest or from a persistent
 // IncrementalPartitioner; shard numbering depends only on order, so the
-// two agree exactly.
+// two agree exactly. A pair whose endpoints have different roots (a
+// rejected pair bridging two thinned components) goes to the residue shard.
 func buildShardsFrom(numObjects int, order []Pair, find func(int32) int32) *Partition {
+	pt := &Partition{shardOf: make([]int32, len(order)), localID: make([]int32, len(order))}
 	// Number components by first appearance in the order and size them, so
 	// the shard slices can be allocated exactly.
-	comp := make([]int32, numObjects)
-	for i := range comp {
-		comp[i] = -1
-	}
+	comp := newUnset(numObjects)
+	residue := int32(-1)
 	var pairCounts []int32
 	for _, p := range order {
-		r := find(p.A)
-		if comp[r] == -1 {
-			comp[r] = int32(len(pairCounts))
+		// c points at the shard number of p's component, or at the
+		// residue's when p bridges two components.
+		c := &residue
+		if r := find(p.A); r == find(p.B) {
+			c = &comp[r]
+		}
+		if *c == -1 {
+			*c = int32(len(pairCounts))
 			pairCounts = append(pairCounts, 0)
 		}
-		pairCounts[comp[r]]++
+		pt.shardOf[p.ID] = *c
+		pairCounts[*c]++
 	}
 
-	pt := &Partition{
-		Shards:  make([]Shard, len(pairCounts)),
-		shardOf: make([]int32, len(order)),
-		localID: make([]int32, len(order)),
-	}
+	pt.Shards = make([]Shard, len(pairCounts))
 	for c := range pt.Shards {
 		pt.Shards[c] = Shard{
 			Component: c,
@@ -160,33 +182,46 @@ func buildShardsFrom(numObjects int, order []Pair, find func(int32) int32) *Part
 			Global:    make([]Pair, 0, pairCounts[c]),
 		}
 	}
-	// localObj is shared across shards: every object belongs to exactly one
-	// component, so one array suffices.
-	localObj := make([]int32, numObjects)
-	for i := range localObj {
-		localObj[i] = -1
+	// localObj is shared across the components: every object belongs to
+	// exactly one. The residue shard shares objects with them, so it keeps
+	// its own local-id table.
+	localObj := newUnset(numObjects)
+	var residueObj []int32
+	if residue != -1 {
+		residueObj = newUnset(numObjects)
 	}
 	for _, p := range order {
-		c := comp[find(p.A)]
+		c := pt.shardOf[p.ID]
 		s := &pt.Shards[c]
+		local := localObj
+		if c == residue {
+			local = residueObj
+		}
 		for _, o := range [2]int32{p.A, p.B} {
-			if localObj[o] == -1 {
-				localObj[o] = int32(s.NumObjects)
+			if local[o] == -1 {
+				local[o] = int32(s.NumObjects)
 				s.NumObjects++
-				s.Objects = append(s.Objects, o)
 			}
 		}
-		pt.shardOf[p.ID] = int32(c)
 		pt.localID[p.ID] = int32(len(s.Order))
 		s.Order = append(s.Order, Pair{
 			ID:         len(s.Order),
-			A:          localObj[p.A],
-			B:          localObj[p.B],
+			A:          local[p.A],
+			B:          local[p.B],
 			Likelihood: p.Likelihood,
 		})
 		s.Global = append(s.Global, p)
 	}
 	return pt
+}
+
+// newUnset returns n int32 entries, each -1 (unset).
+func newUnset(n int) []int32 {
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = -1
+	}
+	return ids
 }
 
 // shardRunOpts builds the per-shard RunOpts: same context, progress events
@@ -219,67 +254,6 @@ type shardOracle struct {
 
 func (o shardOracle) Label(p Pair) Label { return o.inner.Label(o.s.Global[p.ID]) }
 
-// runShards executes fn(shard) for every shard on min(k, len(shards))
-// worker goroutines. Larger shards are scheduled first to shorten the
-// makespan; scheduling order never affects results (each shard is an
-// independent subproblem and the merge is keyed by global pair ID). On a
-// hard shard failure the shared context is cancelled so sibling shards
-// stop consulting the crowd; the lowest-numbered failure is returned for
-// determinism.
-func runShards(pt *Partition, k int, ro RunOpts, fn func(s *Shard, ro RunOpts) error) error {
-	ctx, cancel := context.WithCancel(ro.context())
-	defer cancel()
-
-	byLoad := make([]int, len(pt.Shards))
-	for i := range byLoad {
-		byLoad[i] = i
-	}
-	slices.SortStableFunc(byLoad, func(a, b int) int {
-		return len(pt.Shards[b].Order) - len(pt.Shards[a].Order)
-	})
-
-	// Clamp to [1, len(shards)]: k <= 0 must not silently run nothing and
-	// return an all-Unlabeled result with a nil error.
-	if k < 1 {
-		k = 1
-	}
-	if k > len(pt.Shards) {
-		k = len(pt.Shards)
-	}
-	var progressMu sync.Mutex
-	errs := make([]error, len(pt.Shards))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < k; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(byLoad) {
-					return
-				}
-				s := &pt.Shards[byLoad[i]]
-				if err := fn(s, s.shardRunOpts(ctx, ro.Progress, &progressMu)); err != nil {
-					errs[s.Component] = err
-					cancel() // hard failure: stop sibling shards (no-op if already cancelled)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Cancellation of the caller's context is reported once, after every
-	// shard has swept its deductions; a shard's own hard error wins over
-	// the secondary cancellations it triggered.
-	for _, err := range errs {
-		if err != nil && err != ctx.Err() {
-			return err
-		}
-	}
-	return ro.err()
-}
-
 // mergeShardResult scatters a shard's local result into the global one.
 func mergeShardResult(dst *Result, s *Shard, r *Result) {
 	for localID, l := range r.Labels {
@@ -291,52 +265,114 @@ func mergeShardResult(dst *Result, s *Shard, r *Result) {
 	dst.NumDeduced += r.NumDeduced
 }
 
-// LabelPartitionedSequentialRun runs the sequential labeler independently
-// on every component of pt, k components at a time. The oracle must be
-// safe for concurrent use when k > 1. The merged result is identical to
-// LabelSequentialRun's for any oracle whose answer to a pair does not
-// depend on the order questions are asked in (deduction never crosses
-// components, so the per-component question sequences are exactly the
-// global sequence split by component). Batch sessions build pt with
-// BuildPartition; streaming sessions build it once with an
-// IncrementalPartitioner and hand it in here.
-func LabelPartitionedSequentialRun(pt *Partition, oracle Oracle, k int, ro RunOpts) (*Result, error) {
-	res := newResult(pt.NumPairs())
-	var mu sync.Mutex
-	err := runShards(pt, k, ro, func(s *Shard, sro RunOpts) error {
-		r, err := LabelSequentialRun(s.NumObjects, s.Order, shardOracle{oracle, s}, sro)
-		if r != nil {
-			mu.Lock()
-			mergeShardResult(res, s, r)
-			mu.Unlock()
-		}
-		return err
-	})
-	if err != nil && err != ro.err() {
-		return nil, err // hard failure, matching the unsharded driver
-	}
-	return res, err
+var errSiblingFailed = errors.New("core: a sibling shard failed")
+
+// shardContext is the caller's context, whose Err also reports
+// errSiblingFailed once a shard has failed hard, so that the sibling
+// shards sweep. Unlike a context.WithCancel child it takes no mutex per
+// pair and reads the caller's cancellation as soon as an oracle can.
+type shardContext struct {
+	context.Context
+	failed *atomic.Bool
 }
 
-// LabelPartitionedOneToOneRun runs the one-to-one sequential labeler
-// independently on every component of pt, k components at a time. The
-// one-to-one constraint is component-local — every pair touching an object
-// lives in that object's component — so sharding preserves it exactly.
-func LabelPartitionedOneToOneRun(pt *Partition, oracle Oracle, k int, ro RunOpts) (*OneToOneResult, error) {
-	res := &OneToOneResult{Result: *newResult(pt.NumPairs())}
-	var mu sync.Mutex
-	err := runShards(pt, k, ro, func(s *Shard, sro RunOpts) error {
-		r, err := LabelSequentialOneToOneRun(s.NumObjects, s.Order, shardOracle{oracle, s}, sro)
-		if r != nil {
-			mu.Lock()
-			mergeShardResult(&res.Result, s, &r.Result)
-			res.NumConstraintDeduced += r.NumConstraintDeduced
-			mu.Unlock()
-		}
+// Err implements context.Context.
+func (c shardContext) Err() error {
+	if err := c.Context.Err(); err != nil {
 		return err
-	})
-	if err != nil && err != ro.err() {
+	}
+	if c.failed.Load() {
+		return errSiblingFailed
+	}
+	return nil
+}
+
+// LabelPartitionedSequentialRun runs the sequential labeler under rules on
+// every component of pt (built, and so validated, by SinglePartition,
+// BuildPartition or an IncrementalPartitioner), on min(k, components)
+// workers, one of them the calling goroutine, largest shards first. The
+// oracle must be safe for concurrent use when k > 1. A hard shard failure
+// stops the sibling shards, and the lowest-numbered failure is returned.
+// A budget caps the whole session, so it is refused on more than one shard.
+//
+// The merged result is identical to LabelSequentialRun's for any oracle
+// whose answer to a pair does not depend on the order questions are asked
+// in: neither deduction nor the one-to-one constraint crosses components.
+// The exception is a triaged partition's residue shard, which shares its
+// objects with the components: a bridging rejected pair that the
+// unsharded run rules out by the constraint is asked of the oracle there,
+// and the triage layer answers it NonMatching.
+func LabelPartitionedSequentialRun(pt *Partition, oracle Oracle, rules Rules, k int, ro RunOpts) (*SequentialResult, error) {
+	if err := rules.validate(); err != nil {
 		return nil, err
 	}
-	return res, err
+	if rules.Budget != nil && len(pt.Shards) > 1 {
+		return nil, fmt.Errorf("core: a budget cannot be split across %d shards", len(pt.Shards))
+	}
+	if pt.single { // the caller's order, whole: nothing to translate or merge
+		s := &pt.Shards[0]
+		return labelSequential(s.NumObjects, s.Global, oracle, rules, ro)
+	}
+	var failed atomic.Bool
+	ctx := shardContext{Context: ro.context(), failed: &failed}
+
+	byLoad := make([]int, len(pt.Shards))
+	for i := range byLoad {
+		byLoad[i] = i
+	}
+	slices.SortStableFunc(byLoad, func(a, b int) int {
+		return len(pt.Shards[b].Order) - len(pt.Shards[a].Order)
+	})
+	// Clamp to [1, len(shards)]: k <= 0 must not silently run nothing and
+	// return an all-Unlabeled result with a nil error.
+	k = min(max(k, 1), len(pt.Shards))
+
+	res := newSequentialResult(pt.NumPairs(), rules)
+	var mu sync.Mutex // guards res and serializes progress events
+	errs := make([]error, len(pt.Shards))
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(byLoad) {
+				return
+			}
+			s := &pt.Shards[byLoad[i]]
+			r, err := labelSequential(s.NumObjects, s.Order, shardOracle{oracle, s}, rules, s.shardRunOpts(ctx, ro.Progress, &mu))
+			if r != nil {
+				mu.Lock()
+				mergeShardResult(&res.Result, s, &r.Result)
+				for localID, g := range r.Guessed {
+					res.Guessed[s.Global[localID].ID] = g
+				}
+				res.NumGuessed += r.NumGuessed
+				res.NumConstraintDeduced += r.NumConstraintDeduced
+				mu.Unlock()
+			}
+			if err != nil && err != errSiblingFailed && err != ro.err() {
+				errs[s.Component] = err
+				failed.Store(true) // hard failure: stop sibling shards
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < k; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+
+	// Cancellation of the caller's context is reported once, after every
+	// shard has swept its deductions; a shard's own hard error wins over
+	// the secondary cancellations it triggered.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err // hard failure, matching the unsharded driver
+		}
+	}
+	return res, ro.err()
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -46,7 +48,7 @@ func TestBuildPartitionStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 50; trial++ {
 		numObjects, order, _ := randomShardWorkload(rng)
-		pt, err := BuildPartition(numObjects, order)
+		pt, err := BuildPartition(numObjects, order, TriageBands{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,16 +64,14 @@ func TestBuildPartitionStructure(t *testing.T) {
 			if len(s.Order) != len(s.Global) {
 				t.Fatalf("shard %d: %d local pairs, %d global", c, len(s.Order), len(s.Global))
 			}
-			if len(s.Objects) != s.NumObjects {
-				t.Fatalf("shard %d: %d object mappings for %d objects", c, len(s.Objects), s.NumObjects)
-			}
+			objs := shardObjects(t, s)
 			prevGlobalPos := -1
 			for i, lp := range s.Order {
 				if lp.ID != i {
 					t.Fatalf("shard %d local pair %d has ID %d", c, i, lp.ID)
 				}
 				gp := s.Global[i]
-				if s.Objects[lp.A] != gp.A || s.Objects[lp.B] != gp.B || lp.Likelihood != gp.Likelihood {
+				if objs[lp.A] != gp.A || objs[lp.B] != gp.B || lp.Likelihood != gp.Likelihood {
 					t.Fatalf("shard %d pair %d: local %v does not mirror global %v", c, i, lp, gp)
 				}
 				si, li := pt.Locate(gp.ID)
@@ -93,7 +93,7 @@ func TestBuildPartitionStructure(t *testing.T) {
 		// No object may appear in two shards.
 		seen := make(map[int32]int)
 		for c := range pt.Shards {
-			for _, o := range pt.Shards[c].Objects {
+			for _, o := range shardObjects(t, &pt.Shards[c]) {
 				if prev, ok := seen[o]; ok && prev != c {
 					t.Fatalf("object %d in shards %d and %d", o, prev, c)
 				}
@@ -101,6 +101,40 @@ func TestBuildPartitionStructure(t *testing.T) {
 			}
 		}
 	}
+}
+
+// shardObjects recovers a shard's local-to-global object map from its
+// Order and Global: one global object per local id, one local id per global
+// object, and every local id in [0, NumObjects) used.
+func shardObjects(t *testing.T, s *Shard) []int32 {
+	t.Helper()
+	objs := make([]int32, s.NumObjects)
+	for i := range objs {
+		objs[i] = -1
+	}
+	localOf := make(map[int32]int32)
+	for i, lp := range s.Order {
+		gp := s.Global[i]
+		for _, m := range [2][2]int32{{lp.A, gp.A}, {lp.B, gp.B}} {
+			local, global := m[0], m[1]
+			if local < 0 || int(local) >= s.NumObjects {
+				t.Fatalf("shard %d pair %d: local object %d outside [0,%d)", s.Component, i, local, s.NumObjects)
+			}
+			if objs[local] != -1 && objs[local] != global {
+				t.Fatalf("shard %d: local object %d maps to %d and %d", s.Component, local, objs[local], global)
+			}
+			if prev, ok := localOf[global]; ok && prev != local {
+				t.Fatalf("shard %d: object %d has local ids %d and %d", s.Component, global, prev, local)
+			}
+			objs[local], localOf[global] = global, local
+		}
+	}
+	for local, o := range objs {
+		if o == -1 {
+			t.Fatalf("shard %d: local object %d of %d unused", s.Component, local, s.NumObjects)
+		}
+	}
+	return objs
 }
 
 func posInOrder(order []Pair, id int) int {
@@ -141,16 +175,16 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 		numObjects, order, truth := randomShardWorkload(rng)
 		oracles := []Oracle{truth, flakyOracle{truth}}
 		oracle := oracles[trial%len(oracles)]
-		pt, err := BuildPartition(numObjects, order)
+		pt, err := BuildPartition(numObjects, order, TriageBands{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 2, 4, 16} {
-			seq, err := LabelSequentialRun(numObjects, order, oracle, RunOpts{})
+			seq, err := LabelSequentialRun(numObjects, order, oracle, Rules{}, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sseq, err := LabelPartitionedSequentialRun(pt, oracle, k, RunOpts{})
+			sseq, err := LabelPartitionedSequentialRun(pt, oracle, Rules{}, k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,11 +209,11 @@ func TestShardedDriversMatchUnsharded(t *testing.T) {
 				}
 			}
 
-			oto, err := LabelSequentialOneToOneRun(numObjects, order, oracle, RunOpts{})
+			oto, err := LabelSequentialRun(numObjects, order, oracle, Rules{OneToOne: true}, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			soto, err := LabelPartitionedOneToOneRun(pt, oracle, k, RunOpts{})
+			soto, err := LabelPartitionedSequentialRun(pt, oracle, Rules{OneToOne: true}, k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,7 +241,7 @@ func equalIntSlices(a, b []int) bool {
 func TestShardedProgressEventsCarryComponents(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	numObjects, order, truth := randomShardWorkload(rng)
-	pt, err := BuildPartition(numObjects, order)
+	pt, err := BuildPartition(numObjects, order, TriageBands{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +289,7 @@ func TestShardedCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		numObjects, order, truth := randomShardWorkload(rng)
-		pt, err := BuildPartition(numObjects, order)
+		pt, err := BuildPartition(numObjects, order, TriageBands{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +303,7 @@ func TestShardedCancellation(t *testing.T) {
 				}
 			}
 		}}
-		res, err := LabelPartitionedSequentialRun(pt, truth, 3, ro)
+		res, err := LabelPartitionedSequentialRun(pt, truth, Rules{}, 3, ro)
 		cancel()
 		if err != context.Canceled && err != nil {
 			t.Fatalf("trial %d: err = %v, want context.Canceled or nil", trial, err)
@@ -290,6 +324,120 @@ func TestShardedCancellation(t *testing.T) {
 		}
 		if err == nil && labeled != len(order) {
 			t.Fatalf("trial %d: nil error but only %d of %d pairs labeled", trial, labeled, len(order))
+		}
+	}
+}
+
+// TestPartitionedSequentialRefusesSplitBudget: a budget caps the whole
+// session's questions, so it is refused on more than one shard and runs
+// unchanged on one, translated (a one-component BuildPartition) or in
+// place (SinglePartition).
+func TestPartitionedSequentialRefusesSplitBudget(t *testing.T) {
+	// Seed 11's candidate graph has several components, seed 5's one.
+	for _, seed := range []int64{11, 5} {
+		rng := rand.New(rand.NewSource(seed))
+		numObjects, order, truth := randomShardWorkload(rng)
+		want, err := LabelSequentialRun(numObjects, order, truth, budgetRules(3), RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pt, err := BuildPartition(numObjects, order, TriageBands{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := SinglePartition(numObjects, order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*Partition{pt, single} {
+			got, err := LabelPartitionedSequentialRun(p, truth, budgetRules(3), 1, RunOpts{})
+			if len(p.Shards) > 1 {
+				if err == nil {
+					t.Fatalf("seed %d: budget split across %d shards accepted", seed, len(p.Shards))
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d: budget on one shard diverged:\n%+v\nvs\n%+v", seed, got, want)
+			}
+		}
+		if (len(pt.Shards) > 1) != (seed == 11) {
+			t.Fatalf("seed %d built %d components", seed, len(pt.Shards))
+		}
+	}
+}
+
+// errOnlyContext reports an error from Err without ever closing Done: the
+// moment after a caller's context is cancelled and before its cancel has
+// reached the contexts derived from it.
+type errOnlyContext struct {
+	context.Context
+	err error
+}
+
+func (c *errOnlyContext) Err() error { return c.err }
+
+// TestPartitionedSequentialReadsCallerCancellationFirst: an oracle that
+// sees the caller's context cancelled gives up without an answer; the
+// shard must treat that as the cancellation, before the caller's cancel
+// has reached the shard's own context, and return the partial result.
+func TestPartitionedSequentialReadsCallerCancellationFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	numObjects, order, truth := randomShardWorkload(rng)
+	pt, err := BuildPartition(numObjects, order, TriageBands{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &errOnlyContext{Context: context.Background()}
+	asked := 0
+	oracle := OracleFunc(func(p Pair) Label {
+		if asked++; asked == 3 {
+			ctx.err = context.Canceled
+			return Unlabeled
+		}
+		return truth.Label(p)
+	})
+	res, err := LabelPartitionedSequentialRun(pt, oracle, Rules{}, 1, RunOpts{Ctx: ctx})
+	if err != context.Canceled || res == nil {
+		t.Fatalf("got (%v, %v), want a partial result and context.Canceled", res != nil, err)
+	}
+	if res.NumCrowdsourced != 2 {
+		t.Fatalf("partial result holds %d crowd answers, want 2", res.NumCrowdsourced)
+	}
+}
+
+// TestPartitionedSequentialHardFailure: an invalid answer fails the whole
+// run with a nil result and the shard's own error, and shards that start
+// after the failure ask the crowd nothing.
+func TestPartitionedSequentialHardFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	numObjects, order, truth := randomShardWorkload(rng)
+	pt, err := BuildPartition(numObjects, order, TriageBands{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		var mu sync.Mutex
+		failed, askedAfter := false, 0
+		oracle := OracleFunc(func(p Pair) Label {
+			mu.Lock()
+			defer mu.Unlock()
+			if !failed {
+				failed = true
+				return Unlabeled
+			}
+			askedAfter++
+			return truth.Label(p)
+		})
+		res, err := LabelPartitionedSequentialRun(pt, oracle, Rules{}, k, RunOpts{})
+		if res != nil || err == nil || errors.Is(err, errSiblingFailed) {
+			t.Fatalf("k=%d: got (%v, %v), want no result and the invalid-answer error", k, res != nil, err)
+		}
+		if k == 1 && askedAfter != 0 {
+			t.Fatalf("k=1: %d questions asked after the failure", askedAfter)
 		}
 	}
 }

@@ -45,12 +45,7 @@ type IncrementalPartitioner struct {
 // NewIncrementalPartitioner returns a partitioner over numObjects
 // singleton objects and no pairs.
 func NewIncrementalPartitioner(numObjects int) *IncrementalPartitioner {
-	ip := &IncrementalPartitioner{uf: unionfind.New(numObjects)}
-	ip.comp = make([]int32, numObjects)
-	for i := range ip.comp {
-		ip.comp[i] = -1
-	}
-	return ip
+	return &IncrementalPartitioner{uf: unionfind.New(numObjects), comp: newUnset(numObjects)}
 }
 
 // Grow extends the object universe to numObjects, the new objects as
@@ -114,9 +109,9 @@ func (ip *IncrementalPartitioner) AddPairs(pairs []Pair) ([]ComponentMerge, erro
 // persistent forest. Every pair in order must already have been added (its
 // endpoints connected); a pair the partitioner has never seen is an error,
 // because silently unioning it here would skip its merge events. The
-// returned Partition is identical to BuildPartition's over the current
-// universe — shards are numbered by first appearance in order, not by
-// stable id.
+// returned Partition is identical to BuildPartition's with zero bands over
+// the current universe — shards are numbered by first appearance in
+// order, not by stable id.
 func (ip *IncrementalPartitioner) BuildShards(order []Pair) (*Partition, error) {
 	if err := ValidatePairs(ip.uf.Len(), order); err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func TestIncrementalPartitionerMatchesBuildPartition(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: BuildShards: %v", trial, err)
 		}
-		want, err := BuildPartition(n, order)
+		want, err := BuildPartition(n, order, TriageBands{})
 		if err != nil {
 			t.Fatalf("trial %d: BuildPartition: %v", trial, err)
 		}

@@ -59,10 +59,10 @@ func TestTriageBandsClassify(t *testing.T) {
 	}
 }
 
-// TestBuildTriagedPartition pins the thinned-graph sharding on a hand-built
-// case: rejected edges do not connect components, an in-component rejected
-// pair stays with its component, and cross-component rejected pairs pool
-// into one residue shard with its own object numbering.
+// TestBuildTriagedPartition pins BuildPartition's thinned-graph sharding on
+// a hand-built case: rejected edges do not connect components, an
+// in-component rejected pair stays with its component, and cross-component
+// rejected pairs pool into one residue shard with its own object numbering.
 func TestBuildTriagedPartition(t *testing.T) {
 	bands := TriageBands{AcceptAbove: 0.8, RejectBelow: 0.2}
 	// Thinned components: {0,1,2} (via 0-1 accepted, 1-2 uncertain) and
@@ -75,7 +75,7 @@ func TestBuildTriagedPartition(t *testing.T) {
 		{ID: 3, A: 2, B: 3, Likelihood: 0.1},
 		{ID: 4, A: 0, B: 2, Likelihood: 0.15},
 	}
-	pt, err := BuildTriagedPartition(5, order, bands)
+	pt, err := BuildPartition(5, order, bands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +85,16 @@ func TestBuildTriagedPartition(t *testing.T) {
 
 	// Component {0,1,2} holds pairs 0, 1 and the in-component rejected 4.
 	first := pt.Shards[0]
-	if !reflect.DeepEqual(first.Objects, []int32{0, 1, 2}) {
-		t.Fatalf("first shard objects %v", first.Objects)
+	if objs := shardObjects(t, &first); !reflect.DeepEqual(objs, []int32{0, 1, 2}) {
+		t.Fatalf("first shard objects %v", objs)
 	}
 	if got := pairIDs(first.Global); !reflect.DeepEqual(got, []int{0, 1, 4}) {
 		t.Fatalf("first shard global pairs %v, want [0 1 4]", got)
 	}
 	// Component {3,4} holds pair 2 only.
 	second := pt.Shards[1]
-	if !reflect.DeepEqual(second.Objects, []int32{3, 4}) || len(second.Order) != 1 || second.Global[0].ID != 2 {
-		t.Fatalf("second shard: objects %v, pairs %v", second.Objects, second.Global)
+	if objs := shardObjects(t, &second); !reflect.DeepEqual(objs, []int32{3, 4}) || len(second.Order) != 1 || second.Global[0].ID != 2 {
+		t.Fatalf("second shard: objects %v, pairs %v", objs, second.Global)
 	}
 	// Residue shard holds the bridging rejected pair, with fresh local ids
 	// even though its objects also live in the other shards.
@@ -102,24 +102,24 @@ func TestBuildTriagedPartition(t *testing.T) {
 	if got := pairIDs(residue.Global); !reflect.DeepEqual(got, []int{3}) {
 		t.Fatalf("residue shard pairs %v, want [3]", got)
 	}
-	if !reflect.DeepEqual(residue.Objects, []int32{2, 3}) || residue.NumObjects != 2 {
-		t.Fatalf("residue shard objects %v (NumObjects %d)", residue.Objects, residue.NumObjects)
+	if objs := shardObjects(t, &residue); !reflect.DeepEqual(objs, []int32{2, 3}) || residue.NumObjects != 2 {
+		t.Fatalf("residue shard objects %v (NumObjects %d)", objs, residue.NumObjects)
 	}
 	if lp := residue.Order[0]; lp.A != 0 || lp.B != 1 || lp.Likelihood != 0.1 {
 		t.Fatalf("residue local pair %+v", lp)
 	}
 
-	// Every shard's local pairs must round-trip through Locate/GlobalPair.
+	// Every shard's local pairs must round-trip through Locate and Global.
 	for _, p := range order {
 		si, local := pt.Locate(p.ID)
-		if got := pt.Shards[si].GlobalPair(local); got != p {
+		if got := pt.Shards[si].Global[local]; got != p {
 			t.Fatalf("Locate(%d) -> shard %d local %d = %+v, want %+v", p.ID, si, local, got, p)
 		}
 	}
 
 	// Disabled bands degrade to the plain partition: one shard here, since
 	// the rejected edges connect everything.
-	plain, err := BuildTriagedPartition(5, order, TriageBands{})
+	plain, err := BuildPartition(5, order, TriageBands{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestBuildTriagedPartition(t *testing.T) {
 		t.Fatalf("disabled bands built %d shards, want 1", len(plain.Shards))
 	}
 
-	if _, err := BuildTriagedPartition(5, order, TriageBands{AcceptAbove: 2}); err == nil {
+	if _, err := BuildPartition(5, order, TriageBands{AcceptAbove: 2}); err == nil {
 		t.Fatal("invalid bands accepted")
 	}
 }
@@ -143,9 +143,9 @@ func pairIDs(ps []Pair) []int {
 // TestTriagedPartitionLabelEquivalence: labeling the triaged partition
 // shard-by-shard with machine answers for banded pairs must reproduce the
 // unsharded labels and crowd cost on randomized cases — the contract that
-// lets the facade swap BuildPartition for BuildTriagedPartition when triage
-// is on. (The full-session version lives in the root package's tests; this
-// one pins the partition itself via the sequential driver.)
+// lets the facade hand BuildPartition its triage bands. (The full-session
+// version lives in the root package's tests; this one pins the partition
+// itself via the sequential driver.)
 func TestTriagedPartitionLabelEquivalence(t *testing.T) {
 	bands := TriageBands{AcceptAbove: 0.75, RejectBelow: 0.3}
 	rng := rand.New(rand.NewSource(97))
@@ -160,7 +160,7 @@ func TestTriagedPartitionLabelEquivalence(t *testing.T) {
 			return truth.Label(p)
 		})
 
-		base, err := LabelSequentialRun(numObjects, order, tri, RunOpts{})
+		base, err := LabelSequentialRun(numObjects, order, tri, Rules{}, RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,12 +168,12 @@ func TestTriagedPartitionLabelEquivalence(t *testing.T) {
 		for _, p := range order {
 			likByID[p.ID] = p.Likelihood
 		}
-		pt, err := BuildTriagedPartition(numObjects, order, bands)
+		pt, err := BuildPartition(numObjects, order, bands)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3} {
-			res, err := LabelPartitionedSequentialRun(pt, tri, k, RunOpts{})
+			res, err := LabelPartitionedSequentialRun(pt, tri, Rules{}, k, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,7 +45,8 @@ func (e *Env) ExtBudget() (*ExtBudgetResult, error) {
 		entities := wl.W.Dataset.Entities()
 		for _, frac := range []float64{0, 0.25, 0.5, 0.75, 1} {
 			budget := int(frac * float64(full))
-			run, err := core.LabelWithBudgetRun(wl.W.Dataset.Len(), order, wl.W.Truth, budget, 0.5, core.RunOpts{})
+			rules := core.Rules{Budget: &core.Budget{Limit: budget, GuessThreshold: 0.5}}
+			run, err := core.LabelSequentialRun(wl.W.Dataset.Len(), order, wl.W.Truth, rules, core.RunOpts{})
 			if err != nil {
 				return nil, fmt.Errorf("extbudget %s budget %d: %w", wl.Name, budget, err)
 			}
@@ -109,11 +110,11 @@ func (e *Env) ExtOneToOne() (*ExtOneToOneResult, error) {
 	trueMatches := wl.Dataset.TrueMatchingPairs()
 	entities := wl.Dataset.Entities()
 
-	plain, err := core.LabelSequentialRun(wl.Dataset.Len(), order, wl.Truth, core.RunOpts{})
+	plain, err := core.LabelSequentialRun(wl.Dataset.Len(), order, wl.Truth, core.Rules{}, core.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("extonetoone plain: %w", err)
 	}
-	oto, err := core.LabelSequentialOneToOneRun(wl.Dataset.Len(), order, wl.Truth, core.RunOpts{})
+	oto, err := core.LabelSequentialRun(wl.Dataset.Len(), order, wl.Truth, core.Rules{OneToOne: true}, core.RunOpts{})
 	if err != nil {
 		return nil, fmt.Errorf("extonetoone constrained: %w", err)
 	}

@@ -106,6 +106,19 @@ func BudgetStrategy(budget int, guessThreshold float64) Strategy {
 	return Strategy{kind: strategyBudget, budget: budget, guessThreshold: guessThreshold}
 }
 
+// rules returns the sequential labeler's rules for a sequential-family
+// strategy: the one-to-one constraint or the budget (the zero Rules for
+// SequentialStrategy).
+func (s Strategy) rules() core.Rules {
+	switch s.kind {
+	case strategyOneToOne:
+		return core.Rules{OneToOne: true}
+	case strategyBudget:
+		return core.Rules{Budget: &core.Budget{Limit: s.budget, GuessThreshold: s.guessThreshold}}
+	}
+	return core.Rules{}
+}
+
 // String implements fmt.Stringer.
 func (s Strategy) String() string {
 	switch s.kind {
@@ -320,16 +333,15 @@ func WithIncrementalPlatform(scan, deduce bool) JoinOption {
 // component can run the paper's single-order algorithm independently while
 // k components consult the crowd at once.
 //
-// k = 1 (the default) runs unsharded: the sequential and one-to-one
-// strategies run their labeling kernel over the whole order, and the
-// parallel and platform strategies run the round driver over a single
-// shard. With k > 1:
+// k = 1 (the default) runs unsharded: every strategy runs its driver on
+// one shard holding the whole order, and the sequential family labels on
+// the calling goroutine. With k > 1:
 //
 //   - Sequential and one-to-one strategies run k component subproblems on
-//     concurrent goroutines; the configured Oracle or BatchOracle must be
-//     safe for concurrent use. A component never waits on another
-//     component's crowd answers, so a slow round in one cluster of the
-//     data no longer gates the rest.
+//     concurrent goroutines, one of them the calling goroutine; the
+//     configured Oracle or BatchOracle must be safe for concurrent use. A
+//     component never waits on another component's crowd answers, so a
+//     slow round in one cluster of the data no longer gates the rest.
 //   - Parallel and platform strategies interleave per-component rounds on
 //     the one round driver (single-threaded; the parallelism is in the
 //     crowd, which sees every component's mandatory pairs without
@@ -340,7 +352,11 @@ func WithIncrementalPlatform(scan, deduce bool) JoinOption {
 //     EventRoundPublished.Round is the global publish index.
 //   - Labels, crowdsourced flags, and counters are merged
 //     deterministically by pair; for crowds whose answer to a pair does
-//     not depend on question order, results are identical to k = 1.
+//     not depend on question order, results are identical to k = 1. Under
+//     WithTriage, a machine-rejected pair bridging two thinned components
+//     is triaged on its own shard, where k = 1 may deduce it or, under
+//     OneToOneStrategy, rule it out by the constraint: NonMatching either
+//     way, counted under a different total.
 //   - Progress events carry the component id in Event.Component.
 //   - BudgetStrategy is rejected: its budget is a global constraint and
 //     cannot be split across components without changing semantics.
@@ -397,9 +413,14 @@ func NewJoin(opts ...JoinOption) (*Join, error) {
 	if !j.havePairs && !j.haveTexts {
 		return nil, errors.New("crowdjoin: no input configured; use WithPairs, WithTexts, or WithTextsAcross")
 	}
-	// Phrased so that NaN, which fails every comparison, fails the check.
-	if j.strategy.kind == strategyBudget && !(j.strategy.guessThreshold >= 0 && j.strategy.guessThreshold <= 1) {
-		return nil, fmt.Errorf("crowdjoin: guess %v outside [0,1]", j.strategy.guessThreshold)
+	if j.strategy.kind == strategyBudget {
+		// Phrased so that NaN, which fails every comparison, fails the check.
+		if !(j.strategy.guessThreshold >= 0 && j.strategy.guessThreshold <= 1) {
+			return nil, fmt.Errorf("crowdjoin: guess %v outside [0,1]", j.strategy.guessThreshold)
+		}
+		if j.strategy.budget < 0 {
+			return nil, fmt.Errorf("crowdjoin: negative budget %d", j.strategy.budget)
+		}
 	}
 	if j.concurrency > 1 && j.strategy.kind == strategyBudget {
 		return nil, errors.New("crowdjoin: WithConcurrency > 1 is incompatible with BudgetStrategy (the budget is a global constraint)")
@@ -483,8 +504,8 @@ type JoinResult struct {
 	// split into, on component-sharded runs (WithConcurrency > 1); 0
 	// otherwise. Sessions with WithTriage shard by the *thinned* graph —
 	// machine-rejected edges do not connect components (see
-	// core.BuildTriagedPartition) — so this counts thinned components, plus
-	// one residue shard when rejected pairs bridge them.
+	// core.BuildPartition) — so this counts thinned components, plus one
+	// residue shard when rejected pairs bridge them.
 	Components int
 	// Triaged marks pairs answered by the machine similarity bands instead
 	// of the crowd (WithTriage); TriageAccepted and TriageRejected count the
@@ -516,14 +537,13 @@ func (r *JoinResult) fill(c *core.Result) {
 	r.NumDeduced = c.NumDeduced
 }
 
-// orderAndShard applies the configured ordering and, for sharded sessions
-// (WithConcurrency > 1), builds the component partition the drivers run
-// over. A streaming unweighted session reuses the incremental
-// partitioner's persistent forest; IDF sessions rescore pairs at Run, so
-// their partition is derived from scratch like a batch session's. Both
-// routes produce identical partitions for the same order. An unsharded
-// parallel or platform session gets a one-shard partition: the round
-// driver is partition-native.
+// orderAndShard applies the configured ordering and builds the partition
+// the drivers run over: one shard for an unsharded session, the component
+// partition for a sharded one (WithConcurrency > 1). A streaming
+// unweighted session reuses the incremental partitioner's persistent
+// forest; IDF sessions rescore pairs at Run, so their partition is derived
+// from scratch like a batch session's. Both routes produce identical
+// partitions for the same order.
 func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]Pair, *core.Partition, error) {
 	order := j.ordering(pairs)
 	if len(order) != len(pairs) {
@@ -535,26 +555,20 @@ func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]P
 		order = triageOrder(order, j.triage)
 	}
 	if j.concurrency <= 1 {
-		if j.strategy.kind == strategyParallel || j.strategy.kind == strategyPlatform {
-			pt, err := core.SinglePartition(numObjects, order)
-			return order, pt, err
-		}
-		return order, nil, nil
-	}
-	if j.triage.Enabled() {
-		// Shard by the thinned graph: machine-rejected edges cannot carry
-		// evidence across thinned components, so they do not connect shards
-		// (they thin and fragment the Paper@0.3 giant component). Streaming
-		// sessions take this route too — the incremental partitioner's
-		// forest is built over the full graph, not the thinned one.
-		pt, err := core.BuildTriagedPartition(numObjects, order, j.triage)
+		pt, err := core.SinglePartition(numObjects, order)
 		return order, pt, err
 	}
-	if st != nil && !st.weighted {
+	// Triage shards by the thinned graph: machine-rejected edges cannot
+	// carry evidence across thinned components, so they do not connect
+	// shards (they thin and fragment the Paper@0.3 giant component).
+	// Streaming sessions take that route too — the incremental
+	// partitioner's forest is built over the full graph, not the thinned
+	// one.
+	if st != nil && !st.weighted && !j.triage.Enabled() {
 		pt, err := st.ip.BuildShards(order)
 		return order, pt, err
 	}
-	pt, err := core.BuildPartition(numObjects, order)
+	pt, err := core.BuildPartition(numObjects, order, j.triage)
 	return order, pt, err
 }
 
@@ -704,14 +718,15 @@ func (c journaledContext) Err() error {
 	return c.Context.Err()
 }
 
-// runOnce drives the configured strategy over one ordered (and possibly
-// sharded) candidate set: it wraps the crowd backend in the journal layer,
-// then — outermost, so machine answers are never journaled — the triage
-// layer, runs the strategy, and consolidates the result. ParallelStrategy
+// runOnce drives the configured strategy over one ordered, partitioned
+// candidate set: it wraps the crowd backend in the journal layer, then —
+// outermost, so machine answers are never journaled — the triage layer,
+// runs the strategy's driver, and consolidates the result. ParallelStrategy
 // runs on the round driver like PlatformStrategy, its batch oracle turned
 // into a platform by the round adapter, so both wrap one platform; the
-// sequential family wraps its per-pair oracle. Run calls it once;
-// runCascade calls it per stage with a shared journal.
+// sequential family (sequential, one-to-one, budget) runs the sequential
+// driver under the strategy's rules and wraps its per-pair oracle. Run
+// calls it once; runCascade calls it per stage with a shared journal.
 func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt *core.Partition, jrn *journalState) (*JoinResult, error) {
 	progress := j.progress
 	var tri *triageState
@@ -759,24 +774,11 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 		}
 	}
 	res := &JoinResult{NumObjects: numObjects, Order: order}
-	sharded := j.concurrency > 1
-	if sharded {
+	if j.concurrency > 1 {
 		res.Components = len(pt.Shards)
 	}
 	var runErr error
 	switch j.strategy.kind {
-	case strategySequential:
-		var r *core.Result
-		var err error
-		if sharded {
-			r, err = core.LabelPartitionedSequentialRun(pt, oracle, j.concurrency, ro)
-		} else {
-			r, err = core.LabelSequentialRun(numObjects, order, oracle, ro)
-		}
-		runErr = err
-		if r != nil {
-			res.fill(r)
-		}
 	case strategyParallel, strategyPlatform:
 		instant := j.instant && rounds == nil
 		r, err := core.LabelPartitionedOnPlatformRun(pt, platform, instant, ro)
@@ -798,29 +800,15 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 				res.Availability = r.Availability
 			}
 		}
-	case strategyOneToOne:
-		var r *core.OneToOneResult
-		var err error
-		if sharded {
-			r, err = core.LabelPartitionedOneToOneRun(pt, oracle, j.concurrency, ro)
-		} else {
-			r, err = core.LabelSequentialOneToOneRun(numObjects, order, oracle, ro)
-		}
-		runErr = err
-		if r != nil {
-			res.fill(&r.Result)
-			res.NumConstraintDeduced = r.NumConstraintDeduced
-		}
-	case strategyBudget:
-		r, err := core.LabelWithBudgetRun(numObjects, order, oracle, j.strategy.budget, j.strategy.guessThreshold, ro)
+	default:
+		r, err := core.LabelPartitionedSequentialRun(pt, oracle, j.strategy.rules(), j.concurrency, ro)
 		runErr = err
 		if r != nil {
 			res.fill(&r.Result)
 			res.Guessed = r.Guessed
 			res.NumGuessed = r.NumGuessed
+			res.NumConstraintDeduced = r.NumConstraintDeduced
 		}
-	default:
-		return nil, fmt.Errorf("crowdjoin: unknown strategy %v", j.strategy)
 	}
 	if tri != nil && res.Labels != nil {
 		tri.fill(res)

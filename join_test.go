@@ -84,10 +84,12 @@ func labelRounds(pt *core.Partition, oracle core.BatchOracle, k int, balanced bo
 // TestJoinMatchesCoreDrivers: Join.Run must reproduce, byte for byte, what
 // the internal/core labeling kernels produce for the sequential, parallel,
 // one-to-one, and budget strategies, on randomized datasets — the
-// differential acceptance test for the session redesign. The parallel
-// reference is the round adapter on the round driver, which internal/core
-// pins to its from-scratch reference (parallel_reference_test.go), as it
-// pins the driver's PlatformStrategy path (platform_reference_test.go).
+// differential acceptance test for the session redesign. The sequential
+// family's reference is LabelSequentialRun over the whole order, which the
+// session reaches through a one-shard partition. The parallel reference is
+// the round adapter on the round driver, which internal/core pins to its
+// from-scratch reference (parallel_reference_test.go), as it pins the
+// driver's PlatformStrategy path (platform_reference_test.go).
 func TestJoinMatchesCoreDrivers(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -126,11 +128,11 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 		}
 
 		// Sequential.
-		seq, err := core.LabelSequentialRun(numObjects, order, oracle, core.RunOpts{})
+		seq, err := core.LabelSequentialRun(numObjects, order, oracle, core.Rules{}, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkCore("sequential", seq,
+		checkCore("sequential", &seq.Result,
 			runJoin(crowdjoin.WithStrategy(crowdjoin.SequentialStrategy), crowdjoin.WithOracle(oracle)))
 
 		// Parallel, consistent and inconsistent crowds.
@@ -154,7 +156,7 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 		}
 
 		// One-to-one.
-		oto, err := core.LabelSequentialOneToOneRun(numObjects, order, oracle, core.RunOpts{})
+		oto, err := core.LabelSequentialRun(numObjects, order, oracle, core.Rules{OneToOne: true}, core.RunOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +168,8 @@ func TestJoinMatchesCoreDrivers(t *testing.T) {
 
 		// Budget, several budgets.
 		for _, budget := range []int{0, len(pairs) / 4, len(pairs)} {
-			bud, err := core.LabelWithBudgetRun(numObjects, order, oracle, budget, 0.5, core.RunOpts{})
+			rules := core.Rules{Budget: &core.Budget{Limit: budget, GuessThreshold: 0.5}}
+			bud, err := core.LabelSequentialRun(numObjects, order, oracle, rules, core.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -211,7 +214,7 @@ func TestJoinFromTexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.LabelSequentialRun(len(exampleTexts), crowdjoin.ExpectedOrder(pairs), oracle, core.RunOpts{})
+	want, err := core.LabelSequentialRun(len(exampleTexts), crowdjoin.ExpectedOrder(pairs), oracle, core.Rules{}, core.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,6 +314,8 @@ func TestNewJoinValidation(t *testing.T) {
 			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(oracle), crowdjoin.WithOrder(nil)}},
 		{"nil journal", []crowdjoin.JoinOption{
 			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(oracle), crowdjoin.WithJournal(nil)}},
+		{"negative budget", []crowdjoin.JoinOption{
+			crowdjoin.WithTexts(exampleTexts), crowdjoin.WithStrategy(crowdjoin.BudgetStrategy(-1, 0.5)), crowdjoin.WithOracle(oracle)}},
 	}
 	for _, tc := range cases {
 		if _, err := crowdjoin.NewJoin(tc.opts...); err == nil {

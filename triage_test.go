@@ -164,9 +164,12 @@ func TestTriageSessionDifferential(t *testing.T) {
 }
 
 // TestTriageShardedMatchesUnsharded: with triage on, sharding must not
-// change labels or clusters at any k. Under the sequential driver the crowd
-// cost is pinned exactly too (every banded answer lands before the
-// uncertain pairs in both runs). Under the parallel driver, machine-
+// change labels or clusters at any k. Under the sequential driver, with and
+// without the one-to-one constraint, the crowd cost is pinned exactly too
+// (every banded answer lands before the uncertain pairs in both runs); a
+// residue pair the unsharded one-to-one run rules out by the constraint is
+// triaged on the residue shard instead, so the free-label sum counts both.
+// Under the parallel driver, machine-
 // answered pairs occupy round slots and conflict with uncertain pairs that
 // share endpoints, so round composition — and with it the deduced-vs-asked
 // attribution of a handful of pairs — can shift slightly across k; there we
@@ -176,7 +179,7 @@ func TestTriageShardedMatchesUnsharded(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		numObjects, pairs, entity := randomJoinCase(rng)
 		truth := &crowdjoin.TruthOracle{Entity: entity}
-		for _, strat := range []crowdjoin.Strategy{crowdjoin.SequentialStrategy, crowdjoin.ParallelStrategy} {
+		for _, strat := range []crowdjoin.Strategy{crowdjoin.SequentialStrategy, crowdjoin.ParallelStrategy, crowdjoin.OneToOneStrategy} {
 			base := runJoin(t,
 				crowdjoin.WithPairs(numObjects, pairs),
 				crowdjoin.WithStrategy(strat),
@@ -194,19 +197,19 @@ func TestTriageShardedMatchesUnsharded(t *testing.T) {
 				if !reflect.DeepEqual(base.Labels, sharded.Labels) {
 					t.Fatalf("trial %d %v k=%d: sharded triage changed the labels", trial, strat, k)
 				}
-				if strat == crowdjoin.SequentialStrategy {
+				if strat != crowdjoin.ParallelStrategy {
 					if !reflect.DeepEqual(base.Crowdsourced, sharded.Crowdsourced) ||
 						base.NumCrowdsourced != sharded.NumCrowdsourced {
 						t.Fatalf("trial %d %v k=%d: sharded triage changed the crowd cost", trial, strat, k)
 					}
-					baseFree := base.NumDeduced + base.TriageAccepted + base.TriageRejected
-					shardFree := sharded.NumDeduced + sharded.TriageAccepted + sharded.TriageRejected
+					baseFree := base.NumDeduced + base.NumConstraintDeduced + base.TriageAccepted + base.TriageRejected
+					shardFree := sharded.NumDeduced + sharded.NumConstraintDeduced + sharded.TriageAccepted + sharded.TriageRejected
 					if baseFree != shardFree {
 						t.Fatalf("trial %d %v k=%d: free-label sum %d vs %d", trial, strat, k, baseFree, shardFree)
 					}
 				}
-				total := sharded.NumCrowdsourced + sharded.NumDeduced + sharded.TriageAccepted + sharded.TriageRejected
-				baseTotal := base.NumCrowdsourced + base.NumDeduced + base.TriageAccepted + base.TriageRejected
+				total := sharded.NumCrowdsourced + sharded.NumDeduced + sharded.NumConstraintDeduced + sharded.TriageAccepted + sharded.TriageRejected
+				baseTotal := base.NumCrowdsourced + base.NumDeduced + base.NumConstraintDeduced + base.TriageAccepted + base.TriageRejected
 				if total != baseTotal || total != len(sharded.Order) {
 					t.Fatalf("trial %d %v k=%d: answer accounting %d vs %d (want %d)",
 						trial, strat, k, total, baseTotal, len(sharded.Order))

@@ -9,6 +9,8 @@ package crowdjoin_test
 import (
 	"context"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -863,4 +865,100 @@ func BenchmarkStreamingAppend(b *testing.B) {
 	b.ReportMetric(float64(len(tail))/perOp.Seconds(), "records/sec")
 	b.ReportMetric(100*float64(perOp)/float64(scratch), "vs-scratch-%")
 	b.ReportMetric(crowdPct, "crowd-vs-scratch-%")
+}
+
+// BenchmarkStreamingStep times one streaming session the way perfbench's
+// paper-stream workload runs it, with no crowd sleeps: a 4,000-record
+// Cora-style corpus (largest cluster 102), a session opened on its first
+// 2,000 records from a copy of their label journal, then 40 steps of
+// Append 50 records, sequential Run and Clusters on that file journal. One
+// op is one session. open-ms is the session-opening step (copying the
+// journal, NewJoin and the first step, whose Append indexes the initial
+// corpus), step-ms the mean of the 39 later steps, and questions the crowd
+// questions per session.
+func BenchmarkStreamingStep(b *testing.B) {
+	const records, initial, batch = 4000, 2000, 50
+	const steps = (records - initial) / batch
+	cfg := dataset.DefaultCoraConfig()
+	cfg.Records = records
+	cfg.LargestCluster = min(cfg.LargestCluster, records/4) // perfbench's paperCorpus
+	d := dataset.GenerateCora(cfg)
+	texts := make([]string, d.Len())
+	for i := range texts {
+		texts[i] = d.Records[i].Text()
+	}
+	truth := &crowdjoin.TruthOracle{Entity: d.Entities()}
+	ctx := context.Background()
+	dir := b.TempDir()
+
+	// The initial journal: one Run over the first records, as a session
+	// that ran before the stream began would leave it.
+	basePath := filepath.Join(dir, "base.journal")
+	f, err := crowdjoin.OpenJournalFile(basePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := crowdjoin.NewJoin(crowdjoin.WithTexts(texts[:initial]), crowdjoin.WithOracle(truth), crowdjoin.WithJournal(f))
+	if err == nil {
+		_, err = j.Run(ctx)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	base, err := os.ReadFile(basePath)
+	if err != nil {
+		b.Fatal(err)
+	}
+
+	var questions int
+	crowd := crowdjoin.OracleFunc(func(p crowdjoin.Pair) crowdjoin.Label {
+		questions++
+		return truth.Label(p)
+	})
+	path := filepath.Join(dir, "session.journal")
+	var open, later time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		if err := os.WriteFile(path, base, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		f, err := crowdjoin.OpenJournalFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		j, err := crowdjoin.NewJoin(crowdjoin.WithTexts(texts[:initial]), crowdjoin.WithOracle(crowd), crowdjoin.WithJournal(f))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < steps; k++ {
+			lo := initial + k*batch
+			if _, err := j.Append(texts[lo : lo+batch]...); err != nil {
+				b.Fatal(err)
+			}
+			res, err := j.Run(ctx)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := res.Clusters(); err != nil {
+				b.Fatal(err)
+			}
+			if k == 0 {
+				now := time.Now()
+				open += now.Sub(start)
+				start = now
+			}
+		}
+		later += time.Since(start)
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(open.Microseconds())/1e3/float64(b.N), "open-ms")
+	b.ReportMetric(float64(later.Microseconds())/1e3/float64(b.N*(steps-1)), "step-ms")
+	b.ReportMetric(float64(questions)/float64(b.N), "questions")
 }

@@ -11,9 +11,9 @@
 // (best-of-count ns/op on each side, so -count reruns tighten the
 // comparison rather than skewing it), exiting 1 when any
 // gated benchmark (the BenchmarkCandidates* family, BenchmarkStreamingAppend,
-// the BenchmarkGiantComponent router variants, BenchmarkPlatformInstant,
-// BenchmarkJoinEndToEnd, or BenchmarkServerEventStream) regresses more than
-// 10% in ns/op. CI runs the compare warn-only; the exit code is for
+// BenchmarkStreamingStep, the BenchmarkGiantComponent router variants,
+// BenchmarkPlatformInstant, BenchmarkJoinEndToEnd, or
+// BenchmarkServerEventStream) regresses more than 10% in ns/op. CI runs the compare warn-only; the exit code is for
 // local `scripts/bench.sh --compare` loops.
 package main
 
@@ -49,13 +49,15 @@ type Report struct {
 const regressLimit = 0.10
 
 // gated reports whether a benchmark's ns/op regression fails the compare:
-// the candidate-generation family, the streaming-append path, the
-// giant-component router variants, the instant-decision platform driver,
+// the candidate-generation family, the streaming-append path, a whole
+// streaming session, the giant-component router variants, the
+// instant-decision platform driver,
 // the join from texts to clusters, and a server job's SSE stream — the
 // kernels whose wall-clock the repo tracks as acceptance criteria.
 func gated(name string) bool {
 	return strings.HasPrefix(name, "BenchmarkCandidates") ||
 		strings.HasPrefix(name, "BenchmarkStreamingAppend") ||
+		strings.HasPrefix(name, "BenchmarkStreamingStep") ||
 		strings.HasPrefix(name, "BenchmarkGiantComponent") ||
 		strings.HasPrefix(name, "BenchmarkPlatformInstant") ||
 		strings.HasPrefix(name, "BenchmarkJoinEndToEnd") ||

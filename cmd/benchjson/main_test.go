@@ -110,6 +110,7 @@ func TestGated(t *testing.T) {
 	for name, want := range map[string]bool{
 		"BenchmarkCandidatesPositional": true,
 		"BenchmarkStreamingAppend":      true,
+		"BenchmarkStreamingStep":        true,
 		"BenchmarkGiantComponent/k=4":   true,
 		"BenchmarkPlatformInstant":      true,
 		"BenchmarkJoinEndToEnd":         true,

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"crowdjoin/internal/core"
+	"crowdjoin/internal/dataset"
 )
 
 // This file holds the incremental (streaming) variant of the size-ordered
@@ -119,8 +120,8 @@ type StreamIndex struct {
 
 	// acc is the accumulated candidate set in SortByLikelihood order
 	// (unweighted only: deltas there are final and pairwise disjoint, so
-	// Pairs is one copy). finished caches a weighted finish until the next
-	// append.
+	// Pairs is one copy), each pair's ID holding its slot. finished caches
+	// a weighted finish until the next append.
 	acc      []core.Pair
 	finished []core.Pair
 
@@ -199,7 +200,8 @@ func (si *StreamIndex) freezeRanks() {
 // run set per the merge policy. It returns the candidate pairs this batch
 // added — final for unweighted indexes, provisional (current-idf) for
 // weighted ones — sorted by likelihood, with no IDs assigned (Pairs owns
-// the dense numbering). sides must have one 0/1 entry per text for
+// the dense numbering). The first batch of an empty index runs on the
+// batch engine (see firstBatch). sides must have one 0/1 entry per text for
 // bipartite indexes and must be nil otherwise.
 func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error) {
 	if si.bipartite {
@@ -240,15 +242,44 @@ func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error
 		newRecs = append(newRecs, r)
 	}
 	run := si.buildRun(newRecs)
-	delta := si.probeRun(&run, si.runs)
+	var delta []core.Pair
+	if base == 0 {
+		delta = si.firstBatch()
+	} else {
+		delta = si.probeRun(&run, si.runs)
+		SortByLikelihood(delta)
+	}
 	si.runs = append(si.runs, run)
 	si.compactRuns()
-	SortByLikelihood(delta)
 	if si.weighting == Unweighted {
+		// Each pair's slot is the ordinal at which it was emitted; acc
+		// carries it in the ID field until Pairs renumbers a copy.
+		for i := range delta {
+			delta[i].ID = len(si.acc) + i
+		}
 		si.acc = mergeByLikelihood(si.acc, delta)
+	}
+	for i := range delta {
+		delta[i].ID = 0
 	}
 	si.finished = nil
 	return delta, nil
+}
+
+// firstBatch joins the records of an empty index's first batch on the
+// batch engine (positionalJoin, probed on every CPU) over the index's own
+// scorer state, instead of probing the batch's run against itself on one
+// goroutine: both emit exactly the pairs at or above the threshold, and
+// the batch engine returns them already in SortByLikelihood order. The
+// run's posting table is still built, for later appends to probe.
+func (si *StreamIndex) firstBatch() []core.Pair {
+	d := &dataset.Dataset{Bipartite: si.bipartite}
+	for r, sd := range si.side {
+		if sd == 1 {
+			d.SourceB = append(d.SourceB, int32(r))
+		}
+	}
+	return positionalJoin(d, si.s, si.t, si.s.verifierAt(si.t))
 }
 
 // extendRecordState appends the rank lists, rank values, frequent rows,
@@ -580,24 +611,31 @@ func (si *StreamIndex) probeRun(run *streamRun, older []streamRun) []core.Pair {
 
 // Pairs returns the full candidate set over everything appended so far:
 // sorted by likelihood, dense IDs — byte-identical to Candidates over the
-// final corpus. Unweighted indexes copy the maintained accumulation;
-// weighted ones recompute the corpus-global idf state and re-probe (see
-// the package comment on provisional weighted deltas).
-func (si *StreamIndex) Pairs() []core.Pair {
+// final corpus. Unweighted indexes copy the maintained accumulation and
+// also return each pair's slot (slots[id]): the ordinal at which an Append
+// emitted the pair, dense and stable for the life of the index, so a
+// caller can keep per-pair state across appends while the likelihood
+// positions (and with them the IDs) shift. Weighted indexes recompute the
+// corpus-global idf state and re-probe (see the package comment on
+// provisional weighted deltas); their pairs have no stable identity and
+// slots is nil.
+func (si *StreamIndex) Pairs() (pairs []core.Pair, slots []int32) {
 	if si.weighting == Unweighted {
-		out := make([]core.Pair, len(si.acc))
-		copy(out, si.acc)
-		for i := range out {
-			out[i].ID = i
+		pairs = make([]core.Pair, len(si.acc))
+		slots = make([]int32, len(si.acc))
+		copy(pairs, si.acc)
+		for i := range pairs {
+			slots[i] = int32(pairs[i].ID)
+			pairs[i].ID = i
 		}
-		return out
+		return pairs, slots
 	}
 	if si.finished == nil {
 		si.finished = si.finishWeighted()
 	}
-	out := make([]core.Pair, len(si.finished))
-	copy(out, si.finished)
-	return out
+	pairs = make([]core.Pair, len(si.finished))
+	copy(pairs, si.finished)
+	return pairs, nil
 }
 
 // finishWeighted recomputes every corpus-global weight (idf, record

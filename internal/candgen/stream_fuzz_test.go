@@ -77,7 +77,7 @@ func FuzzAppendMatchesBatch(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		got := si.Pairs()
+		got, _ := si.Pairs()
 		d := streamDataset(texts, sides)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("constructed dataset invalid: %v", err)

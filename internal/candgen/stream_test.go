@@ -106,7 +106,7 @@ func TestStreamMatchesBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := si.Pairs()
+		got, _ := si.Pairs()
 
 		d := streamDataset(texts, sides)
 		if err := d.Validate(); err != nil {
@@ -127,7 +127,9 @@ func TestStreamMatchesBatch(t *testing.T) {
 // TestStreamDeltasPartitionBatch pins the unweighted delta contract: each
 // Append returns exactly the pairs the batch adds — the deltas are
 // pairwise disjoint, every delta pair touches at least one new record,
-// and their union is the batch candidate set.
+// and their union is the batch candidate set. It also pins the slots
+// Pairs returns: a delta's pairs take the next slots in delta order, and
+// a pair keeps its slot through every later append.
 func TestStreamDeltasPartitionBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 25; trial++ {
@@ -138,6 +140,7 @@ func TestStreamDeltasPartitionBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := make(map[[2]int32]float64)
+		slotOf := make(map[[2]int32]int32)
 		for _, b := range randomBatches(rng, n) {
 			before := int32(si.NumRecords())
 			delta, err := si.Append(texts[b[0]:b[1]], nil)
@@ -152,7 +155,20 @@ func TestStreamDeltasPartitionBatch(t *testing.T) {
 				if p.B < before {
 					t.Fatalf("trial %d: delta pair (%d,%d) touches no new record (batch starts at %d)", trial, p.A, p.B, before)
 				}
+				if p.ID != 0 {
+					t.Fatalf("trial %d: delta pair (%d,%d) carries ID %d", trial, p.A, p.B, p.ID)
+				}
 				seen[k] = p.Likelihood
+				slotOf[k] = int32(len(slotOf)) // the next slot, in delta order
+			}
+			pairs, slots := si.Pairs()
+			if len(slots) != len(pairs) || len(pairs) != len(slotOf) {
+				t.Fatalf("trial %d: Pairs returned %d pairs and %d slots, %d emitted", trial, len(pairs), len(slots), len(slotOf))
+			}
+			for id, p := range pairs {
+				if want := slotOf[[2]int32{p.A, p.B}]; p.ID != id || slots[id] != want {
+					t.Fatalf("trial %d: pair (%d,%d) at %d has ID %d and slot %d, want slot %d", trial, p.A, p.B, id, p.ID, slots[id], want)
+				}
 			}
 		}
 		d := streamDataset(texts, nil)
@@ -215,11 +231,11 @@ func TestStreamAppendAfterFinish(t *testing.T) {
 	if _, err := si.Append(texts[:25], nil); err != nil {
 		t.Fatal(err)
 	}
-	_ = si.Pairs() // finish mid-stream
+	si.Pairs() // finish mid-stream
 	if _, err := si.Append(texts[25:], nil); err != nil {
 		t.Fatal(err)
 	}
-	got := si.Pairs()
+	got, _ := si.Pairs()
 	d := streamDataset(texts, nil)
 	want, err := Candidates(d, NewScorer(d, IDFWeighted), 0.3)
 	if err != nil {

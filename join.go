@@ -151,12 +151,14 @@ func (s Strategy) String() string {
 //
 // A Join may be Run more than once, but not concurrently: a Run invoked
 // while another Run is still executing on the same session returns
-// ErrRunInProgress. Without a journal, Run holds no
-// session state at all. With a journal, each Run consumes the stream's
-// read side: a re-Run rewinds it when the stream is an io.Seeker (e.g. an
-// *os.File) and re-reads the accumulated entries; on a non-seekable
-// stream, whose entries are gone after the first read, a re-Run is
-// refused rather than silently re-crowdsourcing everything.
+// ErrRunInProgress. Every Run replays the answers earlier Runs of the
+// session bought. Without a journal they are cached in memory. With a
+// journal, the first Run reads the stream's entries, and the session keeps
+// what it parsed, together with every answer it appends, for later Runs;
+// the stream is rewound (it must be an io.Seeker, e.g. an *os.File) and
+// re-read only after an append to it failed, so that answers bought but
+// never written are asked again. On a non-seekable stream, whose entries
+// are gone after the first read, a re-Run is refused.
 type Join struct {
 	// input: either precomputed pairs or raw texts fed to the matcher.
 	numObjects int
@@ -187,8 +189,13 @@ type Join struct {
 	progress func(Event)
 	journal  io.ReadWriter
 	// journalUsed marks that a Run already consumed the journal's read
-	// side; a later Run must rewind it (io.Seeker) or refuse.
+	// side; a later Run must rewind it (io.Seeker) or refuse. kept is the
+	// journal state that Run parsed, reused by later Runs until an append
+	// fails. slots is the streaming session's answer table by pair slot.
+	// All three are touched only by the Run in progress.
 	journalUsed bool
+	kept        *journalState
+	slots       slotTable
 
 	// streamMu guards stream, which exists once Append has switched the
 	// session to streaming (see stream.go); candidates then come from the
@@ -595,6 +602,8 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 	// session generates candidates from the matcher as before.
 	var (
 		numObjects int
+		pairs      []Pair
+		slots      []int32
 		order      []Pair
 		pt         *core.Partition
 		arrivals   []int
@@ -608,8 +617,9 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 		}
 		numObjects = st.idx.NumRecords()
 		arrivals = append([]int(nil), st.arrivals...)
+		pairs, slots = st.idx.Pairs()
 		var err error
-		order, pt, err = j.orderAndShard(numObjects, st.idx.Pairs(), st)
+		order, pt, err = j.orderAndShard(numObjects, pairs, st)
 		j.streamMu.Unlock()
 		if err != nil {
 			return nil, err
@@ -620,7 +630,7 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 			return j.runCascade(ctx)
 		}
 		numObjects = j.numObjects
-		pairs := j.pairs
+		pairs = j.pairs
 		if !j.havePairs {
 			var err error
 			if j.bipartite {
@@ -646,44 +656,65 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 	if cancel != nil {
 		defer cancel()
 	}
-	return j.runOnce(runCtx, numObjects, order, pt, jrn)
+	var table []Label
+	if slots != nil {
+		table = j.slots.gather(jrn, pairs, slots)
+		defer j.slots.scatter(table, slots)
+	}
+	return j.runOnce(runCtx, numObjects, order, pt, jrn, table)
 }
 
 // journalFor resolves the session journal for a Run: a file journal is
-// rewound (or the Run refused) when already consumed and re-opened, a
-// journal-less session falls back to the in-memory answer cache. With a
-// file journal the returned context cancels the run on journal write
-// failure, and the returned cancel func must be deferred by the caller.
+// parsed on the first Run and kept, and rewound and re-read (or the Run
+// refused) only when an append to it failed; a journal-less session falls
+// back to the in-memory answer cache. With a file journal the returned
+// context cancels the run on journal write failure, and the returned
+// cancel func must be deferred by the caller.
 func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, arrivals []int) (context.Context, context.CancelFunc, *journalState, error) {
 	if j.journal != nil {
+		if j.kept != nil && j.kept.writeErr() != nil {
+			// The state holds answers whose append failed: re-read the
+			// stream so they are asked again.
+			j.kept = nil
+		}
 		if j.journalUsed {
-			// An earlier Run consumed the stream; re-reading from the
-			// current position would see no entries, replay nothing, and
-			// append a second header. Rewind when the stream supports it
-			// (appends still go to the end on O_APPEND files).
+			// An earlier Run consumed the stream. Without a kept state it is
+			// re-read from the start (appends still go to the end on
+			// O_APPEND files). A stream that cannot rewind is refused
+			// either way.
 			s, ok := j.journal.(io.Seeker)
 			if !ok {
 				return nil, nil, nil, errors.New("crowdjoin: journal stream already consumed by an earlier Run; reopen the journal (or use a seekable stream such as *os.File)")
 			}
-			if _, err := s.Seek(0, io.SeekStart); err != nil {
-				return nil, nil, nil, fmt.Errorf("crowdjoin: rewinding journal for re-Run: %w", err)
+			if j.kept == nil {
+				if _, err := s.Seek(0, io.SeekStart); err != nil {
+					return nil, nil, nil, fmt.Errorf("crowdjoin: rewinding journal for re-Run: %w", err)
+				}
 			}
 		}
 		j.journalUsed = true
-		initialObjects := numObjects
-		if st != nil {
-			initialObjects = st.n0
-		}
-		jrn, err := openJournal(j.journal, initialObjects, arrivals)
-		if err != nil {
-			return nil, nil, nil, err
+		if j.kept == nil {
+			initialObjects := numObjects
+			if st != nil {
+				initialObjects = st.n0
+			}
+			jrn, err := openJournal(j.journal, initialObjects, arrivals)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			j.kept = jrn
 		}
 		// A journal write failure cancels the run so no further answers are
 		// bought without being recorded; the driver then comes back with a
 		// consistent partial result.
 		runCtx, cancel := context.WithCancel(ctx)
-		jrn.onError = cancel
-		return journaledContext{Context: runCtx, caller: ctx}, cancel, jrn, nil
+		jc := &journaledContext{Context: runCtx, caller: ctx}
+		stop := func() {
+			jc.stopped.Store(true)
+			cancel()
+		}
+		j.kept.resume(arrivals, stop)
+		return jc, stop, j.kept, nil
 	}
 	// No file journal: answers bought by earlier Runs of this session are
 	// cached in memory and replayed, so a re-Run — and in particular the
@@ -694,7 +725,7 @@ func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, 
 	}
 	jrn := j.mem
 	j.streamMu.Unlock()
-	jrn.resetReplay()
+	jrn.replayed.Store(0)
 	return ctx, nil, jrn, nil
 }
 
@@ -705,17 +736,24 @@ func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, 
 // ctx's children, so a platform woken by context.AfterFunc on ctx can hand
 // the driver "no answer" while the child still reports nil — and the
 // driver would report a misbehaving platform instead of the cancellation.
+// Err then reads stopped, which the journal's cancel hook (and the Run's
+// end) sets before cancelling the child, instead of the child's Err: the
+// drivers call Err once per pair, and the child's takes a mutex.
 type journaledContext struct {
 	context.Context
-	caller context.Context
+	caller  context.Context
+	stopped atomic.Bool
 }
 
 // Err implements context.Context.
-func (c journaledContext) Err() error {
+func (c *journaledContext) Err() error {
 	if err := c.caller.Err(); err != nil {
 		return err
 	}
-	return c.Context.Err()
+	if c.stopped.Load() {
+		return context.Canceled
+	}
+	return nil
 }
 
 // runOnce drives the configured strategy over one ordered, partitioned
@@ -727,7 +765,7 @@ func (c journaledContext) Err() error {
 // sequential family (sequential, one-to-one, budget) runs the sequential
 // driver under the strategy's rules and wraps its per-pair oracle. Run
 // calls it once; runCascade calls it per stage with a shared journal.
-func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt *core.Partition, jrn *journalState) (*JoinResult, error) {
+func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt *core.Partition, jrn *journalState, table []Label) (*JoinResult, error) {
 	progress := j.progress
 	var tri *triageState
 	if j.triage.Enabled() {
@@ -761,9 +799,9 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 	}
 	if jrn != nil {
 		if oracle != nil {
-			oracle = &journalOracle{inner: oracle, jrn: jrn}
+			oracle = &journalOracle{inner: oracle, jrn: jrn, table: table}
 		} else {
-			platform = newJournalPlatform(platform, jrn)
+			platform = newJournalPlatform(platform, jrn, table)
 		}
 	}
 	if tri != nil {
@@ -814,7 +852,7 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 		tri.fill(res)
 	}
 	if jrn != nil {
-		res.Replayed = jrn.replayedCount()
+		res.Replayed = int(jrn.replayed.Load())
 		if jerr := jrn.writeErr(); jerr != nil {
 			werr := fmt.Errorf("crowdjoin: journal append: %w", jerr)
 			if res.Labels == nil {
@@ -906,8 +944,8 @@ func (j *Join) runCascade(ctx context.Context) (*JoinResult, error) {
 		}
 		// Each stage reports its own replay share; the final stage's count is
 		// every answer re-served from earlier stages (and any prior session).
-		jrn.resetReplay()
-		res, err = j.runOnce(runCtx, numObjects, order, pt, jrn)
+		jrn.replayed.Store(0)
+		res, err = j.runOnce(runCtx, numObjects, order, pt, jrn, nil)
 		if err != nil || res == nil {
 			return res, err
 		}

@@ -1,6 +1,7 @@
 package crowdjoin
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"crowdjoin/internal/core"
 )
@@ -106,11 +108,12 @@ func keyOf(a, b int32) pairKey {
 }
 
 // journalState is one session's view of a label journal: the replay map
-// read at open, plus the append side. All methods are safe for concurrent
-// use: a component-sharded session (WithConcurrency > 1) consults and
-// appends to the one journal from several shard goroutines. Shards own
-// disjoint pairs, so the serialization order of their appends never
-// matters for replay.
+// read at open and kept for the session's life (every answer the session
+// records joins it), plus the append side. All methods are safe for
+// concurrent use: a component-sharded session (WithConcurrency > 1)
+// consults and appends to the one journal from several shard goroutines.
+// Shards own disjoint pairs, so the serialization order of their appends
+// never matters for replay.
 type journalState struct {
 	mu      sync.Mutex
 	answers map[pairKey]Label // guarded by mu
@@ -127,6 +130,9 @@ type journalState struct {
 	// answers about appended records always follow the r line that
 	// introduced them.
 	pendingArrivals []int // guarded by mu
+	// arrivals counts the session arrivals this state has accounted for,
+	// in the stream or in pendingArrivals; resume queues the later ones.
+	arrivals int // guarded by mu
 	// needHeader: the stream held no (surviving) lines, so the first
 	// append writes the header line. needObjects: no objects fingerprint
 	// survived (fresh journal, or the line was torn away), so the first
@@ -137,9 +143,13 @@ type journalState struct {
 	needHeader  bool  // guarded by mu
 	needObjects bool  // guarded by mu
 	needVoid    bool  // guarded by mu
-	replayed    int   // guarded by mu
 	werr        error // guarded by mu
-	onError     func()
+	// onError is the Run's cancel hook, called once on the first write
+	// failure; resume installs each Run's own.
+	onError func() // guarded by mu
+	// replayed counts the answers served without asking the crowd in the
+	// current Run (resume resets it).
+	replayed atomic.Int64
 	// pending holds formatted entries not yet written to w; flushing marks
 	// that one goroutine is draining it. record formats under mu (so the
 	// void/header/objects preamble and entry order are serialized) but
@@ -162,7 +172,7 @@ type journalState struct {
 	written  int64     // guarded by mu; total bytes successfully written to w
 }
 
-// newMemoryJournal returns a journal in memory-only mode: lookup, record,
+// newMemoryJournal returns a journal in memory-only mode: replay, record,
 // and the replay counter work, but nothing is read or persisted.
 func newMemoryJournal(initialObjects int) *journalState {
 	j := &journalState{answers: make(map[pairKey]Label), numObjects: initialObjects}
@@ -179,76 +189,84 @@ func newMemoryJournal(initialObjects int) *journalState {
 // objects beyond the universe as of its position in the stream, is
 // rejected: the journal belongs to a different input. (Same-sized content
 // changes are invisible here; see the format comment.)
+//
+// Lines are walked in place. The answer lines the writer emits take a
+// fast path (parseAnswerLine) that allocates nothing; every other line is
+// split into fields and parsed in full, so both read exactly the same
+// journals.
 func openJournal(rw io.ReadWriter, initialObjects int, arrivals []int) (*journalState, error) {
 	raw, err := io.ReadAll(rw)
 	if err != nil {
 		return nil, fmt.Errorf("crowdjoin: reading journal: %w", err)
 	}
-	j := &journalState{answers: make(map[pairKey]Label), w: rw, numObjects: initialObjects}
+	j := &journalState{w: rw, numObjects: initialObjects, arrivals: len(arrivals)}
 	j.flushed.L = &j.mu
-	content := string(raw)
 	// A trailing fragment without '\n' is a torn final append: drop it and
 	// have the next append void it (see the format comment above).
-	if len(content) > 0 && !strings.HasSuffix(content, "\n") {
+	if len(raw) > 0 && raw[len(raw)-1] != '\n' {
 		j.needVoid = true
-		if i := strings.LastIndexByte(content, '\n'); i >= 0 {
-			content = content[:i+1]
-		} else {
-			content = ""
-		}
+		raw = raw[:bytes.LastIndexByte(raw, '\n')+1]
 	}
+	j.answers = make(map[pairKey]Label, bytes.Count(raw, []byte{'\n'}))
 	sawHeader, sawObjects := false, false
 	universe := int64(initialObjects) // grows as r entries are consumed
 	consumed := 0                     // arrivals matched against r entries
-	for _, line := range strings.Split(strings.TrimSuffix(content, "\n"), "\n") {
-		if line == "" || strings.HasSuffix(line, "#") {
+	for len(raw) > 0 {
+		i := bytes.IndexByte(raw, '\n')
+		line := raw[:i]
+		raw = raw[i+1:]
+		if len(line) == 0 || line[len(line)-1] == '#' {
 			// Voided torn fragments (and blank lines) are not entries.
 			continue
 		}
 		if !sawHeader {
-			if line != journalHeader && line != journalHeaderV1 {
+			if string(line) != journalHeader && string(line) != journalHeaderV1 {
 				return nil, fmt.Errorf("crowdjoin: journal stream does not start with %q", journalHeader)
 			}
 			sawHeader = true
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == "objects" {
-			if fields[1] != strconv.Itoa(initialObjects) {
-				return nil, fmt.Errorf("crowdjoin: journal was written for %s objects, this join has %d", fields[1], initialObjects)
+		l, a, b, ok := parseAnswerLine(line)
+		if !ok {
+			fields := strings.Fields(string(line))
+			if len(fields) == 2 && fields[0] == "objects" {
+				if fields[1] != strconv.Itoa(initialObjects) {
+					return nil, fmt.Errorf("crowdjoin: journal was written for %s objects, this join has %d", fields[1], initialObjects)
+				}
+				sawObjects = true
+				continue
 			}
-			sawObjects = true
-			continue
-		}
-		if len(fields) == 2 && fields[0] == "r" {
-			k, err := strconv.ParseInt(fields[1], 10, 32)
-			if err != nil || k < 1 {
+			if len(fields) == 2 && fields[0] == "r" {
+				k, err := strconv.ParseInt(fields[1], 10, 32)
+				if err != nil || k < 1 {
+					return nil, fmt.Errorf("crowdjoin: malformed journal entry %q", line)
+				}
+				if consumed >= len(arrivals) {
+					return nil, fmt.Errorf("crowdjoin: journal records an arrival of %d records this session has not appended", k)
+				}
+				if int(k) != arrivals[consumed] {
+					return nil, fmt.Errorf("crowdjoin: journal arrival %d has %d records, this session appended %d", consumed, k, arrivals[consumed])
+				}
+				universe += k
+				consumed++
+				continue
+			}
+			if len(fields) != 3 || (fields[0] != "m" && fields[0] != "n") {
 				return nil, fmt.Errorf("crowdjoin: malformed journal entry %q", line)
 			}
-			if consumed >= len(arrivals) {
-				return nil, fmt.Errorf("crowdjoin: journal records an arrival of %d records this session has not appended", k)
+			var errA, errB error
+			a, errA = strconv.ParseInt(fields[1], 10, 32)
+			b, errB = strconv.ParseInt(fields[2], 10, 32)
+			if errA != nil || errB != nil {
+				return nil, fmt.Errorf("crowdjoin: malformed journal entry %q", line)
 			}
-			if int(k) != arrivals[consumed] {
-				return nil, fmt.Errorf("crowdjoin: journal arrival %d has %d records, this session appended %d", consumed, k, arrivals[consumed])
+			l = NonMatching
+			if fields[0] == "m" {
+				l = Matching
 			}
-			universe += k
-			consumed++
-			continue
-		}
-		if len(fields) != 3 || (fields[0] != "m" && fields[0] != "n") {
-			return nil, fmt.Errorf("crowdjoin: malformed journal entry %q", line)
-		}
-		a, errA := strconv.ParseInt(fields[1], 10, 32)
-		b, errB := strconv.ParseInt(fields[2], 10, 32)
-		if errA != nil || errB != nil {
-			return nil, fmt.Errorf("crowdjoin: malformed journal entry %q", line)
 		}
 		if a < 0 || a >= universe || b < 0 || b >= universe || a == b {
 			return nil, fmt.Errorf("crowdjoin: journal entry %q outside the %d-object universe", line, universe)
-		}
-		l := NonMatching
-		if fields[0] == "m" {
-			l = Matching
 		}
 		// Canonicalize: our writer emits a < b, but a hand-edited entry in
 		// the other order must still replay (lookup keys are canonical).
@@ -270,35 +288,119 @@ func openJournal(rw io.ReadWriter, initialObjects int, arrivals []int) (*journal
 	return j, nil
 }
 
-// lookup returns the journaled answer for (a, b), if any.
-func (j *journalState) lookup(a, b int32) (Label, bool) {
+// parseAnswerLine parses an answer line in the form the writer emits, "m
+// <a> <b>" or "n <a> <b>" with single spaces and plain decimal ids of at
+// most nine digits (so no id overflows int32). ok is false for any other
+// line, which openJournal then parses field by field.
+func parseAnswerLine(line []byte) (l Label, a, b int64, ok bool) {
+	if len(line) < 5 || line[1] != ' ' {
+		return 0, 0, 0, false
+	}
+	switch line[0] {
+	case 'm':
+		l = Matching
+	case 'n':
+		l = NonMatching
+	default:
+		return 0, 0, 0, false
+	}
+	a, rest, ok := leadingID(line[2:])
+	if !ok || len(rest) < 2 || rest[0] != ' ' {
+		return 0, 0, 0, false
+	}
+	b, rest, ok = leadingID(rest[1:])
+	if !ok || len(rest) != 0 {
+		return 0, 0, 0, false
+	}
+	return l, a, b, true
+}
+
+// leadingID parses the run of one to nine decimal digits that starts s.
+func leadingID(s []byte) (v int64, rest []byte, ok bool) {
+	i := 0
+	for i < len(s) && i < 10 && '0' <= s[i] && s[i] <= '9' {
+		v = v*10 + int64(s[i]-'0')
+		i++
+	}
+	if i == 0 || i > 9 {
+		return 0, nil, false
+	}
+	return v, s[i:], true
+}
+
+// resume readies the state for a Run of its session: the arrivals the
+// session appended since the state last saw its history queue behind the
+// pending ones (so their r lines still precede the answers they license),
+// onError becomes the Run's cancel hook, and the replay counter restarts.
+func (j *journalState) resume(arrivals []int, onError func()) {
+	j.mu.Lock()
+	j.pendingArrivals = append(j.pendingArrivals, arrivals[j.arrivals:]...)
+	j.arrivals = len(arrivals)
+	j.onError = onError
+	j.mu.Unlock()
+	j.replayed.Store(0)
+}
+
+// answered returns the answer already bought for p: from the Run's replay
+// table when the table holds one at p.ID (see slotTable), otherwise from
+// the map.
+func (j *journalState) answered(table []Label, p Pair) (Label, bool) {
+	if p.ID >= 0 && p.ID < len(table) && table[p.ID] != Unlabeled {
+		return table[p.ID], true
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	l, ok := j.answers[keyOf(a, b)]
+	l, ok := j.answers[keyOf(p.A, p.B)]
 	return l, ok
 }
 
-// countReplay records that one journaled answer was served in place of a
-// crowd question.
-func (j *journalState) countReplay() {
-	j.mu.Lock()
-	j.replayed++
-	j.mu.Unlock()
+// noteAnswer writes a fresh crowd answer into the Run's replay table, from
+// which the session's slot table takes it after the Run.
+func noteAnswer(table []Label, p Pair, l Label) {
+	if p.ID >= 0 && p.ID < len(table) && (l == Matching || l == NonMatching) {
+		table[p.ID] = l
+	}
 }
 
-// replayedCount returns the number of answers served from the journal.
-func (j *journalState) replayedCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.replayed
+// slotTable is an unweighted streaming session's answers by pair slot (see
+// candgen.StreamIndex.Pairs): labels[s] is the answer bought for the pair
+// in slot s, Unlabeled if none. Slots are stable across appends, so a Run
+// looks up in the journal's map only the slots no earlier Run resolved —
+// the pairs the appends since then added — and reads the rest from here.
+// The labels hold for one journal state; a replaced state (a file journal
+// re-read after a write failure) drops them. Owned by the Run in progress:
+// Join.running serializes Runs.
+type slotTable struct {
+	jrn    *journalState
+	labels []Label
 }
 
-// resetReplay zeroes the replay counter; a memory-mode journal reused
-// across Runs calls this so each Run reports its own replay count.
-func (j *journalState) resetReplay() {
-	j.mu.Lock()
-	j.replayed = 0
-	j.mu.Unlock()
+// gather returns a Run's replay table over jrn, indexed by Pair.ID, for
+// the candidate set StreamIndex.Pairs returned as pairs and slots.
+func (st *slotTable) gather(jrn *journalState, pairs []Pair, slots []int32) []Label {
+	if st.jrn != jrn {
+		st.jrn, st.labels = jrn, st.labels[:0]
+	}
+	resolved := len(st.labels)
+	st.labels = append(st.labels, make([]Label, len(slots)-resolved)...)
+	table := make([]Label, len(slots))
+	jrn.mu.Lock()
+	for id, s := range slots {
+		if int(s) >= resolved {
+			st.labels[s] = jrn.answers[keyOf(pairs[id].A, pairs[id].B)]
+		}
+		table[id] = st.labels[s]
+	}
+	jrn.mu.Unlock()
+	return table
+}
+
+// scatter takes a Run's fresh answers (noteAnswer) back into the slot
+// table.
+func (st *slotTable) scatter(table []Label, slots []int32) {
+	for id, s := range slots {
+		st.labels[s] = table[id]
+	}
 }
 
 // writeErr returns the first append failure, if any. Run reads it after
@@ -414,20 +516,23 @@ func (j *journalState) record(p Pair, l Label) {
 	}
 }
 
-// journalOracle replays journaled answers and records fresh ones.
+// journalOracle replays journaled answers and records fresh ones. table is
+// the Run's replay table (nil: replay from the map alone).
 type journalOracle struct {
 	inner Oracle
 	jrn   *journalState
+	table []Label
 }
 
 // Label implements Oracle.
 func (o *journalOracle) Label(p Pair) Label {
-	if l, ok := o.jrn.lookup(p.A, p.B); ok {
-		o.jrn.countReplay()
+	if l, ok := o.jrn.answered(o.table, p); ok {
+		o.jrn.replayed.Add(1)
 		return l
 	}
 	l := o.inner.Label(p)
 	o.jrn.record(p, l)
+	noteAnswer(o.table, p, l)
 	return l
 }
 
@@ -503,27 +608,30 @@ func (sp *shortcutPlatform) Held() int {
 }
 
 // journalPlatform short-circuits published pairs whose answers are already
-// journaled and records every answer the real platform produces.
+// journaled and records every answer the real platform produces. table is
+// the Run's replay table (nil: replay from the map alone).
 type journalPlatform struct {
 	shortcutPlatform
-	jrn *journalState
+	jrn   *journalState
+	table []Label
 }
 
-func newJournalPlatform(inner Platform, jrn *journalState) *journalPlatform {
-	known := func(p Pair) (Label, bool) { return jrn.lookup(p.A, p.B) }
-	return &journalPlatform{shortcutPlatform{inner: inner, known: known}, jrn}
+func newJournalPlatform(inner Platform, jrn *journalState, table []Label) *journalPlatform {
+	known := func(p Pair) (Label, bool) { return jrn.answered(table, p) }
+	return &journalPlatform{shortcutPlatform{inner: inner, known: known}, jrn, table}
 }
 
 // NextLabel implements Platform: a journaled answer counts as a replay,
 // and a fresh one is recorded.
 func (jp *journalPlatform) NextLabel() (Pair, Label, bool) {
 	if jp.head < len(jp.ready) {
-		jp.jrn.countReplay()
+		jp.jrn.replayed.Add(1)
 		return jp.shortcutPlatform.NextLabel()
 	}
 	p, l, ok := jp.inner.NextLabel()
 	if ok {
 		jp.jrn.record(p, l)
+		noteAnswer(jp.table, p, l)
 	}
 	return p, l, ok
 }

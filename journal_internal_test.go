@@ -52,7 +52,7 @@ func TestJournalPlatformCompactsOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp := newJournalPlatform(&stubPlatform{t: t}, jrn)
+	jp := newJournalPlatform(&stubPlatform{t: t}, jrn, nil)
 	for r, round := range published {
 		jp.Publish(round)
 		if jp.head != 0 {
@@ -83,7 +83,7 @@ func TestJournalPlatformCompactsOnDrain(t *testing.T) {
 	if len(jp.ready) != 0 || jp.head != 0 {
 		t.Fatalf("after full drain: len(ready)=%d head=%d, want 0/0", len(jp.ready), jp.head)
 	}
-	if got := jrn.replayedCount(); got != rounds*perRound {
+	if got := jrn.replayed.Load(); got != rounds*perRound {
 		t.Fatalf("replayed %d answers, want %d", got, rounds*perRound)
 	}
 }

@@ -581,3 +581,135 @@ func TestJournalWriteFailureCancelsRun(t *testing.T) {
 		t.Errorf("session crowdsourced %d pairs after the journal broke", res.NumCrowdsourced)
 	}
 }
+
+// flakyFile is a journal file whose failAt-th write (1-based) fails once
+// without writing anything, as a full disk would fail one append.
+type flakyFile struct {
+	*os.File
+	writes, failAt int
+}
+
+func (f *flakyFile) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes == f.failAt {
+		return 0, errors.New("disk full")
+	}
+	return f.File.Write(p)
+}
+
+// TestJournalRerunAfterWriteFailure: a session keeps its parsed journal
+// across Runs only while every append succeeds. After a one-shot write
+// failure the first Run returns its partial result with the error; the
+// next Run re-reads the file, so the answer that was bought but never
+// written is asked again (a kept state, or a streaming session's slot
+// table resolved against it, would replay it from memory and leave it out
+// of the file). The file then holds every pair exactly once, and a fresh
+// session replays all of it. Both a batch and a streaming session run.
+func TestJournalRerunAfterWriteFailure(t *testing.T) {
+	const failAt = 2
+	for _, streaming := range []bool{false, true} {
+		session := func(crowd crowdjoin.Oracle, journal io.ReadWriter) *crowdjoin.Join {
+			t.Helper()
+			opts := []crowdjoin.JoinOption{crowdjoin.WithTexts(exampleTexts), crowdjoin.WithOracle(crowd)}
+			if streaming {
+				opts[0] = crowdjoin.WithTexts(exampleTexts[:3])
+			}
+			if journal != nil {
+				opts = append(opts, crowdjoin.WithJournal(journal))
+			}
+			j, err := crowdjoin.NewJoin(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if streaming {
+				if _, err := j.Append(exampleTexts[3:]...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return j
+		}
+		want, err := session(exampleOracle(), nil).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.NumCrowdsourced <= failAt {
+			t.Fatalf("streaming=%v: example asks %d questions; the test needs more than %d", streaming, want.NumCrowdsourced, failAt)
+		}
+
+		path := t.TempDir() + "/j.log"
+		f, err := crowdjoin.OpenJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		asked := map[[2]int32]int{}
+		crowd := crowdjoin.OracleFunc(func(p crowdjoin.Pair) crowdjoin.Label {
+			asked[[2]int32{min(p.A, p.B), max(p.A, p.B)}]++
+			return exampleOracle().Label(p)
+		})
+		j := session(crowd, &flakyFile{File: f, failAt: failAt})
+		first, err := j.Run(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "disk full") {
+			t.Fatalf("streaming=%v: first Run: err = %v, want the journal write error", streaming, err)
+		}
+		if first == nil || !first.Partial {
+			t.Fatalf("streaming=%v: first Run: res = %+v, want a partial result", streaming, first)
+		}
+		second, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatalf("streaming=%v: second Run: %v", streaming, err)
+		}
+		if second.Replayed != failAt-1 {
+			t.Errorf("streaming=%v: second Run replayed %d answers, want the %d written before the failure", streaming, second.Replayed, failAt-1)
+		}
+		if !reflect.DeepEqual(second.Labels, want.Labels) {
+			t.Errorf("streaming=%v: second Run labels %v, want %v", streaming, second.Labels, want.Labels)
+		}
+		twice := 0
+		for k, n := range asked {
+			if n > 1 {
+				twice++
+				if n != 2 {
+					t.Errorf("streaming=%v: pair %v asked %d times", streaming, k, n)
+				}
+			}
+		}
+		if twice != 1 || len(asked) != want.NumCrowdsourced {
+			t.Errorf("streaming=%v: crowd asked %d distinct pairs, %d of them twice; want %d pairs, the unwritten one twice",
+				streaming, len(asked), twice, want.NumCrowdsourced)
+		}
+
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := map[string]int{}
+		for _, line := range strings.Split(string(raw), "\n") {
+			if strings.HasPrefix(line, "m ") || strings.HasPrefix(line, "n ") {
+				entries[line[2:]]++
+			}
+		}
+		for pair, n := range entries {
+			if n != 1 {
+				t.Errorf("streaming=%v: journal holds pair %s %d times", streaming, pair, n)
+			}
+		}
+		if len(entries) != want.NumCrowdsourced {
+			t.Errorf("streaming=%v: journal holds %d pairs, want %d:\n%s", streaming, len(entries), want.NumCrowdsourced, raw)
+		}
+
+		g, err := crowdjoin.OpenJournalFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		res, err := session(failingOracle(t), g).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Replayed != want.NumCrowdsourced || !reflect.DeepEqual(res.Labels, want.Labels) {
+			t.Errorf("streaming=%v: fresh session replayed %d answers (want %d), labels %v (want %v)",
+				streaming, res.Replayed, want.NumCrowdsourced, res.Labels, want.Labels)
+		}
+	}
+}

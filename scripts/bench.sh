@@ -4,7 +4,9 @@
 # BenchmarkCandidates* family covers the size-ordered positional prefix
 # join over a built unweighted and IDF-weighted scorer, and from raw texts
 # with NewScorer included; BenchmarkStreamingAppend tracks the Join.Append
-# marginal-cost criterion; BenchmarkServerThroughput tracks the join
+# marginal-cost criterion; BenchmarkStreamingStep times a whole streaming
+# session on a file journal, reporting its opening step and the mean later
+# step (Append 50 + Run + Clusters); BenchmarkServerThroughput tracks the join
 # server's cross-job HIT multiplexing, J concurrent jobs vs sequential;
 # BenchmarkGiantComponent tracks the balance-aware question router's
 # wall-clock win over largest-first component scheduling on Paper@0.3's
@@ -24,6 +26,7 @@
 #                                            1 when a gated bench — the
 #                                            BenchmarkCandidates* family,
 #                                            BenchmarkStreamingAppend,
+#                                            BenchmarkStreamingStep,
 #                                            BenchmarkGiantComponent*,
 #                                            BenchmarkPlatformInstant,
 #                                            BenchmarkJoinEndToEnd or
@@ -40,7 +43,7 @@ if [ "${1:-}" = "--compare" ]; then
 	shift
 fi
 COUNT="${1:-1}"
-PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd|BenchmarkServerEventStream'
+PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkStreamingStep|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd|BenchmarkServerEventStream'
 
 if [ "$MODE" = compare ]; then
 	go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . |

@@ -717,3 +717,90 @@ func TestStreamAppendValidation(t *testing.T) {
 		t.Fatalf("NumObjects = %d, want 7", ar.NumObjects)
 	}
 }
+
+// TestStreamConcurrentJournalMatchesUnsharded: a streaming session sharded
+// four ways on a file journal, Run after every Append, labels, clusters
+// and questions exactly as the unsharded session does at every step; its
+// journal then resumes a fresh session that asks nothing.
+func TestStreamConcurrentJournalMatchesUnsharded(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for trial := 0; trial < 3; trial++ {
+		batches := randomStreamScenario(rng, 60, false)
+		_, _, entityStream, _, _ := flattenScenario(batches)
+		initial := batches[0].a
+		var rest []string
+		for _, b := range batches[1:] {
+			rest = append(rest, b.a...)
+		}
+		var chunks [][]string
+		for len(rest) > 0 {
+			n := min(len(rest), 1+rng.Intn(6))
+			chunks = append(chunks, rest[:n])
+			rest = rest[n:]
+		}
+		type step struct {
+			labels    []crowdjoin.Label
+			clusters  [][]int32
+			questions int
+		}
+		dir := t.TempDir()
+		session := func(k int, path string, crowd crowdjoin.Oracle) (*crowdjoin.Join, *os.File) {
+			t.Helper()
+			f, err := crowdjoin.OpenJournalFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := crowdjoin.NewJoin(crowdjoin.WithTexts(initial), crowdjoin.WithOracle(crowd),
+				crowdjoin.WithJournal(f), crowdjoin.WithConcurrency(k))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j, f
+		}
+		run := func(k int) []step {
+			t.Helper()
+			crowd := &countingOracle{inner: &crowdjoin.TruthOracle{Entity: entityStream}}
+			j, f := session(k, fmt.Sprintf("%s/k%d.journal", dir, k), crowd)
+			defer f.Close()
+			var steps []step
+			for i, c := range chunks {
+				if _, err := j.Append(c...); err != nil {
+					t.Fatal(err)
+				}
+				before := crowd.asked
+				res, err := j.Run(context.Background())
+				if err != nil {
+					t.Fatalf("trial %d k=%d step %d: %v", trial, k, i, err)
+				}
+				cl, err := res.Clusters()
+				if err != nil {
+					t.Fatal(err)
+				}
+				steps = append(steps, step{res.Labels, cl, crowd.asked - before})
+			}
+			return steps
+		}
+		want, got := run(1), run(4)
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("trial %d step %d: k=4 %+v, k=1 %+v", trial, i, got[i], want[i])
+			}
+		}
+
+		j, f := session(4, dir+"/k4.journal", failingOracle(t))
+		defer f.Close()
+		for _, c := range chunks {
+			if _, err := j.Append(c...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := j.Run(context.Background())
+		if err != nil {
+			t.Fatalf("trial %d: resumed session: %v", trial, err)
+		}
+		if last := want[len(want)-1]; !reflect.DeepEqual(res.Labels, last.labels) || res.Replayed != res.NumCrowdsourced {
+			t.Fatalf("trial %d: resumed session replayed %d of %d answers, labels equal %v",
+				trial, res.Replayed, res.NumCrowdsourced, reflect.DeepEqual(res.Labels, last.labels))
+		}
+	}
+}

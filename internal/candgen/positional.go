@@ -12,11 +12,15 @@ import (
 )
 
 // This file holds the size-ordered AllPairs engine with ppjoin-style
-// positional filtering — the one candidate engine, behind Candidates and
-// BandCandidates, for every threshold and both weightings.
+// positional filtering — the one candidate engine, behind Candidates,
+// BandCandidates and the stream index's appends and weighted finish, for
+// every threshold and both weightings. Its one probe kernel,
+// positionalProbeShard, scans a probing record's own posting table up to
+// the record's position and, for a stream index, every older run's table
+// in full (positionalSet.older; see stream.go).
 //
 // Records are processed in size-ascending order (weight-ascending for IDF
-// scorers, ties by record id), so when record x probes the index every
+// scorers, ties by record id), so when record x probes its own table every
 // indexed partner y precedes it in that order and satisfies |y| ≤ |x|
 // (W(y) ≤ W(x)). Two bounds follow:
 //
@@ -25,7 +29,9 @@ import (
 //     |y| − ⌈2t·|y|/(1+t)⌉ + 1 rare-first tokens in the index — shorter
 //     than the n − ⌈t·n⌉ + 1 probe prefix, which x still probes in full
 //     (by the prefix lemma with the pair's true minimum overlap, y's
-//     index prefix and x's probe prefix must share a token).
+//     index prefix and x's probe prefix must share a token). A stream's
+//     older runs index whole probe prefixes instead, because their
+//     partners may be larger than x.
 //   - Positional filter (ppjoin): postings store (record, prefix
 //     position). Both token lists are sorted by the same global rank
 //     order, so at a match of x[i] with y[j] every earlier shared token
@@ -35,6 +41,10 @@ import (
 //     bound cannot reach the pair's minimum overlap the candidate is
 //     killed before the merge-based verifier ever runs, and later
 //     matches of a killed candidate are skipped.
+//
+// The size filter runs once per candidate, in both directions:
+// min(|x|, |y|) ≥ t·max(|x|, |y|). In the own table y never outweighs x, so
+// only an older run's partner can fail the second test.
 //
 // # Weighted bounds
 //
@@ -76,9 +86,9 @@ import (
 // does — so the engine stays byte-identical to ExhaustiveCandidates.
 //
 // Bipartite datasets run through the same loop: both sides are indexed
-// (index prefixes only) and both sides probe, with a per-record side
-// check skipping same-source postings; each cross pair is generated
-// exactly once, by its size-order-later record.
+// and both sides probe, with a per-record side check skipping same-source
+// postings; each cross pair is generated exactly once, by its
+// size-order-later record (in a stream, by its later-arriving one).
 
 // posting is one (record, prefix position) entry of the positional index;
 // pos is the token's position in rec's rank-ordered token list.
@@ -87,32 +97,73 @@ type posting struct {
 	pos int32
 }
 
-// positionalIndex is a CSR posting table: token id → postings in
-// processing order (so probe scans can stop at the first entry that does
-// not precede the probing record).
+// positionalIndex is a CSR posting table: token id → postings in pos
+// order (so probe scans can stop at the first entry that does not precede
+// the probing record).
 type positionalIndex struct {
 	entries []posting
 	offs    []int32
 }
 
+// list returns tok's postings; nil for a token newer than the table (a
+// stream run's table covers the tokens known when it was built).
 func (ix *positionalIndex) list(tok int32) []posting {
+	if int(tok) >= len(ix.offs)-1 {
+		return nil
+	}
 	return ix.entries[ix.offs[tok]:ix.offs[tok+1]]
+}
+
+// fill lays the first lens[r] rank-ordered tokens of every record r of
+// order out as the table, over the scorer's current token universe,
+// inserting records in order so every posting list is sorted by it. The
+// table's arrays are reused when their capacity allows; next is the fill
+// cursor's buffer, returned for reuse.
+func (ix *positionalIndex) fill(s *Scorer, order, lens, next []int32) []int32 {
+	offs := grow(ix.offs, s.numTokens+1)
+	clear(offs)
+	for _, r := range order {
+		off := s.offs[r]
+		for _, tok := range s.rankArena[off : off+lens[r]] {
+			offs[tok+1]++
+		}
+	}
+	for i := 1; i < len(offs); i++ {
+		offs[i] += offs[i-1]
+	}
+	entries := grow(ix.entries, int(offs[len(offs)-1]))
+	next = grow(next, s.numTokens)
+	copy(next, offs)
+	for _, r := range order {
+		off := s.offs[r]
+		for j, tok := range s.rankArena[off : off+lens[r]] {
+			entries[next[tok]] = posting{rec: r, pos: int32(j)}
+			next[tok]++
+		}
+	}
+	ix.offs, ix.entries = offs, entries
+	return next
 }
 
 // positionalSet is the per-join state of the size-ordered engine: probe
 // and index prefix lengths over the scorer's rank arena, the processing
-// order, and the weighting-specific bound inputs.
+// order, and the weighting-specific bound inputs. A stream index probes
+// through a view of its own state (stream.go): its probe-prefix lengths,
+// run positions as pos, and its older runs' tables.
 type positionalSet struct {
 	s     *Scorer
 	t     float64
 	plen  []int32 // probe-prefix length per record
 	iplen []int32 // index-prefix length per record
 	order []int32 // records sorted size-(weight-)ascending, ties by id
-	pos   []int32 // pos[r] = r's slot in order
+	pos   []int32 // pos[r] = r's slot in order (a stream's runs end to end)
 	side  []uint8 // bipartite: source per record; nil for unipartite
 	// weighted state; nil for Unweighted scorers:
 	recW []float64 // per-record weight totals (aliases Scorer.recWeight)
 	sufW []float64 // suffix-weight arena (aliases Scorer.sufArena)
+	// older holds a stream's earlier runs, probed in full after the own
+	// table; nil for a batch join.
+	older []*positionalIndex
 }
 
 // probePrefix returns record r's probe-prefix tokens.
@@ -121,10 +172,33 @@ func (ps *positionalSet) probePrefix(r int32) []int32 {
 	return ps.s.rankArena[off : off+ps.plen[r]]
 }
 
-// indexPrefix returns record r's index-prefix tokens.
-func (ps *positionalSet) indexPrefix(r int32) []int32 {
-	off := ps.s.offs[r]
-	return ps.s.rankArena[off : off+ps.iplen[r]]
+// cmpRec is the processing order: size-ascending (weight-ascending for
+// IDF), ties by record id. Record ids are unique, so it is a total order.
+func (s *Scorer) cmpRec(a, b int32) int {
+	if s.weighting == IDFWeighted {
+		if c := cmp.Compare(s.recWeight[a], s.recWeight[b]); c != 0 {
+			return c
+		}
+	} else if c := cmp.Compare(s.size(a), s.size(b)); c != 0 {
+		return c
+	}
+	return cmp.Compare(a, b)
+}
+
+// prefixLens returns record r's probe- and index-prefix lengths at
+// threshold t; both are zero for a record without tokens, which is never
+// probed or indexed.
+func (s *Scorer) prefixLens(r int32, t float64) (probe, index int32) {
+	sz := s.size(r)
+	if sz == 0 {
+		return 0, 0
+	}
+	if s.weighting == Unweighted {
+		return int32(unweightedPrefixLen(sz, t)), int32(unweightedIndexPrefixLen(sz, t))
+	}
+	w := s.recWeight[r]
+	slack := boundSlack * (1 + w)
+	return int32(s.weightedPrefixLenFor(r, t*w-slack)), int32(s.weightedPrefixLenFor(r, 2*t/(1+t)*w-slack))
 }
 
 // buildPositionalSet prepares the size-ordered engine for one join:
@@ -149,38 +223,10 @@ func buildPositionalSet(d *dataset.Dataset, s *Scorer, t float64, js *joinScratc
 	ps.sufW = s.sufArena
 	ps.side = nil
 	for r := int32(0); r < int32(n); r++ {
-		sz := s.size(r)
-		if sz == 0 {
-			// Never probed or indexed: no shared token possible. The
-			// lengths are written explicitly — reused scratch carries the
-			// previous join's values, not make's zeros.
-			ps.plen[r] = 0
-			ps.iplen[r] = 0
-			continue
-		}
-		if ps.sufW == nil {
-			ps.plen[r] = int32(unweightedPrefixLen(sz, t))
-			ps.iplen[r] = int32(unweightedIndexPrefixLen(sz, t))
-		} else {
-			w := ps.recW[r]
-			slack := boundSlack * (1 + w)
-			ps.plen[r] = int32(s.weightedPrefixLenFor(r, t*w-slack))
-			ps.iplen[r] = int32(s.weightedPrefixLenFor(r, 2*t/(1+t)*w-slack))
-		}
+		ps.plen[r], ps.iplen[r] = s.prefixLens(r, t)
+		ps.order[r] = r
 	}
-	for i := range ps.order {
-		ps.order[i] = int32(i)
-	}
-	slices.SortFunc(ps.order, func(a, b int32) int {
-		if ps.sufW == nil {
-			if c := cmp.Compare(s.size(a), s.size(b)); c != 0 {
-				return c
-			}
-		} else if c := cmp.Compare(ps.recW[a], ps.recW[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.SortFunc(ps.order, s.cmpRec)
 	for i, r := range ps.order {
 		ps.pos[r] = int32(i)
 	}
@@ -196,51 +242,35 @@ func buildPositionalSet(d *dataset.Dataset, s *Scorer, t float64, js *joinScratc
 }
 
 // buildPositionalPostings lays the index prefixes out as a CSR posting
-// table, inserting records in processing order so every posting list is
-// sorted by it. The table's backing arrays live in js and are reused
-// across joins (nil js: allocate fresh).
+// table in processing order. The table's backing arrays live in js and
+// are reused across joins (nil js: allocate fresh).
 func buildPositionalPostings(ps *positionalSet, js *joinScratch) *positionalIndex {
 	if js == nil {
 		js = &joinScratch{}
 	}
-	ix := &js.index
-	offs := grow(ix.offs, ps.s.numTokens+1)
-	clear(offs)
-	for _, r := range ps.order {
-		for _, tok := range ps.indexPrefix(r) {
-			offs[tok+1]++
-		}
-	}
-	for i := 1; i < len(offs); i++ {
-		offs[i] += offs[i-1]
-	}
-	entries := grow(ix.entries, int(offs[len(offs)-1]))
-	next := grow(js.next, ps.s.numTokens)
-	copy(next, offs)
-	for _, r := range ps.order {
-		for j, tok := range ps.indexPrefix(r) {
-			entries[next[tok]] = posting{rec: r, pos: int32(j)}
-			next[tok]++
-		}
-	}
-	js.next = next
-	ix.offs = offs
-	ix.entries = entries
-	return ix
+	js.next = js.index.fill(ps.s, ps.order, ps.iplen, js.next)
+	return &js.index
 }
 
 // positionalProbeShard scans probe[lo:hi] (probe is a slice of the
-// processing order) against the positional index. Per candidate it
-// applies the size filter once, accumulates the prefix overlap, and
-// kills the candidate at the first match whose positional (or,
-// unweighted, bitset-tightened) upper bound cannot reach the pair's
-// minimum overlap; survivors are verified exactly once per probe record,
-// with the accumulated overlap and last matched positions handed to the
-// verifier as resume state (verify.go) so the merge continues mid-stream
-// instead of restarting at token 0. sc
-// holds the worker-private scratch (see parallel.go); seen marks are
-// positions in the whole probe list, so one scratch serves every chunk a
-// worker claims, and pairs are appended to sc.pairs.
+// processing order) against the own posting table ix and then against
+// every table of ps.older. Every table lists its postings in pos order,
+// and each scan stops at the first posting that does not precede the
+// probing record: in the own table that is the size-ordered break, and a
+// stream's older runs precede every record of the own run, so their
+// tables are scanned in full. A partner sits in exactly one table, so
+// scanning table by table, each in prefix order, still meets a
+// candidate's matches in rank order, as the positional bound needs. Per
+// candidate the kernel applies the size filter once, accumulates the
+// prefix overlap, and kills the candidate at the first match whose
+// positional (or, unweighted, bitset-tightened) upper bound cannot reach
+// the pair's minimum overlap; survivors are verified exactly once per
+// probe record, with the accumulated overlap and last matched positions
+// handed to the verifier as resume state (verify.go) so the merge
+// continues mid-stream instead of restarting at token 0. sc holds the
+// worker-private scratch (see parallel.go); seen marks are positions in
+// the whole probe list, so one scratch serves every chunk a worker
+// claims, and pairs are appended to sc.pairs.
 func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32, lo, hi int, sc *shardScratch, verify verifier) {
 	s := ps.s
 	weighted := ps.sufW != nil
@@ -265,117 +295,126 @@ func positionalProbeShard(ps *positionalSet, ix *positionalIndex, probe []int32,
 			rlx = rareLens[x]
 			maskX = masks[x]
 		}
-		var wX, minPartner float64
+		// wX is x's size key, the quantity the size filter and the
+		// overlap bounds are phrased in: its token count, or its IDF
+		// weight total.
+		wX, minPartner := szX, ps.t*szX-boundSlack
 		if weighted {
 			wX = ps.recW[x]
 			minPartner = ps.t*wX - boundSlack*(1+wX)
-		} else {
-			minPartner = ps.t*szX - boundSlack
 		}
 		mark := int32(pi + 1)
 		cands = cands[:0]
-		for i, tok := range prefix {
-			var remX float64
-			if weighted {
-				remX = ps.sufW[offX+int32(i)]
-			} else {
-				remX = szX - float64(i) - 1
+		for k := -1; k < len(ps.older); k++ {
+			tab := ix
+			if k >= 0 {
+				tab = ps.older[k]
 			}
-			rareRemX := rlx - int32(i) - 1
-			if rareRemX < 0 {
-				rareRemX = 0
-			}
-			for _, pt := range ix.list(tok) {
-				y := pt.rec
-				if ps.pos[y] >= px {
-					break // postings are in processing order
-				}
-				if ps.side != nil && ps.side[y] == ps.side[x] {
-					continue
-				}
-				var szY float64
+			for i, tok := range prefix {
+				var remX float64
 				if weighted {
-					szY = ps.recW[y]
+					remX = ps.sufW[offX+int32(i)]
 				} else {
-					szY = float64(s.size(y))
+					remX = szX - float64(i) - 1
 				}
-				var wTok, need float64
-				if weighted {
-					wTok = s.idf[tok]
-					need = c1*(wX+szY) - boundSlack*(1+wX+szY)
-				} else {
-					wTok = 1
-					need = c1*(szX+szY) - boundSlack
+				rareRemX := rlx - int32(i) - 1
+				if rareRemX < 0 {
+					rareRemX = 0
 				}
-				if seen[y] != mark {
-					seen[y] = mark
-					if szY < minPartner {
-						ov[y] = -1 // size filter: sim ≤ szY/szX < t
+				for _, pt := range tab.list(tok) {
+					y := pt.rec
+					if ps.pos[y] >= px {
+						break // postings are in pos order
+					}
+					if ps.side != nil && ps.side[y] == ps.side[x] {
 						continue
 					}
-					ov[y] = 0
-					rov[y] = 0
-					rxi[y] = -1
-					ryj[y] = -1
-					if !weighted {
-						// One popcount per candidate: the pair's shared
-						// frequent row, reused by the bitset bound below
-						// and by the resumed verifier.
-						fsh[y] = int32(bits.OnesCount64(maskX & masks[y]))
+					var szY float64
+					if weighted {
+						szY = ps.recW[y]
+					} else {
+						szY = float64(s.size(y))
 					}
-					cands = append(cands, y)
-				} else if ov[y] < 0 {
-					continue // killed earlier; the bound only tightens
-				}
-				var remY float64
-				if weighted {
-					remY = ps.sufW[s.offs[y]+pt.pos]
-				} else {
-					remY = szY - float64(pt.pos) - 1
-				}
-				rem := remX
-				if remY < rem {
-					rem = remY
-				}
-				a := ov[y] + wTok
-				if a+rem < need {
-					ov[y] = -1 // positional bound: overlap can't reach need
-					continue
-				}
-				if weighted {
-					// Weighted resume state: every surviving prefix match
-					// advances the checkpoint the verifier resumes from.
-					rxi[y] = int32(i)
-					ryj[y] = pt.pos
-				} else {
-					nrov := rov[y]
-					if int32(i) < rlx {
-						nrov++
+					var wTok, need float64
+					if weighted {
+						wTok = s.idf[tok]
+						need = c1*(wX+szY) - boundSlack*(1+wX+szY)
+					} else {
+						wTok = 1
+						need = c1*(wX+szY) - boundSlack
 					}
-					// Bitset-tightened bound: future matches are at most
-					// the smaller rare remainder plus the shared frequent
-					// row — usually far below the raw suffix counts.
-					rareRemY := rareLens[y] - pt.pos - 1
-					if rareRemY < 0 {
-						rareRemY = 0
+					if seen[y] != mark {
+						seen[y] = mark
+						// Size filter, both directions: sim ≤ min/max < t.
+						// Only an older run's partner can outweigh x.
+						if szY < minPartner || szY > wX && wX < ps.t*szY-boundSlack*(1+szY) {
+							ov[y] = -1
+							continue
+						}
+						ov[y] = 0
+						rov[y] = 0
+						rxi[y] = -1
+						ryj[y] = -1
+						if !weighted {
+							// One popcount per candidate: the pair's shared
+							// frequent row, reused by the bitset bound below
+							// and by the resumed verifier.
+							fsh[y] = int32(bits.OnesCount64(maskX & masks[y]))
+						}
+						cands = append(cands, y)
+					} else if ov[y] < 0 {
+						continue // killed earlier; the bound only tightens
 					}
-					rareRem := rareRemX
-					if rareRemY < rareRem {
-						rareRem = rareRemY
+					var remY float64
+					if weighted {
+						remY = ps.sufW[s.offs[y]+pt.pos]
+					} else {
+						remY = szY - float64(pt.pos) - 1
 					}
-					if float64(nrov+rareRem+fsh[y]) < need {
-						ov[y] = -1
+					rem := remX
+					if remY < rem {
+						rem = remY
+					}
+					a := ov[y] + wTok
+					if a+rem < need {
+						ov[y] = -1 // positional bound: overlap can't reach need
 						continue
 					}
-					if int32(i) < rlx {
-						// Only rare matches advance the resume checkpoint:
-						// the frequent suffix is covered by the popcount.
-						rov[y] = nrov
+					if weighted {
+						// Weighted resume state: every surviving prefix match
+						// advances the checkpoint the verifier resumes from.
 						rxi[y] = int32(i)
 						ryj[y] = pt.pos
+					} else {
+						nrov := rov[y]
+						if int32(i) < rlx {
+							nrov++
+						}
+						// Bitset-tightened bound: future matches are at most
+						// the smaller rare remainder plus the shared frequent
+						// row — usually far below the raw suffix counts.
+						rareRemY := rareLens[y] - pt.pos - 1
+						if rareRemY < 0 {
+							rareRemY = 0
+						}
+						rareRem := rareRemX
+						if rareRemY < rareRem {
+							rareRem = rareRemY
+						}
+						if float64(nrov+rareRem+fsh[y]) < need {
+							ov[y] = -1
+							continue
+						}
+						if int32(i) < rlx {
+							// Only rare matches advance the resume checkpoint:
+							// the frequent suffix is covered by the popcount.
+							rov[y] = nrov
+							rxi[y] = int32(i)
+							ryj[y] = pt.pos
+						}
 					}
+					ov[y] = a
 				}
-				ov[y] = a
 			}
 		}
 		for _, y := range cands {

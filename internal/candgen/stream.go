@@ -4,7 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
+	"runtime"
 	"slices"
 
 	"crowdjoin/internal/core"
@@ -29,19 +29,24 @@ import (
 // later-arriving record, or — within one batch — by the run-order-later
 // one.
 //
-// Runs store *probe* prefixes (n − ⌈t·n⌉ + 1 tokens), not the tighter
-// index prefixes the batch engine indexes, because a cross-run probe can
-// meet a partner from either side of the processing order: if the probing
+// Appends run on the batch engine's probe driver (positionalShards, on
+// every CPU once the batch is large enough) over a positionalSet view of
+// the index: its probe-prefix lengths, the runs' orders laid end to end
+// in place of the global order (so every older run precedes the new
+// records and is scanned in full), and the older runs' tables. Runs
+// store *probe* prefixes (n − ⌈t·n⌉ + 1 tokens), not the tighter index
+// prefixes the batch engine indexes, because a cross-run probe can meet a
+// partner from either side of the processing order: if the probing
 // record x is globally later than y, the prefix lemma guarantees a match
 // between x's probe prefix and y's index prefix; if x is globally
 // *earlier* (a small record arriving after a large one), the roles flip
 // and the guaranteed match is between x's index prefix and y's probe
-// prefix. Storing probe prefixes covers both directions; a per-match
-// admission check (posting position inside y's index prefix, or probe
-// position inside x's) restores the tighter bound as a pure optimization.
-// Everything else — positional kill bounds, frequent-row bitsets,
-// overlap-resumed verification — is the batch kernel unchanged: all of it
-// is phrased in per-record rank positions, which runs do not alter.
+// prefix. Storing probe prefixes covers both directions, and the kernel's
+// size filter runs both ways. Everything else — positional kill bounds,
+// frequent-row bitsets, overlap-resumed verification — is phrased in
+// per-record rank positions, which runs do not alter. The first batch of
+// an empty index and the weighted finish join every record at once on the
+// batch engine (joinAll).
 //
 // # Merge policy
 //
@@ -68,29 +73,22 @@ import (
 //
 // IDF weights are corpus-global (idf moves with every append), so weighted
 // appends emit *provisional* deltas scored with the current weights, and
-// Pairs() recomputes idf/recWeight/suffix arenas in place, rebuilds the
-// postings, and re-probes — exact versus a from-scratch batch join, at the
-// cost of one full probe pass per finish.
+// Pairs() recomputes idf/recWeight/suffix arenas in place, collapses the
+// runs into one, and joins the whole corpus on the batch engine — exact
+// versus a from-scratch batch join, at the cost of one full join per
+// finish.
 
 // maxStreamRuns bounds how many runs a probe walks per token; exceeding it
 // forces newest-first merging regardless of the size ratio.
 const maxStreamRuns = 8
 
 // streamRun is one size-sorted run: a disjoint set of records sorted by
-// the global (size, id) processing relation, with a CSR posting table over
-// the members' probe prefixes. offs is sized to the token universe at
-// build time; tokens introduced later cannot appear in the run's records.
+// the global (size, id) processing relation, with a posting table over the
+// members' probe prefixes. The table covers the token universe at build
+// time; tokens introduced later cannot appear in the run's records.
 type streamRun struct {
-	order   []int32 // members, processing order
-	offs    []int32 // CSR offsets, len = numTokens(at build)+1
-	entries []posting
-}
-
-func (r *streamRun) list(tok int32) []posting {
-	if int(tok) >= len(r.offs)-1 {
-		return nil
-	}
-	return r.entries[r.offs[tok]:r.offs[tok+1]]
+	order []int32 // members, processing order
+	index positionalIndex
 }
 
 // StreamIndex is an incremental candidate generator: Append integrates a
@@ -112,11 +110,13 @@ type StreamIndex struct {
 	nextNewRank int32
 	frozen      bool
 
-	plen   []int32 // probe-prefix length per record
-	iplen  []int32 // index-prefix length per record
-	side   []uint8 // bipartite source per record; nil for unipartite
-	runs   []streamRun
-	runPos []int32 // record → position in its run's order
+	plen []int32 // probe-prefix length per record
+	side []uint8 // bipartite source per record; nil for unipartite
+	runs []streamRun
+	// pos[r] is r's position in the runs' orders laid end to end, oldest
+	// run first: every member of an older run precedes every member of a
+	// newer one, and within a run pos follows the run's order.
+	pos []int32
 
 	// acc is the accumulated candidate set in SortByLikelihood order
 	// (unweighted only: deltas there are final and pairwise disjoint, so
@@ -124,18 +124,6 @@ type StreamIndex struct {
 	// a weighted finish until the next append.
 	acc      []core.Pair
 	finished []core.Pair
-
-	// probe scratch, keyed by record id; seen/adm use the monotone mark so
-	// nothing is cleared between probes.
-	mark  int32
-	seen  []int32
-	adm   []int32
-	ov    []float64
-	rov   []int32
-	rxi   []int32
-	ryj   []int32
-	fsh   []int32
-	cands []int32
 }
 
 // NewStreamIndex returns an empty incremental index for the given
@@ -168,20 +156,6 @@ func (si *StreamIndex) NumRecords() int { return si.s.numRecords() }
 // NumRuns returns the current run count (observability and tests).
 func (si *StreamIndex) NumRuns() int { return len(si.runs) }
 
-// cmpRec is the global processing relation: size-ascending (weight-
-// ascending for IDF), ties by record id. Record ids are unique, so it is a
-// total order.
-func (si *StreamIndex) cmpRec(a, b int32) int {
-	if si.weighting == IDFWeighted {
-		if c := cmp.Compare(si.s.recWeight[a], si.s.recWeight[b]); c != 0 {
-			return c
-		}
-	} else if c := cmp.Compare(si.s.size(a), si.s.size(b)); c != 0 {
-		return c
-	}
-	return cmp.Compare(a, b)
-}
-
 // freezeRanks fixes the global token order from the first batch's document
 // frequencies (df ascending, ties by id — the batch engine's rarity order)
 // and the frequent-row cut. Later tokens extend the order at the rare end
@@ -196,13 +170,14 @@ func (si *StreamIndex) freezeRanks() {
 
 // Append integrates one record batch: tokenize into the shared arenas,
 // extend the per-record rank/mask/weight state, probe the new records
-// against all existing runs (and each other), and fold the batch into the
-// run set per the merge policy. It returns the candidate pairs this batch
-// added — final for unweighted indexes, provisional (current-idf) for
-// weighted ones — sorted by likelihood, with no IDs assigned (Pairs owns
-// the dense numbering). The first batch of an empty index runs on the
-// batch engine (see firstBatch). sides must have one 0/1 entry per text for
-// bipartite indexes and must be nil otherwise.
+// against all existing runs (and each other) on the batch engine's probe
+// driver, and fold the batch into the run set per the merge policy. It
+// returns the candidate pairs this batch added — final for unweighted
+// indexes, provisional (current-idf) for weighted ones — sorted by
+// likelihood, with no IDs assigned (Pairs owns the dense numbering). The
+// first batch of an empty index is joined whole (see joinAll). sides must
+// have one 0/1 entry per text for bipartite indexes and must be nil
+// otherwise.
 func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error) {
 	if si.bipartite {
 		if len(sides) != len(texts) {
@@ -244,10 +219,17 @@ func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error
 	run := si.buildRun(newRecs)
 	var delta []core.Pair
 	if base == 0 {
-		delta = si.firstBatch()
+		delta = si.joinAll()
 	} else {
-		delta = si.probeRun(&run, si.runs)
-		SortByLikelihood(delta)
+		older := make([]*positionalIndex, len(si.runs))
+		for i := range si.runs {
+			older[i] = &si.runs[i].index
+		}
+		ps := &positionalSet{s: s, t: si.t, plen: si.plen, pos: si.pos, side: si.side,
+			recW: s.recWeight, sufW: s.sufArena, older: older}
+		js := s.getScratch()
+		delta = positionalShards(ps, &run.index, run.order, s.verifierAt(si.t), probeWorkers(len(run.order), runtime.GOMAXPROCS(0)), js)
+		s.putScratch(js)
 	}
 	si.runs = append(si.runs, run)
 	si.compactRuns()
@@ -266,13 +248,13 @@ func (si *StreamIndex) Append(texts []string, sides []uint8) ([]core.Pair, error
 	return delta, nil
 }
 
-// firstBatch joins the records of an empty index's first batch on the
-// batch engine (positionalJoin, probed on every CPU) over the index's own
-// scorer state, instead of probing the batch's run against itself on one
-// goroutine: both emit exactly the pairs at or above the threshold, and
-// the batch engine returns them already in SortByLikelihood order. The
-// run's posting table is still built, for later appends to probe.
-func (si *StreamIndex) firstBatch() []core.Pair {
+// joinAll joins every record of the index on the batch engine
+// (positionalJoin, probed on every CPU) over the index's own scorer state:
+// the first batch of an empty index, and the weighted finish. It emits
+// exactly the pairs at or above the threshold, in SortByLikelihood order
+// with dense IDs. The run table it leaves alone: the caller builds it, for
+// later appends to probe.
+func (si *StreamIndex) joinAll() []core.Pair {
 	d := &dataset.Dataset{Bipartite: si.bipartite}
 	for r, sd := range si.side {
 		if sd == 1 {
@@ -283,10 +265,10 @@ func (si *StreamIndex) firstBatch() []core.Pair {
 }
 
 // extendRecordState appends the rank lists, rank values, frequent rows,
-// prefix lengths, and (weighted) idf/weight/suffix state for records
+// probe-prefix lengths, and (weighted) idf/weight/suffix state for records
 // [base, numRecords). Existing records' state is never touched — for
 // weighted indexes that makes the new state provisional until
-// recomputeWeights, which rewrites all of it under the final corpus.
+// finishWeighted, which rewrites all of it under the final corpus.
 func (si *StreamIndex) extendRecordState(base int32) {
 	s := si.s
 	n := int32(s.numRecords())
@@ -333,60 +315,26 @@ func (si *StreamIndex) extendRecordState(base int32) {
 				suf += s.idf[rseg[i]]
 			}
 		}
-		si.runPos = append(si.runPos, 0)
-		si.plen = append(si.plen, 0)
-		si.iplen = append(si.iplen, 0)
-		si.setPrefixLens(r)
+		si.pos = append(si.pos, 0)
+		plen, _ := s.prefixLens(r, si.t)
+		si.plen = append(si.plen, plen)
 	}
-}
-
-// setPrefixLens (re)computes record r's probe- and index-prefix lengths
-// from its current size/weight.
-func (si *StreamIndex) setPrefixLens(r int32) {
-	s := si.s
-	sz := s.size(r)
-	if sz == 0 {
-		si.plen[r] = 0
-		si.iplen[r] = 0
-		return
-	}
-	if si.weighting == Unweighted {
-		si.plen[r] = int32(unweightedPrefixLen(sz, si.t))
-		si.iplen[r] = int32(unweightedIndexPrefixLen(sz, si.t))
-		return
-	}
-	w := s.recWeight[r]
-	slack := boundSlack * (1 + w)
-	si.plen[r] = int32(s.weightedPrefixLenFor(r, si.t*w-slack))
-	si.iplen[r] = int32(s.weightedPrefixLenFor(r, 2*si.t/(1+si.t)*w-slack))
 }
 
 // buildRun sorts members into processing order and lays their probe
-// prefixes out as a CSR posting table (postings sorted by run order, so
-// the within-run break works). runPos is updated for every member.
+// prefixes out as a posting table (postings sorted by run order, so the
+// within-run break works). The run it builds is the last one — a new
+// batch, the merge of the last two, or the weighted finish's only run —
+// so the members' positions start after every record of the runs before
+// it; pos is updated for every member.
 func (si *StreamIndex) buildRun(members []int32) streamRun {
-	s := si.s
-	slices.SortFunc(members, si.cmpRec)
-	run := streamRun{order: members, offs: make([]int32, s.numTokens+1)}
-	for _, r := range members {
-		off := s.offs[r]
-		for _, tok := range s.rankArena[off : off+si.plen[r]] {
-			run.offs[tok+1]++
-		}
+	slices.SortFunc(members, si.s.cmpRec)
+	base := int32(si.s.numRecords() - len(members))
+	for i, r := range members {
+		si.pos[r] = base + int32(i)
 	}
-	for i := 1; i < len(run.offs); i++ {
-		run.offs[i] += run.offs[i-1]
-	}
-	run.entries = make([]posting, run.offs[len(run.offs)-1])
-	next := slices.Clone(run.offs[:len(run.offs)-1])
-	for pos, r := range members {
-		si.runPos[r] = int32(pos)
-		off := s.offs[r]
-		for j, tok := range s.rankArena[off : off+si.plen[r]] {
-			run.entries[next[tok]] = posting{rec: r, pos: int32(j)}
-			next[tok]++
-		}
-	}
+	run := streamRun{order: members}
+	run.index.fill(si.s, members, si.plen, nil)
 	return run
 }
 
@@ -406,209 +354,6 @@ func (si *StreamIndex) compactRuns() {
 	}
 }
 
-// nextMark advances the probe mark, clearing the mark arrays on the (in
-// practice unreachable) int32 wraparound.
-func (si *StreamIndex) nextMark() int32 {
-	if si.mark == math.MaxInt32 {
-		clear(si.seen)
-		clear(si.adm)
-		si.mark = 0
-	}
-	si.mark++
-	return si.mark
-}
-
-// probeRun probes every member of run against the older runs (in full) and
-// against run itself (up to the member's own position — the classic
-// size-ordered break), returning the emitted pairs unsorted. It is the
-// batch engine's probe loop (positional.go) generalized to multiple runs:
-// the kill bounds, resume tracking, and verification are unchanged; the
-// differences are the both-direction size filter and the per-match
-// admission check, both required because a cross-run partner may fall on
-// either side of the processing order.
-func (si *StreamIndex) probeRun(run *streamRun, older []streamRun) []core.Pair {
-	s := si.s
-	weighted := si.weighting == IDFWeighted
-	t := si.t
-	c1 := t / (1 + t)
-	n := s.numRecords()
-	si.seen = grow(si.seen, n)
-	si.adm = grow(si.adm, n)
-	si.ov = grow(si.ov, n)
-	si.rov = grow(si.rov, n)
-	si.rxi = grow(si.rxi, n)
-	si.ryj = grow(si.ryj, n)
-	si.fsh = grow(si.fsh, n)
-	seen, adm, ov := si.seen, si.adm, si.ov
-	rov, rxi, ryj, fsh := si.rov, si.rxi, si.ryj, si.fsh
-	masks, rareLens := s.freqMask, s.rareLen
-	verify := s.verifierAt(t)
-	var out []core.Pair
-	ownIdx := len(older) // run's slot in the scan sequence
-	for _, x := range run.order {
-		if si.plen[x] == 0 {
-			continue
-		}
-		offX := s.offs[x]
-		prefix := s.rankArena[offX : offX+si.plen[x]]
-		pxRun := si.runPos[x]
-		szX := float64(s.size(x))
-		iplX := si.iplen[x]
-		var rlx int32
-		var maskX uint64
-		if !weighted {
-			rlx = rareLens[x]
-			maskX = masks[x]
-		}
-		var wX float64
-		if weighted {
-			wX = s.recWeight[x]
-		}
-		mark := si.nextMark()
-		cands := si.cands[:0]
-		for i, tok := range prefix {
-			var remX float64
-			if weighted {
-				remX = s.sufArena[offX+int32(i)]
-			} else {
-				remX = szX - float64(i) - 1
-			}
-			rareRemX := rlx - int32(i) - 1
-			if rareRemX < 0 {
-				rareRemX = 0
-			}
-			admX := int32(i) < iplX
-			for ri := 0; ri <= ownIdx; ri++ {
-				rn := run
-				if ri < ownIdx {
-					rn = &older[ri]
-				}
-				for _, pt := range rn.list(tok) {
-					y := pt.rec
-					if ri == ownIdx && si.runPos[y] >= pxRun {
-						break // own-run postings are in processing order
-					}
-					if si.side != nil && si.side[y] == si.side[x] {
-						continue
-					}
-					var szY float64
-					if weighted {
-						szY = s.recWeight[y]
-					} else {
-						szY = float64(s.size(y))
-					}
-					var wTok, need float64
-					if weighted {
-						wTok = s.idf[tok]
-						need = c1*(wX+szY) - boundSlack*(1+wX+szY)
-					} else {
-						wTok = 1
-						need = c1*(szX+szY) - boundSlack
-					}
-					if seen[y] != mark {
-						seen[y] = mark
-						// Size filter, both directions: a cross-run partner
-						// may be smaller or larger than the probing record.
-						var killed bool
-						if weighted {
-							killed = szY < t*wX-boundSlack*(1+wX) ||
-								wX < t*szY-boundSlack*(1+szY)
-						} else {
-							killed = szY < t*szX-boundSlack ||
-								szX < t*szY-boundSlack
-						}
-						if killed {
-							ov[y] = -1
-							continue
-						}
-						ov[y] = 0
-						rov[y] = 0
-						rxi[y] = -1
-						ryj[y] = -1
-						if !weighted {
-							fsh[y] = int32(bits.OnesCount64(maskX & masks[y]))
-						}
-						cands = append(cands, y)
-					} else if ov[y] < 0 {
-						continue // killed earlier; the bound only tightens
-					}
-					// Admission: qualifying pairs are guaranteed a match
-					// inside the processing-order-later record's probe prefix
-					// and the earlier record's *index* prefix; matches outside
-					// that window still feed the overlap state but do not by
-					// themselves admit the candidate.
-					later := ri == ownIdx || si.cmpRec(y, x) < 0
-					if (later && pt.pos < si.iplen[y]) || (!later && admX) {
-						adm[y] = mark
-					}
-					var remY float64
-					if weighted {
-						remY = s.sufArena[s.offs[y]+pt.pos]
-					} else {
-						remY = szY - float64(pt.pos) - 1
-					}
-					rem := remX
-					if remY < rem {
-						rem = remY
-					}
-					a := ov[y] + wTok
-					if a+rem < need {
-						ov[y] = -1 // positional bound: overlap can't reach need
-						continue
-					}
-					if weighted {
-						rxi[y] = int32(i)
-						ryj[y] = pt.pos
-					} else {
-						nrov := rov[y]
-						if int32(i) < rlx {
-							nrov++
-						}
-						rareRemY := rareLens[y] - pt.pos - 1
-						if rareRemY < 0 {
-							rareRemY = 0
-						}
-						rareRem := rareRemX
-						if rareRemY < rareRem {
-							rareRem = rareRemY
-						}
-						if float64(nrov+rareRem+fsh[y]) < need {
-							ov[y] = -1
-							continue
-						}
-						if int32(i) < rlx {
-							rov[y] = nrov
-							rxi[y] = int32(i)
-							ryj[y] = pt.pos
-						}
-					}
-					ov[y] = a
-				}
-			}
-		}
-		for _, y := range cands {
-			if ov[y] < 0 || adm[y] != mark {
-				continue
-			}
-			var rs resume
-			if weighted {
-				rs = resume{ov: ov[y], xi: rxi[y], yj: ryj[y], shared: -1}
-			} else {
-				rs = resume{ov: float64(rov[y]), xi: rxi[y], yj: ryj[y], shared: fsh[y]}
-			}
-			if sim, ok := verify(x, y, rs); ok {
-				a, b := x, y
-				if a > b {
-					a, b = b, a
-				}
-				out = append(out, core.Pair{A: a, B: b, Likelihood: sim})
-			}
-		}
-		si.cands = cands
-	}
-	return out
-}
-
 // Pairs returns the full candidate set over everything appended so far:
 // sorted by likelihood, dense IDs — byte-identical to Candidates over the
 // final corpus. Unweighted indexes copy the maintained accumulation and
@@ -617,8 +362,8 @@ func (si *StreamIndex) probeRun(run *streamRun, older []streamRun) []core.Pair {
 // caller can keep per-pair state across appends while the likelihood
 // positions (and with them the IDs) shift. Weighted indexes recompute the
 // corpus-global idf state and re-probe (see the package comment on
-// provisional weighted deltas); their pairs have no stable identity and
-// slots is nil.
+// provisional weighted deltas) and join the whole corpus again; their
+// pairs have no stable identity and slots is nil.
 func (si *StreamIndex) Pairs() (pairs []core.Pair, slots []int32) {
 	if si.weighting == Unweighted {
 		pairs = make([]core.Pair, len(si.acc))
@@ -639,10 +384,10 @@ func (si *StreamIndex) Pairs() (pairs []core.Pair, slots []int32) {
 }
 
 // finishWeighted recomputes every corpus-global weight (idf, record
-// weights, suffix arenas, prefix lengths) from the final corpus, collapses
-// the runs into one, and re-probes the whole index — the weighted finish
-// pass. The token arenas, rank lists, and frequent rows are untouched:
-// they depend only on the frozen rank order.
+// weights, suffix arenas, probe-prefix lengths) from the final corpus,
+// collapses the runs into one, and joins the whole index on the batch
+// engine — the weighted finish pass. The token arenas, rank lists, and
+// frequent rows are untouched: they depend only on the frozen rank order.
 func (si *StreamIndex) finishWeighted() []core.Pair {
 	s := si.s
 	n := s.numRecords()
@@ -667,20 +412,11 @@ func (si *StreamIndex) finishWeighted() []core.Pair {
 			suf += s.idf[rseg[i]]
 		}
 	}
-	for r := int32(0); r < int32(n); r++ {
-		si.setPrefixLens(r)
-	}
 	members := make([]int32, n)
-	for i := range members {
-		members[i] = int32(i)
+	for r := range members {
+		members[r] = int32(r)
+		si.plen[r], _ = s.prefixLens(int32(r), si.t)
 	}
-	run := si.buildRun(members)
-	si.runs = si.runs[:0]
-	pairs := si.probeRun(&run, nil)
-	si.runs = append(si.runs, run)
-	SortByLikelihood(pairs)
-	for i := range pairs {
-		pairs[i].ID = i
-	}
-	return pairs
+	si.runs = append(si.runs[:0], si.buildRun(members))
+	return si.joinAll()
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzAppendMatchesBatch fuzzes the streaming engine — frozen ranks,
-// LSM runs, cross-run admission, the merge policy, weighted finish —
+// LSM runs, the probe kernel over the own run and the older runs with
+// its two-way size filter, the merge policy, the weighted finish —
 // against the exhaustive reference over the final corpus. The fuzzer
 // controls the append schedule (data: batches separated by 0xFE bytes,
 // records by 0xFF, each remaining byte one token id mod 97), the

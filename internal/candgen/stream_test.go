@@ -3,9 +3,11 @@ package candgen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"crowdjoin/internal/core"
 	"crowdjoin/internal/dataset"
 )
 
@@ -187,6 +189,57 @@ func TestStreamDeltasPartitionBatch(t *testing.T) {
 			if sim != p.Likelihood {
 				t.Fatalf("trial %d: pair (%d,%d) likelihood %v (stream) vs %v (batch)", trial, p.A, p.B, sim, p.Likelihood)
 			}
+		}
+	}
+}
+
+// TestStreamMultiWorkerAppend: an append of more than minForkProbes
+// records onto an index of a few hundred probes on several workers. Its
+// delta must equal the delta of the same append probed on one worker, and
+// Pairs must equal the exhaustive reference, for both weightings and both
+// shapes.
+func TestStreamMultiWorkerAppend(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const first, batch, th = 300, 2 * minForkProbes, 0.2
+	if probeWorkers(batch, 4) < 2 {
+		t.Fatalf("an append of %d records probes on one worker", batch)
+	}
+	for _, w := range []Weighting{Unweighted, IDFWeighted} {
+		for _, bipartite := range []bool{false, true} {
+			label := fmt.Sprintf("w=%d bipartite=%v", w, bipartite)
+			texts, sides := streamTexts(rand.New(rand.NewSource(13)), first+batch, 60, 8, bipartite)
+			split := func(lo, hi int) []uint8 {
+				if sides == nil {
+					return nil
+				}
+				return sides[lo:hi]
+			}
+			var si *StreamIndex
+			var deltas [2][]core.Pair
+			for k, procs := range []int{1, 4} {
+				runtime.GOMAXPROCS(procs)
+				var err error
+				if si, err = NewStreamIndex(w, th, bipartite); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := si.Append(texts[:first], split(0, first)); err != nil {
+					t.Fatal(err)
+				}
+				if deltas[k], err = si.Append(texts[first:], split(first, first+batch)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if len(deltas[1]) == 0 {
+				t.Fatalf("%s: the append found no pairs", label)
+			}
+			assertSamePairs(t, label+" delta", deltas[1], deltas[0])
+			got, _ := si.Pairs()
+			d := streamDataset(texts, sides)
+			want, err := ExhaustiveCandidates(d, NewScorer(d, w), th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSamePairs(t, label+" pairs", got, want)
 		}
 	}
 }

@@ -17,13 +17,17 @@ type Truth func(a, b int32) bool
 // order is deterministic. The input is not modified.
 func ExpectedOrder(pairs []Pair) []Pair {
 	out := clonePairs(pairs)
-	slices.SortFunc(out, func(a, b Pair) int {
-		if c := cmp.Compare(b.Likelihood, a.Likelihood); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	slices.SortFunc(out, CompareExpected)
 	return out
+}
+
+// CompareExpected is ExpectedOrder's comparator: likelihood descending,
+// ties by pair ID.
+func CompareExpected(a, b Pair) int {
+	if c := cmp.Compare(b.Likelihood, a.Likelihood); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // OptimalOrder returns an optimal labeling order per Theorem 1: all matching

@@ -147,11 +147,9 @@ func SinglePartition(numObjects int, order []Pair) (*Partition, error) {
 }
 
 // buildShardsFrom re-encodes order as per-component shards, given a find
-// function over the components' forest. The find may come from
-// BuildPartition's throwaway forest or from a persistent
-// IncrementalPartitioner; shard numbering depends only on order, so the
-// two agree exactly. A pair whose endpoints have different roots (a
-// rejected pair bridging two thinned components) goes to the residue shard.
+// function over the components' forest; shard numbering depends only on
+// order. A pair whose endpoints have different roots (a rejected pair
+// bridging two thinned components) goes to the residue shard.
 func buildShardsFrom(numObjects int, order []Pair, find func(int32) int32) *Partition {
 	pt := &Partition{shardOf: make([]int32, len(order)), localID: make([]int32, len(order))}
 	// Number components by first appearance in the order and size them, so

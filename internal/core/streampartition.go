@@ -17,23 +17,16 @@ type ComponentMerge struct {
 }
 
 // IncrementalPartitioner maintains the connected components of a growing
-// candidate graph across record appends, so a streaming session can route
-// new pairs into components — and detect live component merges — without
-// re-deriving the partition from scratch on every Run.
+// candidate graph across record appends, so a streaming session can report
+// live component merges as records arrive.
 //
-// It is the streaming counterpart of BuildPartition: AddPairs unions new
-// candidate pairs into a persistent forest and reports merges of
-// established components; Grow extends the object universe when records
-// arrive; BuildShards re-encodes a labeling order into per-component
-// shards reusing the persistent forest instead of rebuilding a throwaway
-// one.
-//
-// Two component numberings coexist deliberately. Stable ids (ComponentOf,
-// ComponentMerge) are assigned at first pair and survive until absorbed —
-// they are the ids progress events speak. Shard numbering inside a built
-// Partition is by first appearance in the order, exactly matching
-// BuildPartition, so a partition built here is interchangeable with a
-// from-scratch one.
+// AddPairs unions new candidate pairs into a persistent forest and reports
+// merges of established components; Grow extends the object universe when
+// records arrive. Its stable ids (ComponentOf, ComponentMerge) are
+// assigned at first pair and survive until absorbed — they are the ids
+// progress events speak. A Run's shards come from BuildPartition, which
+// groups the pairs exactly as these components do but numbers shards by
+// first appearance in the labeling order.
 type IncrementalPartitioner struct {
 	uf *unionfind.UF
 	// comp[r] is the stable component id of the set rooted at r, or -1
@@ -103,23 +96,4 @@ func (ip *IncrementalPartitioner) AddPairs(pairs []Pair) ([]ComponentMerge, erro
 		ip.comp[root] = id
 	}
 	return merges, nil
-}
-
-// BuildShards re-encodes order into per-component shards, reusing the
-// persistent forest. Every pair in order must already have been added (its
-// endpoints connected); a pair the partitioner has never seen is an error,
-// because silently unioning it here would skip its merge events. The
-// returned Partition is identical to BuildPartition's with zero bands over
-// the current universe — shards are numbered by first appearance in
-// order, not by stable id.
-func (ip *IncrementalPartitioner) BuildShards(order []Pair) (*Partition, error) {
-	if err := ValidatePairs(ip.uf.Len(), order); err != nil {
-		return nil, err
-	}
-	for _, p := range order {
-		if !ip.uf.Same(p.A, p.B) {
-			return nil, fmt.Errorf("core: pair (%d, %d) was never added to the partitioner", p.A, p.B)
-		}
-	}
-	return buildShardsFrom(ip.uf.Len(), order, ip.uf.Find), nil
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // TestIncrementalPartitionerMatchesBuildPartition is the structural
-// differential: feeding a random pair stream through AddPairs/Grow in
-// random batches and then BuildShards must reproduce BuildPartition over
-// the final universe exactly.
+// differential: after a random pair stream is fed through AddPairs/Grow in
+// random batches, the partitioner's stable components and BuildPartition's
+// shards over the final universe group the pairs alike — no shard spans
+// two components, and no component spans two shards.
 func TestIncrementalPartitionerMatchesBuildPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -41,16 +42,29 @@ func TestIncrementalPartitionerMatchesBuildPartition(t *testing.T) {
 				t.Fatalf("trial %d: AddPairs: %v", trial, err)
 			}
 		}
-		got, err := ip.BuildShards(order)
-		if err != nil {
-			t.Fatalf("trial %d: BuildShards: %v", trial, err)
-		}
-		want, err := BuildPartition(n, order, TriageBands{})
+		pt, err := BuildPartition(n, order, TriageBands{})
 		if err != nil {
 			t.Fatalf("trial %d: BuildPartition: %v", trial, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (n=%d, %d pairs): incremental partition differs from batch", trial, n, len(order))
+		compOfShard := make(map[int]int)
+		shardOfComp := make(map[int]int)
+		for s, sh := range pt.Shards {
+			for _, p := range sh.Global {
+				c := ip.ComponentOf(p.A)
+				if c < 0 || ip.ComponentOf(p.B) != c {
+					t.Fatalf("trial %d: pair (%d,%d) has components %d and %d", trial, p.A, p.B, c, ip.ComponentOf(p.B))
+				}
+				if got, ok := compOfShard[s]; ok && got != c {
+					t.Fatalf("trial %d: shard %d spans components %d and %d", trial, s, got, c)
+				}
+				if got, ok := shardOfComp[c]; ok && got != s {
+					t.Fatalf("trial %d: component %d spans shards %d and %d", trial, c, got, s)
+				}
+				compOfShard[s], shardOfComp[c] = c, s
+			}
+		}
+		if len(shardOfComp) != len(pt.Shards) {
+			t.Fatalf("trial %d: %d components carry pairs, BuildPartition built %d shards", trial, len(shardOfComp), len(pt.Shards))
 		}
 	}
 }
@@ -115,14 +129,5 @@ func TestIncrementalPartitionerValidation(t *testing.T) {
 	}
 	if _, err := ip.AddPairs([]Pair{{A: 1, B: 1}}); err == nil {
 		t.Fatal("self pair accepted")
-	}
-	if _, err := ip.BuildShards([]Pair{{ID: 0, A: 0, B: 1}}); err == nil {
-		t.Fatal("BuildShards accepted a pair that was never added")
-	}
-	if _, err := ip.AddPairs([]Pair{{A: 0, B: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ip.BuildShards([]Pair{{ID: 0, A: 0, B: 1}}); err != nil {
-		t.Fatalf("BuildShards rejected an added pair: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -51,9 +52,16 @@ type Ordering func([]Pair) []Pair
 
 // Built-in orderings.
 var (
-	// OrderExpected sorts by likelihood descending — the paper's practical
-	// heuristic and the session default.
-	OrderExpected Ordering = ExpectedOrder
+	// OrderExpected sorts by likelihood descending, ties by ID — the
+	// paper's practical heuristic and the session default. Pairs already in
+	// that order (Matcher output and streamed candidates are) come back as
+	// given, without a copy.
+	OrderExpected Ordering = func(ps []Pair) []Pair {
+		if slices.IsSortedFunc(ps, core.CompareExpected) {
+			return ps
+		}
+		return ExpectedOrder(ps)
+	}
 	// OrderAsGiven labels pairs exactly in the order supplied.
 	OrderAsGiven Ordering = func(ps []Pair) []Pair { return ps }
 )
@@ -546,12 +554,8 @@ func (r *JoinResult) fill(c *core.Result) {
 
 // orderAndShard applies the configured ordering and builds the partition
 // the drivers run over: one shard for an unsharded session, the component
-// partition for a sharded one (WithConcurrency > 1). A streaming
-// unweighted session reuses the incremental partitioner's persistent
-// forest; IDF sessions rescore pairs at Run, so their partition is derived
-// from scratch like a batch session's. Both routes produce identical
-// partitions for the same order.
-func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]Pair, *core.Partition, error) {
+// partition for a sharded one (WithConcurrency > 1).
+func (j *Join) orderAndShard(numObjects int, pairs []Pair) ([]Pair, *core.Partition, error) {
 	order := j.ordering(pairs)
 	if len(order) != len(pairs) {
 		return nil, nil, fmt.Errorf("crowdjoin: ordering returned %d pairs for %d candidates", len(order), len(pairs))
@@ -568,13 +572,6 @@ func (j *Join) orderAndShard(numObjects int, pairs []Pair, st *streamState) ([]P
 	// Triage shards by the thinned graph: machine-rejected edges cannot
 	// carry evidence across thinned components, so they do not connect
 	// shards (they thin and fragment the Paper@0.3 giant component).
-	// Streaming sessions take that route too — the incremental
-	// partitioner's forest is built over the full graph, not the thinned
-	// one.
-	if st != nil && !st.weighted && !j.triage.Enabled() {
-		pt, err := st.ip.BuildShards(order)
-		return order, pt, err
-	}
 	pt, err := core.BuildPartition(numObjects, order, j.triage)
 	return order, pt, err
 }
@@ -619,7 +616,7 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 		arrivals = append([]int(nil), st.arrivals...)
 		pairs, slots = st.idx.Pairs()
 		var err error
-		order, pt, err = j.orderAndShard(numObjects, pairs, st)
+		order, pt, err = j.orderAndShard(numObjects, pairs)
 		j.streamMu.Unlock()
 		if err != nil {
 			return nil, err
@@ -643,7 +640,7 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 			}
 		}
 		var err error
-		order, pt, err = j.orderAndShard(numObjects, pairs, nil)
+		order, pt, err = j.orderAndShard(numObjects, pairs)
 		if err != nil {
 			return nil, err
 		}
@@ -938,7 +935,7 @@ func (j *Join) runCascade(ctx context.Context) (*JoinResult, error) {
 		for i := range stage {
 			stage[i].ID = i
 		}
-		order, pt, err := j.orderAndShard(numObjects, stage, nil)
+		order, pt, err := j.orderAndShard(numObjects, stage)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crowdjoin"
@@ -190,6 +191,38 @@ func gotOrderLabels(r *crowdjoin.JoinResult) []crowdjoin.Label {
 		out[p.ID] = r.Labels[p.ID]
 	}
 	return out
+}
+
+// TestOrderExpectedSkipsSortedInput: candidates already in expected order
+// (likelihood descending, ties by ID) come back as the same slice; other
+// input gets ExpectedOrder's sorted copy, also inside a WithPairs session,
+// and the caller's slice is left as it was.
+func TestOrderExpectedSkipsSortedInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	numObjects, sorted, entity := randomJoinCase(rng)
+	if got := crowdjoin.OrderExpected(sorted); &got[0] != &sorted[0] || len(got) != len(sorted) {
+		t.Fatal("OrderExpected copied input already in expected order")
+	}
+	shuffled := slices.Clone(sorted)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	given := slices.Clone(shuffled)
+	if got := crowdjoin.OrderExpected(shuffled); &got[0] == &shuffled[0] || !reflect.DeepEqual(got, sorted) {
+		t.Fatal("OrderExpected did not return a sorted copy of unordered input")
+	}
+	j, err := crowdjoin.NewJoin(crowdjoin.WithPairs(numObjects, shuffled), crowdjoin.WithOracle(&core.TruthOracle{Entity: entity}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := j.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Order, sorted) {
+		t.Fatal("the default ordering did not label unordered WithPairs input in expected order")
+	}
+	if !reflect.DeepEqual(shuffled, given) {
+		t.Fatal("ordering modified the caller's WithPairs slice")
+	}
 }
 
 // TestJoinFromTexts: the session generates candidates itself when given

@@ -33,7 +33,8 @@ type AppendResult struct {
 }
 
 // streamState is the session state behind Join.Append: the incremental
-// candidate index and the persistent component partitioner. (Crowd
+// candidate index and the persistent component partitioner, whose stable
+// ids name the components in EventComponentsMerged. (Crowd
 // answers are cached at the Join level — see Join.mem — so even a Run
 // executed before the first Append is never re-bought.) Guarded by
 // Join.streamMu.
@@ -49,9 +50,6 @@ type streamState struct {
 	arrivals []int
 	// appends counts Append calls (the Round of EventRecordAppended).
 	appends int
-	// weighted marks IDF sessions: their per-append pairs are provisional,
-	// so Run partitions from scratch instead of reusing ip.
-	weighted bool
 }
 
 // Append adds records to a running deduplication session mid-stream:
@@ -171,10 +169,9 @@ func (j *Join) activateStream() error {
 		return fmt.Errorf("crowdjoin: partitioning initial pairs: %w", err)
 	}
 	j.stream = &streamState{
-		idx:      idx,
-		ip:       ip,
-		n0:       len(texts),
-		weighted: j.matcher.UseIDF,
+		idx: idx,
+		ip:  ip,
+		n0:  len(texts),
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"crowdjoin/internal/unionfind"
 )
 
 // Transitive deduction never crosses connected components of the candidate
@@ -96,28 +98,13 @@ func BuildPartition(numObjects int, order []Pair, bands TriageBands) (*Partition
 	if err := bands.Validate(); err != nil {
 		return nil, err
 	}
-	parent := make([]int32, numObjects)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
-		}
-		return x
-	}
+	uf := unionfind.New(numObjects)
 	for _, p := range order {
-		if bands.Classify(p.Likelihood) == NonMatching {
-			continue // a rejected edge connects nothing
-		}
-		ra, rb := find(p.A), find(p.B)
-		if ra != rb {
-			parent[rb] = ra
+		if bands.Classify(p.Likelihood) != NonMatching { // a rejected edge connects nothing
+			uf.Union(p.A, p.B)
 		}
 	}
-	return buildShardsFrom(numObjects, order, find), nil
+	return buildShardsFrom(numObjects, order, uf.Find), nil
 }
 
 // SinglePartition validates the candidate set and wraps it whole as one

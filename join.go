@@ -198,8 +198,12 @@ type Join struct {
 	journal  io.ReadWriter
 	// journalUsed marks that a Run already consumed the journal's read
 	// side; a later Run must rewind it (io.Seeker) or refuse. kept is the
-	// journal state that Run parsed, reused by later Runs until an append
-	// fails. slots is the streaming session's answer table by pair slot.
+	// session's one answer state: the journal state the first Run parsed,
+	// reused by later Runs until an append fails, or without a journal a
+	// memory journal, so that a session never buys the same answer twice —
+	// in particular, a streaming session's finishing Run replays everything
+	// its mid-stream Runs paid for, including a Run that preceded the first
+	// Append. slots is the streaming session's answer table by pair slot.
 	// All three are touched only by the Run in progress.
 	journalUsed bool
 	kept        *journalState
@@ -207,15 +211,9 @@ type Join struct {
 
 	// streamMu guards stream, which exists once Append has switched the
 	// session to streaming (see stream.go); candidates then come from the
-	// incremental index instead of the batch matcher. It also guards mem,
-	// the session-lifetime answer cache: every Run without a file journal
-	// records its crowd answers here and replays them on later Runs, so a
-	// session never buys the same answer twice — in particular, a streaming
-	// session's finishing Run replays everything its mid-stream Runs paid
-	// for, including a Run that preceded the first Append.
+	// incremental index instead of the batch matcher.
 	streamMu sync.Mutex
 	stream   *streamState
-	mem      *journalState
 
 	// running guards Run against concurrent invocation on one session (see
 	// ErrRunInProgress). Append is safe concurrently with Run and is not
@@ -332,11 +330,12 @@ func WithInstantDecisions(on bool) JoinOption {
 }
 
 // WithIncrementalPlatform is a no-op kept for source compatibility:
-// PlatformStrategy always runs the incremental Algorithm-3 scan and the
-// incremental deduction pass, which give the results of the from-scratch
-// ones with less work per answer. Sessions that never set the option now
-// see an answer's EventPairDeduced events in the incremental deducer's
-// order (the same events, possibly reordered).
+// PlatformStrategy always runs the resumable Algorithm-3 scan, which gives
+// the results of the from-scratch one with less work per answer. In plain
+// mode a component deduces inside the rescan that follows its drained
+// round. With instant decisions the incremental deducer deduces after
+// every answer, so an answer's EventPairDeduced events come in its order
+// (the same events, possibly reordered).
 //
 // Deprecated: drop the option; it has no effect.
 func WithIncrementalPlatform(scan, deduce bool) JoinOption {
@@ -650,9 +649,7 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 	var table []Label
 	if slots != nil {
 		table = j.slots.gather(jrn, pairs, slots)
@@ -663,10 +660,10 @@ func (j *Join) Run(ctx context.Context) (*JoinResult, error) {
 
 // journalFor resolves the session journal for a Run: a file journal is
 // parsed on the first Run and kept, and rewound and re-read (or the Run
-// refused) only when an append to it failed; a journal-less session falls
-// back to the in-memory answer cache. With a file journal the returned
-// context cancels the run on journal write failure, and the returned
-// cancel func must be deferred by the caller.
+// refused) only when an append to it failed; a journal-less session keeps
+// a memory journal. With a file journal the returned context cancels the
+// run on journal write failure. The caller defers the returned cancel
+// func.
 func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, arrivals []int) (context.Context, context.CancelFunc, *journalState, error) {
 	if j.journal != nil {
 		if j.kept != nil && j.kept.writeErr() != nil {
@@ -716,14 +713,11 @@ func (j *Join) journalFor(ctx context.Context, numObjects int, st *streamState, 
 	// No file journal: answers bought by earlier Runs of this session are
 	// cached in memory and replayed, so a re-Run — and in particular the
 	// finishing Run of a streaming join — never re-crowdsources a pair.
-	j.streamMu.Lock()
-	if j.mem == nil {
-		j.mem = newMemoryJournal(numObjects)
+	if j.kept == nil {
+		j.kept = newMemoryJournal(numObjects)
 	}
-	jrn := j.mem
-	j.streamMu.Unlock()
-	jrn.replayed.Store(0)
-	return ctx, nil, jrn, nil
+	j.kept.replayed.Store(0)
+	return ctx, func() {}, j.kept, nil
 }
 
 // journaledContext is the context a journaled Run hands its driver: a
@@ -754,22 +748,18 @@ func (c *journaledContext) Err() error {
 }
 
 // runOnce drives the configured strategy over one ordered, partitioned
-// candidate set: it wraps the crowd backend in the journal layer, then —
-// outermost, so machine answers are never journaled — the triage layer,
-// runs the strategy's driver, and consolidates the result. ParallelStrategy
+// candidate set: it wraps the crowd backend in the one wrapper of its
+// surface, which serves the answers the session holds (the triage bands'
+// first, then the journal's) and journals only fresh crowd answers, runs
+// the strategy's driver, and consolidates the result. ParallelStrategy
 // runs on the round driver like PlatformStrategy, its batch oracle turned
 // into a platform by the round adapter, so both wrap one platform; the
 // sequential family (sequential, one-to-one, budget) runs the sequential
 // driver under the strategy's rules and wraps its per-pair oracle. Run
 // calls it once; runCascade calls it per stage with a shared journal.
 func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt *core.Partition, jrn *journalState, table []Label) (*JoinResult, error) {
-	progress := j.progress
-	var tri *triageState
-	if j.triage.Enabled() {
-		tri = newTriageState(j.triage, len(order))
-		progress = tri.progressFilter(progress)
-	}
-	ro := core.RunOpts{Ctx: runCtx, Progress: progress}
+	ro := core.RunOpts{Ctx: runCtx, Progress: triageProgress(j.triage, j.progress)}
+	known := knownAnswers{bands: j.triage, jrn: jrn, table: table}
 	var oracle Oracle
 	var platform Platform
 	var rounds *core.RoundPlatform
@@ -780,9 +770,9 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 			batch = core.Batched(j.oracle) // pairs of a round asked one by one
 		}
 		rounds = core.NewRoundPlatform(pt, batch, j.concurrency, j.router == BalancedRouter, ro)
-		platform = rounds
+		platform = &journalPlatform{knownAnswers: known, inner: rounds}
 	case strategyPlatform:
-		platform = j.platform
+		platform = &journalPlatform{knownAnswers: known, inner: j.platform}
 	default:
 		oracle = j.oracle
 		if oracle == nil { // NewJoin guarantees one of the two
@@ -793,20 +783,7 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 				return Unlabeled // rejected by the driver's answer check
 			})
 		}
-	}
-	if jrn != nil {
-		if oracle != nil {
-			oracle = &journalOracle{inner: oracle, jrn: jrn, table: table}
-		} else {
-			platform = newJournalPlatform(platform, jrn, table)
-		}
-	}
-	if tri != nil {
-		if oracle != nil {
-			oracle = &triageOracle{inner: oracle, tri: tri}
-		} else {
-			platform = &shortcutPlatform{inner: platform, known: tri.answer}
-		}
+		oracle = &journalOracle{knownAnswers: known, inner: oracle}
 	}
 	res := &JoinResult{NumObjects: numObjects, Order: order}
 	if j.concurrency > 1 {
@@ -845,21 +822,19 @@ func (j *Join) runOnce(runCtx context.Context, numObjects int, order []Pair, pt 
 			res.NumConstraintDeduced = r.NumConstraintDeduced
 		}
 	}
-	if tri != nil && res.Labels != nil {
-		tri.fill(res)
+	if j.triage.Enabled() && res.Labels != nil {
+		triageFill(j.triage, res)
 	}
-	if jrn != nil {
-		res.Replayed = int(jrn.replayed.Load())
-		if jerr := jrn.writeErr(); jerr != nil {
-			werr := fmt.Errorf("crowdjoin: journal append: %w", jerr)
-			if res.Labels == nil {
-				// The driver failed outright before the cancellation could
-				// produce a partial result; there is nothing usable.
-				return nil, werr
-			}
-			res.Partial = true
-			return res, werr
+	res.Replayed = int(jrn.replayed.Load())
+	if jerr := jrn.writeErr(); jerr != nil {
+		werr := fmt.Errorf("crowdjoin: journal append: %w", jerr)
+		if res.Labels == nil {
+			// The driver failed outright before the cancellation could
+			// produce a partial result; there is nothing usable.
+			return nil, werr
 		}
+		res.Partial = true
+		return res, werr
 	}
 	if runErr != nil {
 		if res.Labels == nil {
@@ -904,9 +879,7 @@ func (j *Join) runCascade(ctx context.Context) (*JoinResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cancel != nil {
-		defer cancel()
-	}
+	defer cancel()
 
 	thresholds := j.cascadeThresholds()
 	settled := make([]bool, numObjects)

@@ -341,19 +341,6 @@ func (j *journalState) resume(arrivals []int, onError func()) {
 	j.replayed.Store(0)
 }
 
-// answered returns the answer already bought for p: from the Run's replay
-// table when the table holds one at p.ID (see slotTable), otherwise from
-// the map.
-func (j *journalState) answered(table []Label, p Pair) (Label, bool) {
-	if p.ID >= 0 && p.ID < len(table) && table[p.ID] != Unlabeled {
-		return table[p.ID], true
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	l, ok := j.answers[keyOf(p.A, p.B)]
-	return l, ok
-}
-
 // noteAnswer writes a fresh crowd answer into the Run's replay table, from
 // which the session's slot table takes it after the Run.
 func noteAnswer(table []Label, p Pair, l Label) {
@@ -516,18 +503,46 @@ func (j *journalState) record(p Pair, l Label) {
 	}
 }
 
-// journalOracle replays journaled answers and records fresh ones. table is
-// the Run's replay table (nil: replay from the map alone).
-type journalOracle struct {
-	inner Oracle
+// knownAnswers is every answer a Run holds before it asks the crowd, the
+// one source behind both crowd-surface wrappers.
+type knownAnswers struct {
+	bands core.TriageBands
 	jrn   *journalState
-	table []Label
+	table []Label // the Run's replay table (nil: none)
+}
+
+// lookup returns the answer held for p; machine reports that the bands
+// gave it. The bands come first (zero bands answer nothing), then the
+// answers bought earlier: the replay table when it holds one at p.ID (see
+// slotTable), otherwise the journal. An answer bought earlier counts as a
+// replay; the machine's does not, and neither is ever journaled.
+func (k *knownAnswers) lookup(p Pair) (l Label, machine, ok bool) {
+	if l := k.bands.Classify(p.Likelihood); l != Unlabeled {
+		return l, true, true
+	}
+	if p.ID >= 0 && p.ID < len(k.table) && k.table[p.ID] != Unlabeled {
+		l, ok = k.table[p.ID], true
+	} else {
+		k.jrn.mu.Lock()
+		l, ok = k.jrn.answers[keyOf(p.A, p.B)]
+		k.jrn.mu.Unlock()
+	}
+	if ok {
+		k.jrn.replayed.Add(1)
+	}
+	return l, false, ok
+}
+
+// journalOracle is the sequential family's crowd wrapper: held answers
+// first, then the inner oracle, whose answers are recorded.
+type journalOracle struct {
+	knownAnswers
+	inner Oracle
 }
 
 // Label implements Oracle.
 func (o *journalOracle) Label(p Pair) Label {
-	if l, ok := o.jrn.answered(o.table, p); ok {
-		o.jrn.replayed.Add(1)
+	if l, _, ok := o.lookup(p); ok {
 		return l
 	}
 	l := o.inner.Label(p)
@@ -536,97 +551,85 @@ func (o *journalOracle) Label(p Pair) Label {
 	return l
 }
 
-// shortcutPlatform is the platform wrapper of the journal and triage
-// layers: published pairs whose answer known already has — journaled, or
-// machine-triaged — are served from an internal FIFO, in publish order and
-// before the inner platform's answers, without ever reaching it.
-type shortcutPlatform struct {
-	inner Platform
-	known func(Pair) (Label, bool)
-	// ready holds the known answers for published pairs; head indexes the
-	// next one to serve.
-	ready       []Pair
-	readyLabels []Label
-	head        int
+// heldQueue holds answers for published pairs, in publish order.
+type heldQueue struct {
+	pairs  []Pair
+	labels []Label
+	head   int // the next one to serve
 }
 
-// Publish implements Platform. The FIFO is compacted in place before
-// appending (instead of letting head crawl forward forever), so a long
-// session never pins the served prefix of the backing arrays — the same
-// fix the crowd platform's batching buffer got.
-func (sp *shortcutPlatform) Publish(ps []Pair) {
-	if sp.head > 0 {
-		n := copy(sp.ready, sp.ready[sp.head:])
-		sp.ready = sp.ready[:n]
-		copy(sp.readyLabels, sp.readyLabels[sp.head:])
-		sp.readyLabels = sp.readyLabels[:n]
-		sp.head = 0
-	}
-	var fwd []Pair
-	for _, p := range ps {
-		if l, ok := sp.known(p); ok {
-			sp.ready = append(sp.ready, p)
-			sp.readyLabels = append(sp.readyLabels, l)
-		} else {
-			fwd = append(fwd, p)
-		}
-	}
-	if len(fwd) > 0 {
-		sp.inner.Publish(fwd)
-	}
+func (q *heldQueue) len() int { return len(q.pairs) - q.head }
+
+func (q *heldQueue) push(p Pair, l Label) {
+	q.pairs, q.labels = append(q.pairs, p), append(q.labels, l)
 }
 
-// NextLabel implements Platform: known answers drain first, in publish
-// order, then the inner platform is consulted.
-func (sp *shortcutPlatform) NextLabel() (Pair, Label, bool) {
-	if sp.head == len(sp.ready) {
-		return sp.inner.NextLabel()
+// pop serves the next answer, if any, and resets the queue once it has
+// served the last.
+func (q *heldQueue) pop() (p Pair, l Label, ok bool) {
+	if q.len() == 0 {
+		return p, l, false
 	}
-	p, l := sp.ready[sp.head], sp.readyLabels[sp.head]
-	sp.head++
-	if sp.head == len(sp.ready) {
-		// Fully drained: release the served entries now rather than
-		// waiting for the next Publish to compact them away.
-		sp.ready, sp.readyLabels, sp.head = sp.ready[:0], sp.readyLabels[:0], 0
+	p, l = q.pairs[q.head], q.labels[q.head]
+	q.head++
+	if q.len() == 0 {
+		q.compact()
 	}
 	return p, l, true
 }
 
-// Available implements Platform.
-func (sp *shortcutPlatform) Available() int {
-	return len(sp.ready) - sp.head + sp.inner.Available()
-}
-
-// Held implements core.Holder: the known answers, then what the inner
-// platform holds.
-func (sp *shortcutPlatform) Held() int {
-	n := len(sp.ready) - sp.head
-	if h, ok := sp.inner.(core.Holder); ok {
-		n += h.Held()
+// compact drops the served entries in place (instead of letting head crawl
+// forward forever), so a long session never pins them in the backing
+// arrays — the same fix the crowd platform's batching buffer got.
+func (q *heldQueue) compact() {
+	if q.head > 0 {
+		n := copy(q.pairs, q.pairs[q.head:])
+		copy(q.labels, q.labels[q.head:])
+		q.pairs, q.labels, q.head = q.pairs[:n], q.labels[:n], 0
 	}
-	return n
 }
 
-// journalPlatform short-circuits published pairs whose answers are already
-// journaled and records every answer the real platform produces. table is
-// the Run's replay table (nil: replay from the map alone).
+// journalPlatform is the round driver's crowd wrapper: published pairs
+// whose answer is held are served from internal queues, without ever
+// reaching the inner platform, and every answer the inner platform
+// produces is recorded. The machine's answers are served first, then the
+// journal's, then the inner platform's — on a fresh run the machine's come
+// before the crowd's, so a resumed run takes its answers in the same
+// order. Publish counts the replays it finds: the driver serves every held
+// answer before it returns, on cancellation by taking what Held reports.
 type journalPlatform struct {
-	shortcutPlatform
-	jrn   *journalState
-	table []Label
+	knownAnswers
+	inner            Platform
+	triaged, replays heldQueue
 }
 
-func newJournalPlatform(inner Platform, jrn *journalState, table []Label) *journalPlatform {
-	known := func(p Pair) (Label, bool) { return jrn.answered(table, p) }
-	return &journalPlatform{shortcutPlatform{inner: inner, known: known}, jrn, table}
+// Publish implements Platform.
+func (jp *journalPlatform) Publish(ps []Pair) {
+	jp.triaged.compact()
+	jp.replays.compact()
+	var fwd []Pair
+	for _, p := range ps {
+		switch l, machine, ok := jp.lookup(p); {
+		case machine:
+			jp.triaged.push(p, l)
+		case ok:
+			jp.replays.push(p, l)
+		default:
+			fwd = append(fwd, p)
+		}
+	}
+	if len(fwd) > 0 {
+		jp.inner.Publish(fwd)
+	}
 }
 
-// NextLabel implements Platform: a journaled answer counts as a replay,
-// and a fresh one is recorded.
+// NextLabel implements Platform.
 func (jp *journalPlatform) NextLabel() (Pair, Label, bool) {
-	if jp.head < len(jp.ready) {
-		jp.jrn.replayed.Add(1)
-		return jp.shortcutPlatform.NextLabel()
+	if p, l, ok := jp.triaged.pop(); ok {
+		return p, l, ok
+	}
+	if p, l, ok := jp.replays.pop(); ok {
+		return p, l, ok
 	}
 	p, l, ok := jp.inner.NextLabel()
 	if ok {
@@ -634,4 +637,19 @@ func (jp *journalPlatform) NextLabel() (Pair, Label, bool) {
 		noteAnswer(jp.table, p, l)
 	}
 	return p, l, ok
+}
+
+// Available implements Platform.
+func (jp *journalPlatform) Available() int {
+	return jp.triaged.len() + jp.replays.len() + jp.inner.Available()
+}
+
+// Held implements core.Holder: the held answers, then what the inner
+// platform holds.
+func (jp *journalPlatform) Held() int {
+	n := jp.triaged.len() + jp.replays.len()
+	if h, ok := jp.inner.(core.Holder); ok {
+		n += h.Held()
+	}
+	return n
 }

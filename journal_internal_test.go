@@ -52,15 +52,15 @@ func TestJournalPlatformCompactsOnDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp := newJournalPlatform(&stubPlatform{t: t}, jrn, nil)
+	jp := &journalPlatform{knownAnswers: knownAnswers{jrn: jrn}, inner: &stubPlatform{t: t}}
 	for r, round := range published {
 		jp.Publish(round)
-		if jp.head != 0 {
-			t.Fatalf("round %d: head = %d after Publish, want 0 (consumed prefix pinned)", r, jp.head)
+		if jp.replays.head != 0 {
+			t.Fatalf("round %d: head = %d after Publish, want 0 (consumed prefix pinned)", r, jp.replays.head)
 		}
-		if len(jp.ready) > 2*perRound {
-			t.Fatalf("round %d: ready holds %d entries after Publish, want ≤ %d (FIFO grows for the whole session)",
-				r, len(jp.ready), 2*perRound)
+		if len(jp.replays.pairs) > 2*perRound {
+			t.Fatalf("round %d: replays hold %d entries after Publish, want ≤ %d (FIFO grows for the whole session)",
+				r, len(jp.replays.pairs), 2*perRound)
 		}
 		// Leave one answer buffered on even rounds and catch it up on odd
 		// ones — crossing a Publish with a non-empty FIFO exercises the
@@ -77,11 +77,11 @@ func TestJournalPlatformCompactsOnDrain(t *testing.T) {
 			}
 		}
 	}
-	for jp.head < len(jp.ready) {
+	for jp.replays.len() > 0 {
 		jp.NextLabel()
 	}
-	if len(jp.ready) != 0 || jp.head != 0 {
-		t.Fatalf("after full drain: len(ready)=%d head=%d, want 0/0", len(jp.ready), jp.head)
+	if len(jp.replays.pairs) != 0 || jp.replays.head != 0 {
+		t.Fatalf("after full drain: len(replays)=%d head=%d, want 0/0", len(jp.replays.pairs), jp.replays.head)
 	}
 	if got := jrn.replayed.Load(); got != rounds*perRound {
 		t.Fatalf("replayed %d answers, want %d", got, rounds*perRound)

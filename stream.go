@@ -35,7 +35,7 @@ type AppendResult struct {
 // streamState is the session state behind Join.Append: the incremental
 // candidate index and the persistent component partitioner, whose stable
 // ids name the components in EventComponentsMerged. (Crowd
-// answers are cached at the Join level — see Join.mem — so even a Run
+// answers are cached at the Join level — see Join.kept — so even a Run
 // executed before the first Append is never re-bought.) Guarded by
 // Join.streamMu.
 type streamState struct {

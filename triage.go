@@ -3,7 +3,6 @@ package crowdjoin
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"crowdjoin/internal/core"
 )
@@ -126,97 +125,43 @@ func WithCascade(thresholds ...float64) JoinOption {
 	}
 }
 
-// triageState tracks, for one Run, which pairs the machine answered. The
-// wrappers below mark pairs as they answer them; the Run's progress filter
-// rewrites the driver's EventPairCrowdsourced into EventPairTriaged for
-// marked pairs, and fill reconciles the result counters at the end.
-type triageState struct {
-	bands core.TriageBands
-	mu    sync.Mutex
-	// marked[id] is set once the machine has answered pair id in place of
-	// the crowd. The driver may still discard that answer (cancellation, a
-	// misbehaving sibling oracle in the same batch), so the result-facing
-	// Triaged flag is marked ∧ recorded-by-the-driver.
-	marked []bool
-}
-
-func newTriageState(bands core.TriageBands, numPairs int) *triageState {
-	return &triageState{bands: bands, marked: make([]bool, numPairs)}
-}
-
-// answer consults the bands for p. ok reports that the machine answered;
-// the pair is marked so the progress filter and fill can attribute it.
-func (t *triageState) answer(p Pair) (Label, bool) {
-	l := t.bands.Classify(p.Likelihood)
-	if l == Unlabeled {
-		return l, false
-	}
-	t.mu.Lock()
-	t.marked[p.ID] = true
-	t.mu.Unlock()
-	return l, true
-}
-
-func (t *triageState) isMarked(id int) bool {
-	t.mu.Lock()
-	m := t.marked[id]
-	t.mu.Unlock()
-	return m
-}
-
-// progressFilter wraps a session progress callback: driver events for
-// machine-answered pairs surface as EventPairTriaged. The driver emits
-// EventPairCrowdsourced precisely when it records an answer, so the
-// translated stream matches the final Triaged flags one to one.
-func (t *triageState) progressFilter(inner func(Event)) func(Event) {
-	if inner == nil {
-		return nil
+// triageProgress wraps a session progress callback: the driver's
+// EventPairCrowdsourced for a banded pair surfaces as EventPairTriaged. A
+// banded pair that reaches the answer path always gets the machine's
+// answer (the crowd-surface wrappers consult the bands first), and the
+// driver emits EventPairCrowdsourced precisely when it records an answer,
+// so the translated stream matches the final Triaged flags one to one.
+func triageProgress(bands core.TriageBands, inner func(Event)) func(Event) {
+	if inner == nil || !bands.Enabled() {
+		return inner
 	}
 	return func(e Event) {
-		if e.Kind == core.EventPairCrowdsourced && t.isMarked(e.Pair.ID) {
+		if e.Kind == core.EventPairCrowdsourced && bands.Classify(e.Pair.Likelihood) != Unlabeled {
 			e.Kind = core.EventPairTriaged
 		}
 		inner(e)
 	}
 }
 
-// fill reconciles the run result: machine-answered pairs leave the
-// crowdsourced ledger and land in Triaged/TriageAccepted/TriageRejected.
-// The machine's answer is deterministic from the likelihood, so the
-// accept/reject split is re-derived from the order rather than tracked.
-func (t *triageState) fill(res *JoinResult) {
-	tr := make([]bool, len(res.Order))
-	t.mu.Lock()
+// triageFill reconciles the run result: banded pairs the driver recorded
+// as answered leave the crowdsourced ledger and land in
+// Triaged/TriageAccepted/TriageRejected.
+func triageFill(bands core.TriageBands, res *JoinResult) {
+	res.Triaged = make([]bool, len(res.Order))
 	for _, p := range res.Order {
-		if t.marked[p.ID] && res.Crowdsourced != nil && res.Crowdsourced[p.ID] {
-			tr[p.ID] = true
-			res.Crowdsourced[p.ID] = false
-			res.NumCrowdsourced--
-			if t.bands.Classify(p.Likelihood) == Matching {
-				res.TriageAccepted++
-			} else {
-				res.TriageRejected++
-			}
+		l := bands.Classify(p.Likelihood)
+		if l == Unlabeled || !res.Crowdsourced[p.ID] {
+			continue
+		}
+		res.Triaged[p.ID] = true
+		res.Crowdsourced[p.ID] = false
+		res.NumCrowdsourced--
+		if l == Matching {
+			res.TriageAccepted++
+		} else {
+			res.TriageRejected++
 		}
 	}
-	t.mu.Unlock()
-	res.Triaged = tr
-}
-
-// triageOracle answers banded pairs from the machine score; the uncertain
-// band goes to the inner (journal-wrapped) crowd. Triage wraps outside the
-// journal so machine answers are never journaled.
-type triageOracle struct {
-	inner Oracle
-	tri   *triageState
-}
-
-// Label implements Oracle.
-func (o *triageOracle) Label(p Pair) Label {
-	if l, ok := o.tri.answer(p); ok {
-		return l
-	}
-	return o.inner.Label(p)
 }
 
 // triageOrder reorders a labeling order for an enabled triage: machine-

@@ -274,21 +274,54 @@ func TestBalancedRouterMatchesLargestFirst(t *testing.T) {
 
 // TestTriageJournalExcludesMachineAnswers: machine answers are never
 // journaled — they are deterministic from the bands — and a resumed session
-// replays every crowd answer while re-deriving the triage for free.
+// replays every crowd answer while re-deriving the triage for free. Each
+// row reaches one crowd surface's wrapper: ParallelStrategy the platform
+// wrapper through the round adapter, SequentialStrategy the oracle
+// wrapper, and PlatformStrategy the platform wrapper directly, in plain
+// mode and with instant decisions. crowd builds a row's options around
+// the oracle that answers its questions.
 func TestTriageJournalExcludesMachineAnswers(t *testing.T) {
+	platform := func(instant bool) func(crowdjoin.Oracle) []crowdjoin.JoinOption {
+		return func(o crowdjoin.Oracle) []crowdjoin.JoinOption {
+			return []crowdjoin.JoinOption{
+				crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
+				crowdjoin.WithPlatform(crowdjoin.NewSimulatedCrowd(o, crowdjoin.SelectFIFO, nil)),
+				crowdjoin.WithInstantDecisions(instant),
+			}
+		}
+	}
+	rows := []struct {
+		name  string
+		crowd func(crowdjoin.Oracle) []crowdjoin.JoinOption
+	}{
+		{"parallel", func(o crowdjoin.Oracle) []crowdjoin.JoinOption {
+			return []crowdjoin.JoinOption{crowdjoin.WithStrategy(crowdjoin.ParallelStrategy), crowdjoin.WithOracle(o)}
+		}},
+		{"sequential", func(o crowdjoin.Oracle) []crowdjoin.JoinOption {
+			return []crowdjoin.JoinOption{crowdjoin.WithStrategy(crowdjoin.SequentialStrategy), crowdjoin.WithOracle(o)}
+		}},
+		{"platform", platform(false)},
+		{"platform-instant", platform(true)},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			testTriageJournalExcludesMachineAnswers(t, row.crowd)
+		})
+	}
+}
+
+func testTriageJournalExcludesMachineAnswers(t *testing.T, crowd func(crowdjoin.Oracle) []crowdjoin.JoinOption) {
 	rng := rand.New(rand.NewSource(67))
 	bands := crowdjoin.TriageBands{AcceptAbove: triageAccept, RejectBelow: triageReject}
 	for trial := 0; trial < 6; trial++ {
 		numObjects, pairs, entity := randomJoinCase(rng)
 		truth := &crowdjoin.TruthOracle{Entity: entity}
 		jrn := &bytes.Buffer{}
-		first := runJoin(t,
+		first := runJoin(t, append(crowd(truth),
 			crowdjoin.WithPairs(numObjects, pairs),
-			crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
-			crowdjoin.WithOracle(truth),
 			crowdjoin.WithTriage(triageAccept, triageReject),
 			crowdjoin.WithJournal(jrn),
-		)
+		)...)
 		if first.TriageAccepted+first.TriageRejected == 0 {
 			continue
 		}
@@ -329,13 +362,11 @@ func TestTriageJournalExcludesMachineAnswers(t *testing.T) {
 
 		// Resume: zero new crowd questions, full replay, same outcome.
 		counter := &lockedOracle{inner: truth}
-		resumed := runJoin(t,
+		resumed := runJoin(t, append(crowd(counter),
 			crowdjoin.WithPairs(numObjects, pairs),
-			crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
-			crowdjoin.WithOracle(counter),
 			crowdjoin.WithTriage(triageAccept, triageReject),
 			crowdjoin.WithJournal(jrn),
-		)
+		)...)
 		if counter.asked != 0 {
 			t.Fatalf("trial %d: resume re-crowdsourced %d pairs", trial, counter.asked)
 		}

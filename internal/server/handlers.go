@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 )
@@ -92,28 +92,46 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	jb.mu.Lock()
-	state, payload := jb.state, jb.result
+	state, clusters, unsaved := jb.state, jb.clusters, jb.unsaved
 	jb.mu.Unlock()
-	if state == StateRunning {
+	stored := state == StateDone || state == StateCancelled
+	switch {
+	case state == StateRunning:
 		writeError(w, http.StatusConflict, "job still running")
-		return
-	}
-	if payload == nil {
+	case !stored && unsaved == nil:
 		writeError(w, http.StatusNotFound, "job %s: no result (%s)", jb.id, state)
-		return
-	}
-	if r.URL.Query().Get("format") == "text" {
+	case r.URL.Query().Get("format") == "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_, _ = w.Write([]byte(jb.clustersText(payload)))
+		_, _ = w.Write([]byte(jb.clustersText(clusters)))
+	case stored:
+		s.serveStoredResult(w, jb.id)
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(unsaved.encode())
+	}
+}
+
+// serveStoredResult writes a done or cancelled job's result.json, the
+// bytes finish encoded once, as the response body.
+func (s *Server) serveStoredResult(w http.ResponseWriter, id string) {
+	f, err := s.store.openResult(id)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "job %s: reading result: %v", id, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, payload)
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/json")
+	if fi, err := f.Stat(); err == nil {
+		w.Header().Set("Content-Length", strconv.FormatInt(fi.Size(), 10))
+	}
+	_, _ = io.Copy(w, f)
 }
 
 // handleEvents is GET /jobs/{id}/events: the job's progress stream as
 // server-sent events, sequence-numbered for Last-Event-ID resumption. One
 // loop serves replay and live events alike: it copies out a batch of the
-// events after its cursor, formats them into one reused buffer, sends them
+// events after its cursor, formats them into one reused buffer (the JSON
+// through JobEvent.appendJSON, with no allocation per event), sends them
 // with one write and one flush, and waits for a wake-up only when it has
 // caught up. The stream ends (cleanly) once the job reaches a terminal
 // state, or when this follower falls more than hubBuffer events behind;
@@ -145,11 +163,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	defer jb.hub.unsubscribe(wake)
 	var (
 		events []JobEvent
-		frames bytes.Buffer
+		frames []byte
 	)
-	// Encode writes exactly json.Marshal's bytes plus a newline, which
-	// ends the data line.
-	enc := json.NewEncoder(&frames)
 	for {
 		var lost, closed bool
 		events, lost, closed = jb.hub.read(cursor, events[:0])
@@ -164,19 +179,18 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			continue
 		}
-		frames.Reset()
-		for _, e := range events {
-			frames.WriteString("id: ")
-			frames.Write(strconv.AppendInt(frames.AvailableBuffer(), e.Seq, 10))
-			frames.WriteString("\nevent: ")
-			frames.WriteString(e.Kind)
-			frames.WriteString("\ndata: ")
-			if err := enc.Encode(e); err != nil {
-				return
-			}
-			frames.WriteByte('\n')
+		frames = frames[:0]
+		for i := range events {
+			e := &events[i]
+			frames = append(frames, "id: "...)
+			frames = strconv.AppendInt(frames, e.Seq, 10)
+			frames = append(frames, "\nevent: "...)
+			frames = append(frames, e.Kind...)
+			frames = append(frames, "\ndata: "...)
+			frames = e.appendJSON(frames)
+			frames = append(frames, "\n\n"...)
 		}
-		if _, err := w.Write(frames.Bytes()); err != nil {
+		if _, err := w.Write(frames); err != nil {
 			return
 		}
 		fl.Flush()

@@ -52,10 +52,12 @@ type JobStatus struct {
 	Appends           int `json:"appends,omitempty"`
 }
 
-// ResultPayload is the final outcome served by GET /jobs/{id}/result and
-// persisted as result.json. Partial marks results from cancelled jobs:
-// every label present is consistent and fully deduced, but some pairs may
-// be unlabeled.
+// ResultPayload is the final outcome served by GET /jobs/{id}/result.
+// A done or cancelled job encodes it once (appendJSON, encode.go), stores
+// those bytes as result.json and serves that file from then on; only a
+// budget-exhausted job, which is not persisted, keeps its payload in
+// memory. Partial marks results from cancelled jobs: every label present
+// is consistent and fully deduced, but some pairs may be unlabeled.
 type ResultPayload struct {
 	ID      string `json:"id"`
 	State   string `json:"state"`
@@ -111,9 +113,14 @@ type job struct {
 	errMsg string // guarded by mu
 	// texts is the full record corpus (source A then source B, then
 	// appended batches) — cluster membership resolves through it.
-	texts  []string       // guarded by mu
-	stats  JobStatus      // guarded by mu; only the counter fields are kept current
-	result *ResultPayload // guarded by mu
+	texts []string  // guarded by mu
+	stats JobStatus // guarded by mu; only the counter fields are kept current
+	// Once the job has stopped with a result: clusters is what
+	// ?format=text renders, and unsaved the payload of a budget-exhausted
+	// job, which is never persisted. A done or cancelled job keeps no
+	// payload: GET /result serves its result.json.
+	clusters [][]int32      // guarded by mu
+	unsaved  *ResultPayload // guarded by mu
 	// streaming intake: handlers append acknowledged batches here and
 	// kick the runner; finalSeen flips once a final batch is accepted.
 	pending   []batchLine // guarded by mu
@@ -410,52 +417,54 @@ func (jb *job) noteRun(res *crowdjoin.JoinResult) {
 }
 
 // finish settles the job's terminal state from Run's outcome. Only done
-// and cancelled are persisted: a job stopped by shutdown or an internal
-// error leaves no terminal marker, so the next start resumes it (journal
-// replays make the retry free).
+// and cancelled are persisted, their payload encoded once into the bytes
+// result.json stores and GET /result serves: a job stopped by shutdown or
+// an internal error leaves no terminal marker, so the next start resumes
+// it (journal replays make the retry free).
 func (jb *job) finish(res *crowdjoin.JoinResult, err error) {
-	if err == nil {
-		payload := jb.payload(res, StateDone, "")
-		if werr := jb.srv.store.writeTerminal(jb.id, terminalState{State: StateDone}, payload); werr != nil {
-			jb.fail(fmt.Errorf("persisting result: %w", werr))
-			return
-		}
-		jb.settle(StateDone, "", payload)
-		return
-	}
+	var ts terminalState
 	cause := context.Cause(jb.ctx)
 	switch {
+	case err == nil:
+		ts = terminalState{State: StateDone}
 	case jb.ctx.Err() != nil && errors.Is(cause, errCancelled):
-		payload := jb.payload(res, StateCancelled, cause.Error())
-		if werr := jb.srv.store.writeTerminal(jb.id, terminalState{State: StateCancelled, Error: cause.Error()}, payload); werr != nil {
-			jb.fail(fmt.Errorf("persisting result: %w", werr))
-			return
-		}
-		jb.settle(StateCancelled, cause.Error(), payload)
+		ts = terminalState{State: StateCancelled, Error: cause.Error()}
 	case jb.ctx.Err() != nil && errors.Is(cause, ErrBudgetExhausted):
 		// Not persisted: the journal holds everything bought, so a restart
 		// under a raised budget resumes the job for free.
-		jb.settle(StateFailed, cause.Error(), jb.payload(res, StateFailed, cause.Error()))
+		p := jb.payload(res, StateFailed, cause.Error())
+		jb.settle(StateFailed, cause.Error(), p.Clusters, p)
+		return
 	case jb.ctx.Err() != nil && errors.Is(cause, errShutdown):
-		jb.settle(StateFailed, errShutdown.Error(), nil)
+		jb.settle(StateFailed, errShutdown.Error(), nil, nil)
+		return
 	default:
 		jb.fail(err)
+		return
 	}
+	p := jb.payload(res, ts.State, ts.Error)
+	if werr := jb.srv.store.writeTerminal(jb.id, ts, p.encode()); werr != nil {
+		jb.fail(fmt.Errorf("persisting result: %w", werr))
+		return
+	}
+	jb.settle(ts.State, ts.Error, p.Clusters, nil)
 }
 
 // fail marks an in-memory failure; nothing is persisted, so the job is
 // retried on the next server start.
 func (jb *job) fail(err error) {
 	jb.srv.logf("job %s failed: %v", jb.id, err)
-	jb.settle(StateFailed, err.Error(), nil)
+	jb.settle(StateFailed, err.Error(), nil, nil)
 }
 
-// settle records the terminal state and closes the event stream.
-func (jb *job) settle(state, errMsg string, payload *ResultPayload) {
+// settle records the terminal state with what GET /result needs beyond
+// result.json (see job.clusters), and closes the event stream.
+func (jb *job) settle(state, errMsg string, clusters [][]int32, unsaved *ResultPayload) {
 	jb.mu.Lock()
 	jb.state = state
 	jb.errMsg = errMsg
-	jb.result = payload
+	jb.clusters = clusters
+	jb.unsaved = unsaved
 	jb.mu.Unlock()
 	jb.emitState(state, errMsg)
 	jb.hub.close()
@@ -515,16 +524,16 @@ func (jb *job) restoreTexts(bs []batchLine) {
 	}
 }
 
-// clustersText renders the payload's multi-member clusters in
+// clustersText renders the result's multi-member clusters in
 // cmd/crowdjoin's output format (member texts, "---" separator), for
 // GET /jobs/{id}/result?format=text — shell clients diff this against the
 // CLI without JSON tooling.
-func (jb *job) clustersText(p *ResultPayload) string {
+func (jb *job) clustersText(clusters [][]int32) string {
 	jb.mu.Lock()
 	texts := jb.texts
 	jb.mu.Unlock()
 	var sb strings.Builder
-	for _, c := range p.Clusters {
+	for _, c := range clusters {
 		if len(c) < 2 {
 			continue
 		}

@@ -111,12 +111,13 @@ func (s *Server) resumeStored() error {
 	for _, sj := range stored {
 		jb := newJob(sj.ID, sj.Spec, s)
 		if sj.Terminal != nil {
-			// Finished before the restart: serve the persisted outcome.
-			var payload ResultPayload
-			if err := s.store.readResult(sj.ID, &payload); err != nil {
+			// Finished before the restart: GET /result serves the stored
+			// body, and only the clusters are kept, for ?format=text.
+			clusters, err := s.store.readClusters(sj.ID)
+			if err != nil {
 				return fmt.Errorf("server: job %s: %w", sj.ID, err)
 			}
-			jb.settle(sj.Terminal.State, sj.Terminal.Error, &payload)
+			jb.settle(sj.Terminal.State, sj.Terminal.Error, clusters, nil)
 			jb.restoreTexts(sj.Batches)
 			close(jb.done)
 			s.jobs[sj.ID] = jb

@@ -86,6 +86,44 @@ func doJSON(t *testing.T, method, url string, body, out any, wantCode int) {
 	}
 }
 
+// getResult fetches GET /jobs/{id}/result and checks that the body is
+// encoding/json's own encoding of the payload it decodes to, the bytes
+// json.Encoder with SetEscapeHTML(false) writes (trailing newline
+// included).
+func getResult(t *testing.T, base, id string) (ResultPayload, []byte) {
+	t.Helper()
+	resp, err := http.Get(base + "/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET result of %s: %d (%s)", id, resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("GET result of %s: content type %q", id, ct)
+	}
+	var res ResultPayload
+	if err := json.Unmarshal(body, &res); err != nil {
+		t.Fatalf("GET result of %s: decoding %.200q: %v", id, body, err)
+	}
+	var again bytes.Buffer
+	enc := json.NewEncoder(&again)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(&res); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, again.Bytes()) {
+		t.Fatalf("GET result of %s: body is not encoding/json's encoding of itself\n got %.300q\nwant %.300q",
+			id, body, again.Bytes())
+	}
+	return res, body
+}
+
 // waitState polls the job until it reaches want (or any terminal state).
 func waitState(t *testing.T, base, id, want string) JobStatus {
 	t.Helper()
@@ -434,8 +472,7 @@ func TestServerCrashResume(t *testing.T) {
 	allIDs := append(append([]string{}, ids...), streamJob.ID)
 	for _, id := range allIDs {
 		st := waitState(t, ts2.URL, id, StateDone)
-		var res ResultPayload
-		doJSON(t, "GET", ts2.URL+"/jobs/"+id+"/result", nil, &res, http.StatusOK)
+		res, _ := getResult(t, ts2.URL, id)
 		if res.Partial {
 			t.Fatalf("job %s: resumed run ended partial", id)
 		}
@@ -482,6 +519,96 @@ func TestServerCrashResume(t *testing.T) {
 				t.Errorf("job %s: pair %v asked twice before the crash", id, k)
 			}
 		}
+	}
+}
+
+// TestServerResultBodyAcrossRestart: the GET /result bodies of a done, a
+// cancelled and a budget-exhausted job are encoding/json's encoding of
+// their payloads, and a new server on the same data directory serves the
+// done and cancelled jobs' bodies, and the done job's ?format=text, byte
+// for byte as before.
+func TestServerResultBodyAcrossRestart(t *testing.T) {
+	dataDir := t.TempDir()
+	tracker := newAskTracker()
+	cfg := Config{
+		DataDir:      dataDir,
+		Workers:      2,
+		TenantLimits: map[string]TenantLimits{"budgeted": {QuestionBudget: 5}},
+		WrapOracle:   tracker.wrap(time.Millisecond),
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1)
+	t.Cleanup(func() {
+		ts1.Close()
+		s1.Close()
+	})
+	submit := func(spec JobSpec) string {
+		var created JobStatus
+		doJSON(t, "POST", ts1.URL+"/jobs", spec, &created, http.StatusCreated)
+		return created.ID
+	}
+	text := func(base, id string) string {
+		resp, err := http.Get(base + "/jobs/" + id + "/result?format=text")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	done := submit(JobSpec{Records: corpus(30), Strategy: StrategyParallel})
+	waitState(t, ts1.URL, done, StateDone)
+	cancelled := submit(JobSpec{Records: corpus(60), Strategy: StrategySequential})
+	for {
+		var st JobStatus
+		doJSON(t, "GET", ts1.URL+"/jobs/"+cancelled, nil, &st, http.StatusOK)
+		if st.Crowdsourced >= 2 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	doJSON(t, "DELETE", ts1.URL+"/jobs/"+cancelled, nil, nil, http.StatusAccepted)
+	waitState(t, ts1.URL, cancelled, StateCancelled)
+	budgeted := submit(JobSpec{Tenant: "budgeted", Records: corpus(36), Strategy: StrategySequential})
+	waitState(t, ts1.URL, budgeted, StateFailed)
+
+	doneRes, doneBody := getResult(t, ts1.URL, done)
+	cancelledRes, cancelledBody := getResult(t, ts1.URL, cancelled)
+	budgetRes, _ := getResult(t, ts1.URL, budgeted)
+	if doneRes.Partial || !cancelledRes.Partial || !budgetRes.Partial {
+		t.Fatalf("partial flags done/cancelled/budget = %v/%v/%v, want false/true/true",
+			doneRes.Partial, cancelledRes.Partial, budgetRes.Partial)
+	}
+	if len(doneRes.Pairs) == 0 || cancelledRes.Crowdsourced == 0 || budgetRes.Crowdsourced == 0 {
+		t.Fatal("a result lost its pairs or answers")
+	}
+	doneText := text(ts1.URL, done)
+	if !strings.Contains(doneText, "---") {
+		t.Fatalf("text format produced no clusters: %q", doneText)
+	}
+
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, cfg)
+	for _, c := range []struct {
+		id   string
+		body []byte
+	}{{done, doneBody}, {cancelled, cancelledBody}} {
+		if _, body := getResult(t, ts2.URL, c.id); !bytes.Equal(body, c.body) {
+			t.Fatalf("job %s: result after the restart differs\n got %.300q\nwant %.300q", c.id, body, c.body)
+		}
+	}
+	if got := text(ts2.URL, done); got != doneText {
+		t.Fatalf("text format after the restart differs:\n got %q\nwant %q", got, doneText)
 	}
 }
 

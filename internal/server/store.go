@@ -16,7 +16,7 @@ import (
 //	<data>/jobs/<id>/journal.log  the session's label journal (crowdjoin format)
 //	<data>/jobs/<id>/batches.log  streaming jobs: one JSON line per appended batch
 //	<data>/jobs/<id>/state.json   terminal marker: only "done" and "cancelled"
-//	<data>/jobs/<id>/result.json  the final JobResult payload
+//	<data>/jobs/<id>/result.json  the final ResultPayload, the body GET /result serves
 //
 // Every write is fsynced before the server acknowledges anything that
 // depends on it, and spec/state/result go through write-to-temp + rename so
@@ -45,7 +45,11 @@ func (st *store) createJob(id string, spec *JobSpec) error {
 	if err := os.Mkdir(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), spec); err != nil {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return err
+	}
+	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), data); err != nil {
 		return err
 	}
 	return fsyncDir(st.root)
@@ -117,18 +121,20 @@ type terminalState struct {
 	Error string `json:"error,omitempty"`
 }
 
-// writeTerminal persists a job's final state: the result payload first,
-// then the state marker that declares it valid. Only done and cancelled
-// jobs are marked terminal — a job killed by a crash or shutdown leaves no
-// marker and is resumed by the next start.
-func (st *store) writeTerminal(id string, ts terminalState, result any) error {
-	dir := st.dir(id)
-	if result != nil {
-		if err := writeFileAtomic(filepath.Join(dir, "result.json"), result); err != nil {
-			return err
-		}
+// writeTerminal persists a job's final state: the encoded result payload
+// first, stored as the exact body GET /jobs/{id}/result serves, then the
+// state marker that declares it valid. Only done and cancelled jobs are
+// marked terminal — a job killed by a crash or shutdown leaves no marker
+// and is resumed by the next start.
+func (st *store) writeTerminal(id string, ts terminalState, result []byte) error {
+	if err := writeFileAtomic(st.resultPath(id), result); err != nil {
+		return err
 	}
-	return writeFileAtomic(filepath.Join(dir, "state.json"), ts)
+	data, err := json.Marshal(ts)
+	if err != nil {
+		return err
+	}
+	return writeFileAtomic(filepath.Join(st.dir(id), "state.json"), data)
 }
 
 // storedJob is one job directory as found by scan.
@@ -175,9 +181,20 @@ func (st *store) scan() ([]storedJob, error) {
 	return jobs, nil
 }
 
-// readResult loads a terminal job's persisted result payload.
-func (st *store) readResult(id string, out any) error {
-	return readJSON(filepath.Join(st.dir(id), "result.json"), out)
+func (st *store) resultPath(id string) string { return filepath.Join(st.dir(id), "result.json") }
+
+// openResult opens a terminal job's stored result body.
+func (st *store) openResult(id string) (*os.File, error) { return os.Open(st.resultPath(id)) }
+
+// readClusters loads the clusters of a terminal job's stored result, all
+// that ?format=text needs; decoding the whole file also checks that it is
+// valid JSON.
+func (st *store) readClusters(id string) ([][]int32, error) {
+	var r struct {
+		Clusters [][]int32 `json:"clusters"`
+	}
+	err := readJSON(st.resultPath(id), &r)
+	return r.Clusters, err
 }
 
 func readJSON(path string, out any) error {
@@ -188,13 +205,9 @@ func readJSON(path string, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// writeFileAtomic writes v as JSON via temp-file + fsync + rename + parent
+// writeFileAtomic writes data via temp-file + fsync + rename + parent
 // fsync, so the path either holds the old content or the complete new one.
-func writeFileAtomic(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {

@@ -573,6 +573,71 @@ func BenchmarkPlatformInstant(b *testing.B) {
 	b.ReportMetric(float64(questions), "questions")
 }
 
+// BenchmarkRoundDriverScale times the round driver beyond the paper's
+// size, where its rescans dominate a Run: a Join.Run over pairs built
+// before the timer, on the Paper corpus cmd/datagen writes for the row's
+// record count (seed 1, largest cluster min(102, records/4)) joined by
+// Matcher{Threshold: 0.3}, at k=1 with a perfect crowd and no sleeps.
+// instant runs PlatformStrategy with instant decisions on a FIFO simulated
+// crowd, parallel runs ParallelStrategy on a perfect batch oracle.
+// questions is the crowd cost and rounds the publish events (instant) or
+// parallel rounds, both fixed by the order and the crowd.
+func BenchmarkRoundDriverScale(b *testing.B) {
+	for _, row := range []struct {
+		name    string
+		records int
+		instant bool
+	}{
+		{"instant/records=2000", 2000, true},
+		{"parallel/records=4000", 4000, false},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cfg := dataset.DefaultCoraConfig()
+			cfg.Records = row.records
+			cfg.LargestCluster = min(cfg.LargestCluster, row.records/4)
+			d := dataset.GenerateCora(cfg)
+			texts := make([]string, d.Len())
+			for i := range texts {
+				texts[i] = d.Records[i].Text()
+			}
+			pairs, err := crowdjoin.Matcher{Threshold: 0.3}.Candidates(texts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			truth := &core.TruthOracle{Entity: d.Entities()}
+			ctx := context.Background()
+			var questions, rounds int
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts := []crowdjoin.JoinOption{crowdjoin.WithPairs(d.Len(), pairs), crowdjoin.WithConcurrency(1)}
+				if row.instant {
+					opts = append(opts, crowdjoin.WithStrategy(crowdjoin.PlatformStrategy),
+						crowdjoin.WithPlatform(crowdjoin.NewSimulatedCrowd(truth, crowdjoin.SelectFIFO, nil)),
+						crowdjoin.WithInstantDecisions(true))
+				} else {
+					opts = append(opts, crowdjoin.WithStrategy(crowdjoin.ParallelStrategy),
+						crowdjoin.WithBatchOracle(core.Batched(truth)))
+				}
+				j, err := crowdjoin.NewJoin(opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := j.Run(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				questions, rounds = res.NumCrowdsourced, len(res.RoundSizes)
+				if row.instant {
+					rounds = len(res.PublishSizes)
+				}
+			}
+			b.ReportMetric(float64(questions), "questions")
+			b.ReportMetric(float64(rounds), "rounds")
+		})
+	}
+}
+
 // BenchmarkCandidatesFromTexts times candidate generation from tokenized
 // records: a fresh Scorer each iteration, so tokenization (NewScorer) and
 // the rare-first rank arena (built on the first prefix join) are timed

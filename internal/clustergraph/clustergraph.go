@@ -1,12 +1,13 @@
 // Package clustergraph implements the paper's ClusterGraph (Section 3.2):
 // a graph whose vertices are clusters of matching objects (maintained with
-// union-find) and whose edges connect clusters known to be non-matching.
+// quick-find union-find, so every object's cluster root is one load away)
+// and whose edges connect clusters known to be non-matching.
 //
-// It answers the deduction question of Lemma 1 in amortized near-constant
-// time: a pair (o, o') is deducible as matching iff o and o' are in the same
-// cluster, deducible as non-matching iff their clusters are joined by an
-// edge, and undeducible otherwise (every path between them would need more
-// than one non-matching pair).
+// It answers the deduction question of Lemma 1 in constant time, two root
+// loads and one edge-set probe: a pair (o, o') is deducible as matching iff
+// o and o' are in the same cluster, deducible as non-matching iff their
+// clusters are joined by an edge, and undeducible otherwise (every path
+// between them would need more than one non-matching pair).
 //
 // # Storage layout
 //
@@ -29,9 +30,10 @@
 // Section 4.2 (a search tree), and the platform driver's resumable
 // Algorithm-3 scan, which keeps one journaled scan graph for a whole
 // session and rolls it back to the first order position a new label
-// changes. The underlying union-find switches to its rollback variant
-// (path halvings journaled too) at the first Snapshot; Reset switches
-// back.
+// changes. A union is journaled as its two roots and undone with
+// unionfind's Split, which relabels the absorbed cluster back: a rollback
+// costs what the unions and edge moves it undoes cost, and Find, one load
+// of a quick-find array, writes nothing that would need undoing.
 //
 // BruteForceDeduce (bruteforce.go) remains the correctness reference; the
 // differential tests drive both through randomized insert/snapshot/rollback
@@ -81,7 +83,7 @@ func (v Verdict) String() string {
 const (
 	opLink   uint8 = iota // edge (a,b) was added → unlink it
 	opUnlink              // edge (a,b) was removed → relink it
-	opUnion               // a union was performed → undo it
+	opUnion               // cluster b was absorbed into root a → split it
 	opESet                // eset[a] was overwritten → restore b
 )
 
@@ -101,7 +103,7 @@ const escalateDeg = 16
 // Graph is the ClusterGraph over a dense universe of n objects.
 // The zero value is not usable; construct with New.
 type Graph struct {
-	uf *unionfind.UF
+	uf unionfind.UF
 	// eset[r] is the id of the edge set owned by the cluster rooted at r;
 	// ids are drawn from the object universe (initially eset[i] = i) and
 	// only entries for current roots are meaningful.
@@ -136,7 +138,7 @@ type Graph struct {
 // singleton cluster and there are no non-matching edges.
 func New(n int) *Graph {
 	g := &Graph{
-		uf:     unionfind.New(n),
+		uf:     *unionfind.New(n),
 		eset:   make([]int32, n),
 		deg:    make([]int32, n),
 		adj:    make([][]int32, n),
@@ -149,9 +151,6 @@ func New(n int) *Graph {
 	}
 	return g
 }
-
-// Len returns the size of the object universe.
-func (g *Graph) Len() int { return g.uf.Len() }
 
 // NumClusters returns the current number of clusters.
 func (g *Graph) NumClusters() int { return g.uf.Sets() }
@@ -199,32 +198,6 @@ func (g *Graph) HasEdge(a, b int32) bool {
 // Deduce applies Lemma 1 to the pair (a, b).
 func (g *Graph) Deduce(a, b int32) Verdict {
 	ra, rb := g.uf.Find(a), g.uf.Find(b)
-	if ra == rb {
-		return DeducedMatching
-	}
-	if g.hasEdgeSets(g.eset[ra], g.eset[rb]) {
-		return DeducedNonMatching
-	}
-	return Undeduced
-}
-
-// RootsInto writes the current root of every object into roots, which must
-// have length Len(). Batch deduction loops that probe many pairs between
-// mutations can resolve roots with two array loads per pair instead of
-// two pointer-chasing Find calls; the snapshot is valid until the next
-// mutating operation.
-func (g *Graph) RootsInto(roots []int32) {
-	if len(roots) != g.Len() {
-		panic("clustergraph: RootsInto size mismatch")
-	}
-	for i := range roots {
-		roots[i] = g.uf.Find(int32(i))
-	}
-}
-
-// DeduceRoots applies Lemma 1 to a pair whose current cluster roots are
-// already known (e.g. via RootsInto).
-func (g *Graph) DeduceRoots(ra, rb int32) Verdict {
 	if ra == rb {
 		return DeducedMatching
 	}
@@ -327,9 +300,9 @@ func (g *Graph) unlink(sa, sb int32) {
 // edge between them) and combines their edge sets small-into-large.
 func (g *Graph) merge(ra, rb int32) {
 	sa, sb := g.eset[ra], g.eset[rb]
-	root, _, _ := g.uf.Union(ra, rb)
+	root, absorbed, _ := g.uf.Union(ra, rb)
 	if g.journaling {
-		g.journal = append(g.journal, gop{opUnion, 0, 0})
+		g.journal = append(g.journal, gop{opUnion, root, absorbed})
 	}
 	// Keep the larger edge set, drain the smaller into it. repoint checks
 	// for the self edge — an edge between the two merged clusters would be
@@ -471,15 +444,11 @@ func (g *Graph) Assume(a, b int32) Verdict {
 type Mark int32
 
 // Snapshot records the current state and returns a mark Rollback can
-// restore. The first Snapshot switches the graph (and its union-find) into
-// rollback mode until Reset: subsequent structural changes, and the
-// union-find's path halvings, are journaled. Snapshots nest: rolling back
-// to an outer mark discards inner ones.
+// restore. The first Snapshot turns journaling on until Reset: every later
+// structural change is journaled. Snapshots nest: rolling back to an outer
+// mark discards inner ones.
 func (g *Graph) Snapshot() Mark {
-	if !g.journaling {
-		g.journaling = true
-		g.uf.BeginUndoLog()
-	}
+	g.journaling = true
 	return Mark(len(g.journal))
 }
 
@@ -496,7 +465,7 @@ func (g *Graph) Rollback(m Mark) {
 		case opUnlink:
 			g.rawLink(op.a, op.b)
 		case opUnion:
-			g.uf.UndoUnion()
+			g.uf.Split(op.a, op.b)
 		case opESet:
 			g.eset[op.a] = op.b
 		}
@@ -505,6 +474,12 @@ func (g *Graph) Rollback(m Mark) {
 
 // ClusterSize returns the number of objects in a's cluster.
 func (g *Graph) ClusterSize(a int32) int32 { return g.uf.SizeOf(a) }
+
+// NextMember returns the object after a on its cluster's member cycle.
+// Walking from a until the walk returns to a visits the whole cluster;
+// from the root, in the order the clusters merged (the root's own members
+// first). The walk is valid until the next merge or rollback.
+func (g *Graph) NextMember(a int32) int32 { return g.uf.Next(a) }
 
 // Clusters returns the current clusters; see unionfind.UF.Clusters for
 // ordering guarantees. Intended for reporting and tests.

@@ -2,47 +2,85 @@ package clustergraph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
-
-	"crowdjoin/internal/unionfind"
 )
 
 // The differential test drives long randomized operation sequences —
-// strict inserts, ForceInserts, snapshots, and rollbacks — through the
-// slice-and-bitset Graph and mirrors them in a plain list of labeled
-// pairs, the representation BruteForceDeduce consumes. After bursts of
+// strict inserts, ForceInserts, snapshots, nested rollbacks and resets —
+// through the slice-and-bitset Graph and mirrors them in a plain list of
+// labeled pairs, the representation BruteForceDeduce consumes. After bursts of
 // operations it cross-checks Deduce verdicts for random queries, the
-// cluster count, and the edge count against the reference. Universe sizes
-// push set degrees past escalateDeg so both edge-set representations and
-// the escalation boundary are exercised, including under rollback.
+// cluster and edge counts, the cluster listing and every object's cluster
+// size against the reference. Universe sizes push set degrees past
+// escalateDeg so both edge-set representations and the escalation boundary
+// are exercised, including under rollback.
 
-// modelCounts derives the expected cluster and edge counts from the
-// labeled-pair list: clusters are the matching-connectivity components,
-// and edges are the distinct component pairs joined by at least one
-// non-matching pair whose endpoints sit in different components — exactly
-// the graph ForceInsert semantics converge to regardless of insert order.
-func modelCounts(n int, ops []LabeledPair) (clusters, edges int) {
-	uf := unionfind.New(n)
+// modelComponents returns the matching-connectivity components of the
+// labeled-pair list, found by a graph search that shares no code with the
+// union-find under test: comp[o] is the index of o's component in
+// clusters, which lists each component's objects ascending, ordered by
+// smallest member (Graph.Clusters' order).
+func modelComponents(n int, ops []LabeledPair) (clusters [][]int32, comp []int32) {
+	adj := make([][]int32, n)
 	for _, p := range ops {
 		if p.Matching {
-			uf.Union(p.A, p.B)
+			adj[p.A] = append(adj[p.A], p.B)
+			adj[p.B] = append(adj[p.B], p.A)
 		}
 	}
+	comp = make([]int32, n)
+	for i := range comp {
+		comp[i] = -1
+	}
+	for o := int32(0); int(o) < n; o++ {
+		if comp[o] >= 0 {
+			continue
+		}
+		k := int32(len(clusters))
+		comp[o] = k
+		stack := []int32{o}
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, y := range adj[x] {
+				if comp[y] < 0 {
+					comp[y] = k
+					stack = append(stack, y)
+				}
+			}
+		}
+		clusters = append(clusters, nil)
+	}
+	for o := int32(0); int(o) < n; o++ {
+		clusters[comp[o]] = append(clusters[comp[o]], o)
+	}
+	return clusters, comp
+}
+
+// modelEdges counts the distinct component pairs joined by at least one
+// non-matching pair whose endpoints sit in different components: exactly
+// the graph ForceInsert semantics converge to regardless of insert order.
+func modelEdges(ops []LabeledPair, comp []int32) int {
 	seen := make(map[[2]int32]bool)
 	for _, p := range ops {
-		if p.Matching {
+		ca, cb := comp[p.A], comp[p.B]
+		if p.Matching || ca == cb {
 			continue
 		}
-		ra, rb := uf.Find(p.A), uf.Find(p.B)
-		if ra == rb {
-			continue
+		if ca > cb {
+			ca, cb = cb, ca
 		}
-		if ra > rb {
-			ra, rb = rb, ra
-		}
-		seen[[2]int32{ra, rb}] = true
+		seen[[2]int32{ca, cb}] = true
 	}
-	return uf.Sets(), len(seen)
+	return len(seen)
+}
+
+// modelCounts derives the expected cluster and edge counts from the
+// labeled-pair list.
+func modelCounts(n int, ops []LabeledPair) (clusters, edges int) {
+	cl, comp := modelComponents(n, ops)
+	return len(cl), modelEdges(ops, comp)
 }
 
 type diffSnapshot struct {
@@ -58,12 +96,20 @@ func runDifferentialSequence(t *testing.T, seed int64, n, steps int) (opsDone in
 	var snaps []diffSnapshot
 
 	check := func() {
-		wantClusters, wantEdges := modelCounts(n, ops)
-		if g.NumClusters() != wantClusters {
-			t.Fatalf("seed %d after %d ops: NumClusters = %d, want %d", seed, opsDone, g.NumClusters(), wantClusters)
+		clusters, comp := modelComponents(n, ops)
+		if g.NumClusters() != len(clusters) {
+			t.Fatalf("seed %d after %d ops: NumClusters = %d, want %d", seed, opsDone, g.NumClusters(), len(clusters))
 		}
-		if g.NumEdges() != wantEdges {
-			t.Fatalf("seed %d after %d ops: NumEdges = %d, want %d", seed, opsDone, g.NumEdges(), wantEdges)
+		if want := modelEdges(ops, comp); g.NumEdges() != want {
+			t.Fatalf("seed %d after %d ops: NumEdges = %d, want %d", seed, opsDone, g.NumEdges(), want)
+		}
+		if got := g.Clusters(); !reflect.DeepEqual(got, clusters) {
+			t.Fatalf("seed %d after %d ops: Clusters = %v, want %v", seed, opsDone, got, clusters)
+		}
+		for o := int32(0); int(o) < n; o++ {
+			if got, want := g.ClusterSize(o), int32(len(clusters[comp[o]])); got != want {
+				t.Fatalf("seed %d after %d ops: ClusterSize(%d) = %d, want %d", seed, opsDone, o, got, want)
+			}
 		}
 		for q := 0; q < 12; q++ {
 			a, b := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -101,6 +147,10 @@ func runDifferentialSequence(t *testing.T, seed int64, n, steps int) (opsDone in
 			opsDone++
 		case r < 88: // snapshot
 			snaps = append(snaps, diffSnapshot{mark: g.Snapshot(), ops: len(ops)})
+			opsDone++
+		case r == 99: // reset to singletons, dropping every snapshot
+			g.Reset()
+			ops, snaps = ops[:0], snaps[:0]
 			opsDone++
 		default: // rollback to a random outstanding snapshot
 			if len(snaps) == 0 {

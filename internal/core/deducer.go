@@ -2,37 +2,31 @@ package core
 
 import "crowdjoin/internal/clustergraph"
 
-// incrementalDeducer maintains the crowd-label graph together with
-// per-cluster member lists and a per-object index of candidate pairs, so
-// that after each crowd answer only the pairs that might have become
-// deducible are re-checked, instead of the whole order.
+// incrementalDeducer maintains the crowd-label graph together with a
+// per-object index of candidate pairs, so that after each crowd answer
+// only the pairs that might have become deducible are re-checked, instead
+// of the whole order.
 //
 // Soundness: inserting a matching label only changes deductions involving
 // the merged cluster (same-cluster queries inside it, edge queries from
 // it); inserting a non-matching label only adds deductions between the two
-// newly connected clusters. Every such pair touches the tracked members,
-// so checking pairs incident to them covers all newly deducible pairs.
+// newly connected clusters. Every such pair touches a member of those
+// clusters, which the graph's member cycles list, so checking pairs
+// incident to them covers all newly deducible pairs.
 type incrementalDeducer struct {
 	g *clustergraph.Graph
 	// byObject[o] lists order positions of pairs touching object o.
 	byObject [][]int32
-	// members[r] lists the objects of the cluster rooted at r; only
-	// entries for current roots are meaningful.
-	members [][]int32
 }
 
 func newIncrementalDeducer(numObjects int, order []Pair, g *clustergraph.Graph) *incrementalDeducer {
 	d := &incrementalDeducer{
 		g:        g,
 		byObject: make([][]int32, numObjects),
-		members:  make([][]int32, numObjects),
 	}
 	for pos, p := range order {
 		d.byObject[p.A] = append(d.byObject[p.A], int32(pos))
 		d.byObject[p.B] = append(d.byObject[p.B], int32(pos))
-	}
-	for i := range d.members {
-		d.members[i] = []int32{int32(i)}
 	}
 	return d
 }
@@ -50,17 +44,9 @@ func (d *incrementalDeducer) insert(a, b int32, matching bool, buf []int32) ([]i
 		if err := d.g.InsertMatching(a, b); err != nil {
 			return buf, err
 		}
-		buf = d.appendIncident(buf, d.members[ra])
-		buf = d.appendIncident(buf, d.members[rb])
-		// Merge member lists under the surviving root.
-		s := d.g.Root(a)
-		o := ra
-		if o == s {
-			o = rb
-		}
-		d.members[s] = append(d.members[s], d.members[o]...)
-		d.members[o] = nil
-		return buf, nil
+		// The merged cycle, walked from ra, lists a's old cluster and then
+		// b's.
+		return d.appendIncident(buf, ra), nil
 	}
 	if ra == rb {
 		// Conflict: matching by deduction. Leave graph untouched.
@@ -74,16 +60,20 @@ func (d *incrementalDeducer) insert(a, b int32, matching bool, buf []int32) ([]i
 	}
 	// Newly deducible pairs span the two clusters; every one of them
 	// touches the smaller side.
-	small := d.members[ra]
-	if len(d.members[rb]) < len(small) {
-		small = d.members[rb]
+	small := ra
+	if d.g.ClusterSize(rb) < d.g.ClusterSize(ra) {
+		small = rb
 	}
 	return d.appendIncident(buf, small), nil
 }
 
-func (d *incrementalDeducer) appendIncident(buf []int32, objects []int32) []int32 {
-	for _, o := range objects {
+// appendIncident appends the positions of the pairs touching the members
+// of start's cluster, walking its member cycle from start.
+func (d *incrementalDeducer) appendIncident(buf []int32, start int32) []int32 {
+	for o := start; ; {
 		buf = append(buf, d.byObject[o]...)
+		if o = d.g.NextMember(o); o == start {
+			return buf
+		}
 	}
-	return buf
 }

@@ -30,7 +30,7 @@ import (
 // In plain mode the driver deduces only when a shard's round has drained,
 // and the scan does it (Algorithm 2's deduction fused into Algorithm 3's
 // pass): it checks every unlabeled, unpublished pair against the
-// crowd-label graph, with every object's root resolved once per drain.
+// crowd-label graph.
 // Positions before the dirty one are only checked, since their scan state
 // stays valid unless a deduced label flips what the scan did there; such a
 // flip moves the dirty mark back to it. Between parallel rounds every
@@ -53,10 +53,8 @@ type resumableScan struct {
 	// first is a position no later than the first unlabeled one: the
 	// labeled prefix before it never needs a deduction check again.
 	first int
-	// roots and deduced are the deducing scan's scratch: every object's
-	// root in the crowd-label graph, and the positions the last scan
+	// deduced is the deducing scan's scratch: the positions the last scan
 	// deduced.
-	roots   []int32
 	deduced []int32
 }
 
@@ -106,11 +104,9 @@ func (s *resumableScan) flips(pos int, l Label) bool {
 func (s *resumableScan) scan(labels []Label, published []bool, crowd *clustergraph.Graph) (out []Pair, deduced []int32) {
 	s.deduced = s.deduced[:0]
 	if crowd != nil {
-		if s.roots == nil {
-			s.roots = make([]int32, crowd.Len())
+		if s.deduced == nil {
 			s.deduced = make([]int32, 0, len(s.order))
 		}
-		crowd.RootsInto(s.roots)
 		for s.first < s.limit && labels[s.first] != Unlabeled {
 			s.first++
 		}
@@ -158,7 +154,7 @@ func (s *resumableScan) scan(labels []Label, published []bool, crowd *clustergra
 func (s *resumableScan) deduce(labels []Label, pos int, crowd *clustergraph.Graph) Label {
 	p := s.order[pos]
 	var l Label
-	switch crowd.DeduceRoots(s.roots[p.A], s.roots[p.B]) {
+	switch crowd.Deduce(p.A, p.B) {
 	case clustergraph.DeducedMatching:
 		l = Matching
 	case clustergraph.DeducedNonMatching:

@@ -101,45 +101,55 @@ func labelSequential(numObjects int, order []Pair, oracle Oracle, rules Rules, r
 	if rules.OneToOne {
 		matched = make([]bool, numObjects)
 	}
-	// free labels a pair where transitive relations or the one-to-one
-	// constraint decide it, returning false when only the crowd (or a
-	// guess) can. Shared by the main loop and the cancellation sweep,
-	// which never guesses.
-	free := func(p Pair) bool {
-		switch g.Deduce(p.A, p.B) {
-		case clustergraph.DeducedMatching:
-			res.Labels[p.ID] = Matching
-			res.NumDeduced++
-			ro.emitPair(EventPairDeduced, p, Matching)
-			return true
-		case clustergraph.DeducedNonMatching:
-			res.Labels[p.ID] = NonMatching
-			res.NumDeduced++
-			ro.emitPair(EventPairDeduced, p, NonMatching)
-			return true
+	// deduced records a label the graph implies; constrained records the
+	// one-to-one constraint's non-matching label for an undeduced pair
+	// with an endpoint already matched to a different record (the same
+	// record would have been deduced matching). Feeding it to the graph
+	// lets negative transitivity build on it; the insert cannot conflict,
+	// since the graph left the pair undeduced.
+	deduced := func(p Pair, l Label) {
+		res.Labels[p.ID] = l
+		res.NumDeduced++
+		ro.emitPair(EventPairDeduced, p, l)
+	}
+	constrained := func(p Pair) bool {
+		if matched == nil || !(matched[p.A] || matched[p.B]) {
+			return false
 		}
-		if matched != nil && (matched[p.A] || matched[p.B]) {
-			// One endpoint is already matched to a different record (the
-			// same record would have been deduced matching above), so the
-			// constraint forces non-matching. Feed it to the graph so
-			// negative transitivity can build on it. The insert cannot
-			// conflict: the deduction above ruled out same-cluster.
-			res.Labels[p.ID] = NonMatching
-			res.NumConstraintDeduced++
-			_ = g.InsertNonMatching(p.A, p.B)
-			ro.emitPair(EventPairConstraintDeduced, p, NonMatching)
-			return true
+		res.Labels[p.ID] = NonMatching
+		res.NumConstraintDeduced++
+		_ = g.InsertNonMatching(p.A, p.B)
+		ro.emitPair(EventPairConstraintDeduced, p, NonMatching)
+		return true
+	}
+	// sweep labels what deduction and the constraint decide among the
+	// pairs a cancelled run did not reach; it never guesses.
+	sweep := func(rest []Pair) {
+		for _, p := range rest {
+			switch g.Deduce(p.A, p.B) {
+			case clustergraph.DeducedMatching:
+				deduced(p, Matching)
+			case clustergraph.DeducedNonMatching:
+				deduced(p, NonMatching)
+			default:
+				constrained(p)
+			}
 		}
-		return false
 	}
 	for i, p := range order {
 		if err := ro.err(); err != nil {
-			for _, q := range order[i:] {
-				free(q)
-			}
+			sweep(order[i:])
 			return res, err
 		}
-		if free(p) {
+		switch g.Deduce(p.A, p.B) {
+		case clustergraph.DeducedMatching:
+			deduced(p, Matching)
+			continue
+		case clustergraph.DeducedNonMatching:
+			deduced(p, NonMatching)
+			continue
+		}
+		if constrained(p) {
 			continue
 		}
 		if b := rules.Budget; b != nil && res.NumCrowdsourced >= b.Limit {
@@ -157,9 +167,7 @@ func labelSequential(numObjects int, order []Pair, oracle Oracle, rules Rules, r
 			// return; the cancellation contract applies, not the
 			// invalid-answer error.
 			if cerr := ro.err(); cerr != nil {
-				for _, q := range order[i:] {
-					free(q)
-				}
+				sweep(order[i:])
 				return res, cerr
 			}
 			return nil, err

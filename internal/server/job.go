@@ -121,6 +121,9 @@ type job struct {
 	// payload: GET /result serves its result.json.
 	clusters [][]int32      // guarded by mu
 	unsaved  *ResultPayload // guarded by mu
+	// pairSlab is the unused tail of the block the next pair event's
+	// EventPair is carved from: one allocation per pairSlabSize events.
+	pairSlab []EventPair // guarded by mu
 	// streaming intake: handlers append acknowledged batches here and
 	// kick the runner; finalSeen flips once a final batch is accepted.
 	pending   []batchLine // guarded by mu
@@ -173,6 +176,13 @@ func (jb *job) status() JobStatus {
 // goroutines, so it must never block (hub.publish only stores the event
 // and signals subscribers, who read at their own pace).
 func (jb *job) onEvent(e crowdjoin.Event) {
+	ev := JobEvent{
+		Kind:      e.Kind.String(),
+		Round:     e.Round,
+		Size:      e.Size,
+		Component: e.Component,
+		Absorbed:  e.Absorbed,
+	}
 	jb.mu.Lock()
 	switch e.Kind {
 	case crowdjoin.EventPairCrowdsourced:
@@ -192,24 +202,25 @@ func (jb *job) onEvent(e crowdjoin.Event) {
 	case crowdjoin.EventRecordAppended:
 		jb.stats.Appends++
 	}
-	jb.mu.Unlock()
-
-	ev := JobEvent{
-		Kind:      e.Kind.String(),
-		Round:     e.Round,
-		Size:      e.Size,
-		Component: e.Component,
-		Absorbed:  e.Absorbed,
-	}
 	switch e.Kind {
 	case crowdjoin.EventPairCrowdsourced, crowdjoin.EventPairDeduced,
 		crowdjoin.EventPairTriaged, crowdjoin.EventPairGuessed,
 		crowdjoin.EventPairConstraintDeduced, crowdjoin.EventConflictOverridden:
-		ev.Pair = &EventPair{A: e.Pair.A, B: e.Pair.B}
+		if len(jb.pairSlab) == 0 {
+			jb.pairSlab = make([]EventPair, pairSlabSize)
+		}
+		ev.Pair = &jb.pairSlab[0]
+		jb.pairSlab = jb.pairSlab[1:]
+		*ev.Pair = EventPair{A: e.Pair.A, B: e.Pair.B}
 		ev.Label = e.Label.String()
 	}
+	jb.mu.Unlock()
 	jb.hub.publish(ev)
 }
+
+// pairSlabSize is how many pair events share one EventPair allocation. A
+// block stays alive while the hub's history still holds one of its events.
+const pairSlabSize = 256
 
 // emitState publishes a lifecycle event.
 func (jb *job) emitState(state, errMsg string) {

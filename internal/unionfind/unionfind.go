@@ -1,174 +1,138 @@
-// Package unionfind implements a disjoint-set forest with union by size and
-// path halving, the substrate the paper's ClusterGraph uses to merge matching
-// objects into clusters (Tarjan, J. ACM 1975; cited as [20] in the paper).
+// Package unionfind implements the disjoint sets under the paper's
+// ClusterGraph, the union-find it cites as [20], in its quick-find form:
+// every element stores its set's root, so Find is one load, and each set's
+// members are linked in a cycle, so Union relabels the smaller set and
+// splices the two cycles.
 //
-// All operations are amortized near-constant (inverse Ackermann). The zero
-// value is not usable; construct with New.
+// Union by size bounds the relabeling: an element is relabeled only when
+// its set at least doubles, so any sequence of unions over n elements
+// relabels O(n log n) times. The larger set's root survives (x's on a tie),
+// so a root is the same element a union-by-size forest would pick, whatever
+// order the finds come in.
 //
-// The forest also supports a rollback variant for backtracking search
-// (world enumeration, checkpointed scans): after BeginUndoLog, unions AND
-// path-halving pointer updates are recorded in one LIFO undo log, so
-// UndoUnion can revert merges exactly. Journaling the halvings keeps path
-// compression on in rollback mode: a halved pointer that skips a root is
-// only unsafe if that root's union is later undone, and such a halving is
-// necessarily recorded after the union, so the LIFO replay restores it
-// first. Finds therefore stay amortized near-constant in both modes.
+// Split undoes the latest union still in effect: it unsplices the cycles
+// and relabels the absorbed set back, at the cost the union paid. Undoing
+// unions in LIFO order is all a backtracking caller (world enumeration, a
+// checkpointed scan) needs; Find writes nothing, so there is nothing else
+// to undo and no separate rollback mode.
+//
+// The zero value is not usable; construct with New.
 package unionfind
 
 import "fmt"
 
-// undoEntry records one parent-pointer overwrite. A union is encoded as
-// parent == node (the absorbed root pointed at itself before the union)
-// and additionally restores the size and set counters on undo; any other
-// entry is a journaled path halving.
-type undoEntry struct {
-	node, parent int32
-}
-
-// UF is a disjoint-set forest over the dense universe [0, n).
+// UF is a partition of the dense universe [0, n) into disjoint sets.
 type UF struct {
-	parent []int32
-	size   []int32 // size[r] is the cluster size; meaningful only for roots
-	sets   int     // current number of disjoint sets
-
-	// undoable switches the forest into rollback mode: unions and path
-	// halvings append their inverse to undo.
-	undoable bool
-	undo     []undoEntry
+	root []int32 // root[x] is the root of x's set
+	// next links each set's members in a cycle that, walked from the root,
+	// lists the root's own members first and then each absorbed set's, in
+	// the order of the unions.
+	next []int32
+	// last[r] is the final member of root r's walk. Once r is absorbed,
+	// last[r] keeps the surviving set's former final member for Split.
+	last []int32
+	size []int32 // size[r] is the set size; meaningful only for roots
+	sets int     // current number of disjoint sets
 }
 
-// New returns a forest of n singleton sets labeled 0..n-1.
+// New returns a partition of n singleton sets labeled 0..n-1.
 func New(n int) *UF {
 	if n < 0 {
 		panic(fmt.Sprintf("unionfind: negative size %d", n))
 	}
 	u := &UF{
-		parent: make([]int32, n),
-		size:   make([]int32, n),
-		sets:   n,
+		root: make([]int32, n),
+		next: make([]int32, n),
+		last: make([]int32, n),
+		size: make([]int32, n),
 	}
-	for i := range u.parent {
-		u.parent[i] = int32(i)
-		u.size[i] = 1
-	}
+	u.Reset()
 	return u
 }
 
 // Len returns the size of the universe.
-func (u *UF) Len() int { return len(u.parent) }
+func (u *UF) Len() int { return len(u.root) }
 
 // Sets returns the current number of disjoint sets.
 func (u *UF) Sets() int { return u.sets }
 
-// Find returns the canonical representative of x's set, applying path
-// halving as it walks to the root (journaled in rollback mode).
-func (u *UF) Find(x int32) int32 {
-	if u.undoable {
-		for {
-			p := u.parent[x]
-			if p == x {
-				return x
-			}
-			gp := u.parent[p]
-			if gp == p {
-				return p
-			}
-			u.undo = append(u.undo, undoEntry{x, p})
-			u.parent[x] = gp
-			x = gp
-		}
-	}
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]] // path halving
-		x = u.parent[x]
-	}
-	return x
-}
+// Find returns the root of x's set.
+func (u *UF) Find(x int32) int32 { return u.root[x] }
 
-// BeginUndoLog switches the forest into rollback mode: subsequent unions
-// and path halvings are recorded so UndoUnion can revert merges. Reset
-// returns the forest to unjournaled mode. Enabling is idempotent and
-// never forgets already recorded operations.
-func (u *UF) BeginUndoLog() { u.undoable = true }
-
-// UndoUnion reverts the most recently recorded union, first restoring any
-// path halvings journaled after it. It panics when no recorded union
-// remains.
-func (u *UF) UndoUnion() {
-	for {
-		e := u.undo[len(u.undo)-1]
-		u.undo = u.undo[:len(u.undo)-1]
-		if e.parent != e.node {
-			u.parent[e.node] = e.parent // journaled halving
-			continue
-		}
-		// The union that absorbed e.node: every halving journaled after it
-		// has been restored above, so e.node points directly at the
-		// surviving root again.
-		r := u.parent[e.node]
-		u.size[r] -= u.size[e.node]
-		u.parent[e.node] = e.node
-		u.sets++
-		return
-	}
-}
+// Next returns the member after x on its set's cycle. Walking from a root
+// until the walk returns to it lists the set in union order.
+func (u *UF) Next(x int32) int32 { return u.next[x] }
 
 // Grow extends the universe to n elements, the new ones as singleton sets;
-// a no-op when the universe already has n or more. Growing is not
-// journaled, so it panics in rollback mode — an undo past the old size
-// would corrupt the forest.
+// a no-op when the universe already has n or more.
 func (u *UF) Grow(n int) {
-	if n <= len(u.parent) {
-		return
-	}
-	if u.undoable {
-		panic("unionfind: Grow in rollback mode")
-	}
-	for i := len(u.parent); i < n; i++ {
-		u.parent = append(u.parent, int32(i))
+	for i := int32(len(u.root)); int(i) < n; i++ {
+		u.root = append(u.root, i)
+		u.next = append(u.next, i)
+		u.last = append(u.last, i)
 		u.size = append(u.size, 1)
 		u.sets++
 	}
 }
 
 // Same reports whether x and y are in the same set.
-func (u *UF) Same(x, y int32) bool { return u.Find(x) == u.Find(y) }
+func (u *UF) Same(x, y int32) bool { return u.root[x] == u.root[y] }
 
 // SizeOf returns the number of elements in x's set.
-func (u *UF) SizeOf(x int32) int32 { return u.size[u.Find(x)] }
+func (u *UF) SizeOf(x int32) int32 { return u.size[u.root[x]] }
 
 // Union merges the sets of x and y. It returns the surviving root, the root
 // that was absorbed, and whether a merge happened (false when x and y were
 // already in the same set, in which case absorbed == root).
-//
-// Union by size: the larger set's root survives, keeping trees shallow.
 func (u *UF) Union(x, y int32) (root, absorbed int32, merged bool) {
-	rx, ry := u.Find(x), u.Find(y)
+	rx, ry := u.root[x], u.root[y]
 	if rx == ry {
 		return rx, rx, false
 	}
 	if u.size[rx] < u.size[ry] {
 		rx, ry = ry, rx
 	}
-	u.parent[ry] = rx
+	u.relabel(ry, rx)
+	// Append ry's cycle after rx's last member.
+	lx, ly := u.last[rx], u.last[ry]
+	u.next[lx], u.next[ly] = ry, rx
+	u.last[rx], u.last[ry] = ly, lx
 	u.size[rx] += u.size[ry]
 	u.sets--
-	if u.undoable {
-		u.undo = append(u.undo, undoEntry{ry, ry})
-	}
 	return rx, ry, true
 }
 
-// Reset restores the forest to n singleton sets without reallocating,
-// returning it to compressing mode and discarding the undo log.
+// Split undoes the union that absorbed absorbed into root, which must be
+// the latest union still in effect: every later one has been split
+// already. It costs the absorbed set's size.
+func (u *UF) Split(root, absorbed int32) {
+	lx, ly := u.last[absorbed], u.last[root]
+	u.next[lx], u.next[ly] = root, absorbed
+	u.last[root], u.last[absorbed] = lx, ly
+	u.size[root] -= u.size[absorbed]
+	u.sets++
+	u.relabel(absorbed, absorbed)
+}
+
+// relabel points every member of the cycle through r at root.
+func (u *UF) relabel(r, root int32) {
+	for m := r; ; {
+		u.root[m] = root
+		if m = u.next[m]; m == r {
+			return
+		}
+	}
+}
+
+// Reset restores the universe to singleton sets without reallocating.
 func (u *UF) Reset() {
-	for i := range u.parent {
-		u.parent[i] = int32(i)
+	for i := range u.root {
+		u.root[i] = int32(i)
+		u.next[i] = int32(i)
+		u.last[i] = int32(i)
 		u.size[i] = 1
 	}
-	u.sets = len(u.parent)
-	u.undoable = false
-	u.undo = u.undo[:0]
+	u.sets = len(u.root)
 }
 
 // Clusters groups the universe by set and returns each set's members.
@@ -178,12 +142,11 @@ func (u *UF) Reset() {
 // tests and reporting, not hot paths.
 func (u *UF) Clusters() [][]int32 {
 	// slot[r] is one past the index in out of the cluster rooted at r.
-	slot := make([]int32, len(u.parent))
+	slot := make([]int32, len(u.root))
 	out := make([][]int32, 0, u.sets)
-	members := make([]int32, len(u.parent))
+	members := make([]int32, len(u.root))
 	next := int32(0) // start of the next cluster's run in members
-	for i := range u.parent {
-		r := u.Find(int32(i))
+	for i, r := range u.root {
 		k := slot[r]
 		if k == 0 {
 			n := u.size[r]

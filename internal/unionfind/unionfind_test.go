@@ -29,7 +29,7 @@ func TestNewSingletons(t *testing.T) {
 func TestNewZero(t *testing.T) {
 	u := New(0)
 	if u.Sets() != 0 || u.Len() != 0 {
-		t.Fatalf("empty forest: Sets=%d Len=%d, want 0,0", u.Sets(), u.Len())
+		t.Fatalf("empty partition: Sets=%d Len=%d, want 0,0", u.Sets(), u.Len())
 	}
 }
 
@@ -281,17 +281,6 @@ func TestGrow(t *testing.T) {
 	}
 }
 
-func TestGrowInRollbackModePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Grow in rollback mode did not panic")
-		}
-	}()
-	u := New(2)
-	u.BeginUndoLog()
-	u.Grow(4)
-}
-
 // sortedClusters is the group-then-sort listing Clusters replaced, kept as
 // its reference: group by root, then order clusters by smallest member.
 func sortedClusters(u *UF) [][]int32 {
@@ -311,16 +300,13 @@ func sortedClusters(u *UF) [][]int32 {
 }
 
 // TestClustersMatchesSortedListing: the one-pass listing equals the
-// group-then-sort one on random forests, all-singleton and single-cluster ones
-// included, in both Find modes.
+// group-then-sort one on random partitions, all-singleton and single-cluster
+// ones included (TestClustersAfterSplit covers partitions reached by Split).
 func TestClustersMatchesSortedListing(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(60)
 		u := New(n)
-		if trial%5 == 4 {
-			u.BeginUndoLog()
-		}
 		var unions int
 		switch trial % 3 {
 		case 0: // all singletons

@@ -12,6 +12,9 @@
 # wall-clock win over largest-first component scheduling on Paper@0.3's
 # 94%-giant-component workload; BenchmarkPlatformInstant tracks the
 # instant-decision platform driver on the AMT simulator, with no sleeps;
+# BenchmarkRoundDriverScale times the round driver past the paper's size,
+# instant platform on the 2,000-record corpus and ParallelStrategy on the
+# 4,000-record one, with a perfect crowd and no sleeps (ungated);
 # BenchmarkJoinEndToEnd times one Paper@0.3 join from texts to clusters
 # with a perfect crowd and no sleeps; BenchmarkServerEventStream follows
 # one Paper@0.3 server job's SSE stream to its terminal state, reporting
@@ -43,7 +46,7 @@ if [ "${1:-}" = "--compare" ]; then
 	shift
 fi
 COUNT="${1:-1}"
-PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkStreamingStep|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkJoinEndToEnd|BenchmarkServerEventStream'
+PATTERN='BenchmarkSequentialLabeling|BenchmarkParallelLabeling|BenchmarkShardedParallelLabeling|BenchmarkCrowdsourceablePairs|BenchmarkWorldEnumeration|BenchmarkExpectedOptimalOrder|BenchmarkClusterGraph|BenchmarkCandidates|BenchmarkStreamingAppend|BenchmarkStreamingStep|BenchmarkServerThroughput|BenchmarkGiantComponent|BenchmarkPlatformInstant|BenchmarkRoundDriverScale|BenchmarkJoinEndToEnd|BenchmarkServerEventStream'
 
 if [ "$MODE" = compare ]; then
 	go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" . |

@@ -453,8 +453,8 @@ func (g *Graph) Snapshot() Mark {
 }
 
 // Rollback restores the state recorded by Snapshot, undoing every insert
-// and merge performed since in reverse order. Cost is proportional to the
-// number of structural changes being undone.
+// and merge performed since in reverse order. Each change costs what it
+// cost to make: a merge its absorbed cluster's size, an edge change O(1).
 func (g *Graph) Rollback(m Mark) {
 	for len(g.journal) > int(m) {
 		op := g.journal[len(g.journal)-1]

@@ -126,12 +126,9 @@ func labelSequential(numObjects int, order []Pair, oracle Oracle, rules Rules, r
 	// pairs a cancelled run did not reach; it never guesses.
 	sweep := func(rest []Pair) {
 		for _, p := range rest {
-			switch g.Deduce(p.A, p.B) {
-			case clustergraph.DeducedMatching:
-				deduced(p, Matching)
-			case clustergraph.DeducedNonMatching:
-				deduced(p, NonMatching)
-			default:
+			if v := g.Deduce(p.A, p.B); v != clustergraph.Undeduced {
+				deduced(p, LabelOf(v == clustergraph.DeducedMatching))
+			} else {
 				constrained(p)
 			}
 		}
@@ -141,12 +138,8 @@ func labelSequential(numObjects int, order []Pair, oracle Oracle, rules Rules, r
 			sweep(order[i:])
 			return res, err
 		}
-		switch g.Deduce(p.A, p.B) {
-		case clustergraph.DeducedMatching:
-			deduced(p, Matching)
-			continue
-		case clustergraph.DeducedNonMatching:
-			deduced(p, NonMatching)
+		if v := g.Deduce(p.A, p.B); v != clustergraph.Undeduced {
+			deduced(p, LabelOf(v == clustergraph.DeducedMatching))
 			continue
 		}
 		if constrained(p) {
